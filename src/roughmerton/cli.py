@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .kernels import resolvent_residual
 from .riccati import RiccatiSpec, assumption_gate, solve_riccati
-from .simulate import ModelParams, RateCurve, SimGrid, simulate_variance
+from .simulate import ModelParams, RateCurve, SimGrid, integral_factors, simulate_variance
 from .stabilizer import StabilizerTable, build_stabilizer, functional_equation_residual
 from .strategy import UtilitySpec, optimal_rule, value_function
 from .verify import (
@@ -251,18 +251,21 @@ def _cmd_riccati(config: RunConfig) -> int:
     return 0 if gate["passed"] else 1
 
 
-def _simulate_bundle(config: RunConfig, tabs, v0_mode="gaussian", store_bperp=True):
-    params = config.params
-    grid = SimGrid(params.T, config.n_sim)
+def _sim_grid(config: RunConfig) -> SimGrid:
+    return SimGrid(config.params.T, config.n_sim)
+
+
+def _simulate_bundle(config: RunConfig, tabs, v0_mode="gaussian", store_bperp=True, factors=None):
     return simulate_variance(
-        params,
+        config.params,
         tabs,
-        grid,
+        _sim_grid(config),
         config.paths,
         config.seed,
         v0_mode=v0_mode,
         store_bperp=store_bperp,
         block_size=config.block_size,
+        factors=factors,
     )
 
 
@@ -324,16 +327,19 @@ def _cmd_value(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     tabs = _stab_tables(config)
-    bundle = _simulate_bundle(config, tabs, v0_mode="mean")
+    # both bundles share one grid and kernel, hence one factor per asset
+    factors = integral_factors(config.params, _sim_grid(config))
+    bundle = _simulate_bundle(config, tabs, v0_mode="mean", factors=factors)
     d = config.params.d
     checks, ok = {}, True
 
     # value agreement per gamma
-    values = {}
+    values, sols = {}, {}
     for g in config.gammas:
         params = config.params_for(g)
         util = config.utility(g)
         sol = solve_riccati(RiccatiSpec(_variant(util.kind), params, tabs, params.T, config.n_riccati))
+        sols[g] = sol
         run = simulate_wealth(bundle, util, lambda t: optimal_rule(util, params, sol, t), params, tag="optimal")
         analytic = value_function(util, params, sol, x0=params.x0)
         tol = 2.0 * run.se + config.tolerances["value_rel_allowance"] * abs(analytic)
@@ -351,7 +357,7 @@ def _cmd_verify(config: RunConfig) -> int:
     # optimality for the first gamma
     params = config.params_for(config.gammas[0])
     util = config.utility(config.gammas[0])
-    sol = solve_riccati(RiccatiSpec(_variant(util.kind), params, tabs, params.T, config.n_riccati))
+    sol = sols[config.gammas[0]]
     ones = lambda t: np.ones((d, np.atleast_1d(t).size))
     perts = [PerturbationSpec(eps, ones, "uniform") for eps in (0.1, 0.2, 0.4)]
     opt = optimality_test(bundle, util, params, sol, perts)
@@ -381,7 +387,7 @@ def _cmd_verify(config: RunConfig) -> int:
     )
 
     # stationarity on a Gaussian-V0 bundle
-    bundle_g = _simulate_bundle(config, tabs, v0_mode="gaussian", store_bperp=False)
+    bundle_g = _simulate_bundle(config, tabs, v0_mode="gaussian", store_bperp=False, factors=factors)
     stat = stationarity_report(bundle_g)
     stat_ok = all(
         r["mean_stat"] <= config.tolerances["stationarity_z"]
@@ -477,11 +483,14 @@ def main(argv=None) -> int:
     threads = os.environ.get("VM_THREADS")
     if threads:
         try:
+            limit = int(threads)
             from threadpoolctl import threadpool_limits
 
-            threadpool_limits(limits=int(threads))
-        except (ImportError, ValueError):
-            pass
+            threadpool_limits(limits=limit)
+        except ImportError:
+            print(f"warning: VM_THREADS={threads} ignored: threadpoolctl is not installed", file=sys.stderr)
+        except ValueError:
+            print(f"warning: VM_THREADS={threads} ignored: not a thread count", file=sys.stderr)
 
     try:
         config = load_config(args.config)

@@ -15,15 +15,25 @@ stationary: with j = k1 - l, m = k2 - l,
     Cov(I^l_k, DW_l)        = R(j D) - R((j+1) D),      Var(DW_l) = D,
 
 so a single (n+1) x (n+1) covariance per asset (row 0 = the Brownian
-increment, rows 1..n = lags 0..n-1) gives, through one symmetric factor A,
-the joint draw (DW_l, I^l_l, ..., I^l_n) at every step l from fresh standard
-normals.  The stock drivers are B^i with W^i = rho_i B^i + sqrt(1-rho_i^2)
-B^{perp,i}; the same W drives both V and the wealth equation.
+increment, rows 1..n = lags 0..n-1) gives, through one symmetric factor A
+of rank q, the joint draw (DW_l, I^l_l, ..., I^l_n) at every step l from
+fresh standard normals xi_l.  The stock drivers are B^i with
+W^i = rho_i B^i + sqrt(1-rho_i^2) B^{perp,i}; the same W drives both V and
+the wealth equation.
+
+The Volterra sum is a causal convolution over steps: with
+eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs
+sum_{l<=k} A[k-l+1] @ eta_l.  ``simulate_variance`` evaluates it in time
+blocks of a few dozen steps.  Each step adds the terms of its own block, and
+each finished block adds its terms to all later steps with one matrix
+product against a Toeplitz gather of A.  That is O(n^2 q P) flops per asset
+and block of P paths, spent in BLAS-3 products, and O(n P) memory.
 
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``gaussian_integral_covariance``: single covariance entries (singularity-aware).
-  - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
+  - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1);
+    ``integral_factors`` builds one per asset, for bundles that share a grid.
   - ``sample_v0``: truncated Gaussian initial variance draws.
   - ``simulate_variance``: block-streamed, seed-deterministic path generation.
 """
@@ -46,6 +56,7 @@ __all__ = [
     "gaussian_integral_covariance",
     "lag_covariance_matrix",
     "integral_factor",
+    "integral_factors",
     "sample_v0",
     "simulate_variance",
 ]
@@ -58,6 +69,8 @@ _PSD_TOL = 1e-10
 _EIG_CUT = 1e-13
 # Quadrature nodes per covariance integral.
 _QUAD_NODES = 64
+# Steps per time block of the Volterra convolution in simulate_variance.
+_TIME_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -369,6 +382,21 @@ def sample_v0(params: ModelParams, n_paths: int, seed: int) -> np.ndarray:
     return np.maximum(draws, _V0_FLOOR)
 
 
+def integral_factors(params: ModelParams, grid: SimGrid, quad_nodes: int = _QUAD_NODES) -> list[np.ndarray]:
+    """``integral_factor`` of every asset of ``params`` on ``grid``, in asset order."""
+    return [integral_factor(params.kernel_spec(i), grid.dt, grid.n_steps, quad_nodes) for i in range(params.d)]
+
+
+def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
+    """K[i, j q + r] = A[i - j + 1, r], shape (n, b q); entries with i < j are never read.
+
+    Against the eta of a time block starting at step L, row i < b gives the
+    block's own sum at step L + i, and rows i >= b its push to later steps.
+    """
+    lag = np.arange(n)[:, None] - np.arange(b)[None, :] + 1
+    return A[np.maximum(lag, 0)].reshape(n, b * A.shape[1])
+
+
 def simulate_variance(
     params: ModelParams,
     stab: list[StabilizerTable],
@@ -380,8 +408,19 @@ def simulate_variance(
     store_integrals: bool = False,
     block_size: int = 25000,
     quad_nodes: int = _QUAD_NODES,
+    factors: list[np.ndarray] | None = None,
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
+
+    With eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, the Volterra sum
+    of the scheme at step k is sum_{l<=k} A[k-l+1] @ eta_l, a causal
+    convolution over steps.  It is evaluated in time blocks of
+    ``_TIME_BLOCK`` steps: inside a block each step adds the block's own
+    terms (one product of length at most ``_TIME_BLOCK * q``), and a finished
+    block pushes its terms to every later step with one BLAS-3 product.
+    Per asset this is O(n^2 q P) flops in matrix products and O(n P) memory
+    for a block of P paths; the normals and the sums are those of the
+    step-by-step scheme, summed in another order.
 
     Parameters
     ----------
@@ -400,6 +439,12 @@ def simulate_variance(
         Optional storage (memory: each field is d*n*n_paths doubles).
     block_size : int
         Paths per streamed block.
+    quad_nodes : int
+        Quadrature nodes of the covariance entries; unused when ``factors``
+        is given.
+    factors : list of np.ndarray, optional
+        ``integral_factors(params, grid)`` built beforehand, so that several
+        bundles on one grid share them; each must have n_steps + 1 rows.
 
     Returns
     -------
@@ -414,8 +459,13 @@ def simulate_variance(
     for i, tab in enumerate(stab):
         if tab.grid[-1] < params.T - 1e-12:
             raise ValueError(f"stabilizer table {i} does not cover [0, T]")
+    if factors is None:
+        factors = integral_factors(params, grid, quad_nodes)
+    elif len(factors) != d or any(np.ndim(A) != 2 or np.shape(A)[0] != n + 1 for A in factors):
+        raise ValueError(f"factors must be {d} two-dimensional arrays with n_steps + 1 = {n + 1} rows")
 
-    factors = [integral_factor(params.kernel_spec(i), dt, n, quad_nodes) for i in range(d)]
+    tb = min(_TIME_BLOCK, n)
+    gathers = [_toeplitz_gather(A, n, tb) for A in factors]
     r_vals = [resolvent(params.kernel_spec(i), times) for i in range(d)]
     s_vals = [np.asarray(stab[i](times)) for i in range(d)]
     x_inf, v0_sd = params.x_inf, np.sqrt(params.v0_var)
@@ -450,23 +500,29 @@ def simulate_variance(
 
         for i in range(d):
             rng = np.random.default_rng(subs[i])
-            A = factors[i]
+            A, K = factors[i], gathers[i]
             q = A.shape[1]
             scale = params.nu[i] / params.lam[i]
-            h = x_inf[i] + (v0[i][None, :] - x_inf[i]) * r_vals[i][:, None]  # (n+1, P)
-            acc = np.zeros((n, P))
             dW = np.empty((n, P))
             Vi = V[i, :, lo:hi]
             Vi[0] = v0[i]
-            for ell in range(1, n + 1):
-                xi = rng.standard_normal((q, P))
-                G = A[: n - ell + 2] @ xi
-                dW[ell - 1] = G[0]
-                u = scale * s_vals[i][ell] * np.sqrt(Vi[ell - 1])
-                acc[ell - 1 :] += u[None, :] * G[1:]
-                Vi[ell] = np.maximum(h[ell] + acc[ell - 1], 0.0)
+            # until step k is reached, Vi[k] holds the pushes of finished blocks
+            Vi[1:] = 0.0
+            for start in range(0, n, tb):
+                m = min(tb, n - start)
+                # one draw per block consumes the stream of m draws of (q, P)
+                eta = rng.standard_normal((m, q, P))
+                dW[start : start + m] = A[0] @ eta
                 if store_integrals:
-                    integrals[i, ell - 1, lo:hi] = G[1]
+                    integrals[i, start : start + m, lo:hi] = A[1] @ eta
+                for j in range(m):
+                    ell = start + j + 1
+                    eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vi[ell - 1])
+                    own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
+                    h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
+                    Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
+                if start + m < n:
+                    Vi[start + m + 1 :] += K[m : n - start] @ eta.reshape(m * q, P)
             # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
             # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
             what = sqrt_dt * bperp_rng.standard_normal((n, P))

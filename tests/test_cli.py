@@ -1,10 +1,13 @@
 import filecmp
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import roughmerton.cli as cli
+import roughmerton.simulate as simulate
 from roughmerton.cli import ConfigError, _default_config_path, dispatch, load_config, main
 
 
@@ -144,6 +147,38 @@ class TestCommands:
             )
             == 0
         )
+
+    def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
+        calls = {"factor": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(simulate, "integral_factor", counted("factor", simulate.integral_factor))
+        monkeypatch.setattr(cli, "solve_riccati", counted("solve", cli.solve_riccati))
+        cfg = write_config(tmp_path, self.shrink)
+        out = str(tmp_path / "out")
+        run_cli(["verify", "--config", cfg, "--out", out])
+        assert os.path.isfile(os.path.join(out, "verify_report.json"))
+        # two assets shared by both bundles; two gammas
+        assert calls == {"factor": 2, "solve": 2}
+
+    @pytest.mark.parametrize(
+        "value,reason", [("2", "threadpoolctl is not installed"), ("two", "not a thread count")]
+    )
+    def test_ignored_vm_threads_warns(self, tmp_path, capsys, monkeypatch, value, reason):
+        monkeypatch.setenv("VM_THREADS", value)
+        # a None entry makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        cfg = write_config(tmp_path, self.shrink)
+        assert run_cli(["value", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"VM_THREADS={value}" in err[0] and reason in err[0]
+        assert not err[0].startswith("{")
 
     def test_error_path_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, lambda raw: raw["model"].update(lam=[-1.0, 0.6]))

@@ -12,6 +12,7 @@ from roughmerton.simulate import (
     SimGrid,
     gaussian_integral_covariance,
     integral_factor,
+    integral_factors,
     lag_covariance_matrix,
     sample_v0,
     simulate_variance,
@@ -44,6 +45,47 @@ def cov_quad_ref(spec: KernelSpec, dt: float, j: int, m: int) -> float:
         limit=200,
     )
     return val
+
+
+def step_by_step_reference(params, stab, grid, n_paths, seed, block_size):
+    """The integrated Euler scheme one step at a time: at step l the joint draw
+    G = A[:n-l+2] @ xi gives (DW_l, I^l_l, ..., I^l_n), and u_l G[1:] is added
+    to the Volterra sums of steps l..n.  Same streams as simulate_variance
+    with Gaussian V_0; returns (V, dB, dBperp, integrals)."""
+    d, n, times = params.d, grid.n_steps, grid.times
+    rho = params.rho
+    rho_c = np.sqrt(np.maximum(1.0 - rho**2, 0.0))
+    V = np.empty((d, n + 1, n_paths))
+    dB, dBperp, integrals = (np.empty((d, n, n_paths)) for _ in range(3))
+    n_blocks = (n_paths + block_size - 1) // block_size
+    for b, bss in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        lo, hi = b * block_size, min((b + 1) * block_size, n_paths)
+        P = hi - lo
+        subs = bss.spawn(d + 2)
+        z = np.random.default_rng(subs[d]).standard_normal((d, P))
+        v0 = np.maximum(params.x_inf[:, None] + np.sqrt(params.v0_var)[:, None] * z, 1e-12)
+        bperp_rng = np.random.default_rng(subs[d + 1])
+        for i in range(d):
+            rng = np.random.default_rng(subs[i])
+            A = integral_factor(params.kernel_spec(i), grid.dt, n)
+            s = np.asarray(stab[i](times))
+            r = resolvent(params.kernel_spec(i), times)
+            h = params.x_inf[i] + (v0[i][None, :] - params.x_inf[i]) * r[:, None]
+            acc = np.zeros((n, P))
+            dW = np.empty((n, P))
+            Vi = V[i, :, lo:hi]
+            Vi[0] = v0[i]
+            for ell in range(1, n + 1):
+                G = A[: n - ell + 2] @ rng.standard_normal((A.shape[1], P))
+                dW[ell - 1] = G[0]
+                u = params.nu[i] / params.lam[i] * s[ell] * np.sqrt(Vi[ell - 1])
+                acc[ell - 1 :] += u[None, :] * G[1:]
+                Vi[ell] = np.maximum(h[ell] + acc[ell - 1], 0.0)
+                integrals[i, ell - 1, lo:hi] = G[1]
+            what = math.sqrt(grid.dt) * bperp_rng.standard_normal((n, P))
+            dB[i, :, lo:hi] = rho[i] * dW + rho_c[i] * what
+            dBperp[i, :, lo:hi] = rho_c[i] * dW - rho[i] * what
+    return V, dB, dBperp, integrals
 
 
 class TestRateCurve:
@@ -170,6 +212,32 @@ class TestSampling:
         assert np.allclose(v0, p.x_inf[:, None], rtol=0.0, atol=0.0)
 
 
+@pytest.fixture(scope="module", params=[0.6, 0.9, 1.0])
+def oracle_model(request, params4):
+    """params4 with both kernel exponents set to alpha, and its stabilizers."""
+    alpha = request.param
+    p = ModelParams(
+        alpha=[alpha, alpha], lam=params4.lam, nu=params4.nu, theta=params4.theta,
+        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+    )
+    tabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0.0, 1.0, 51)) for i in range(2)]
+    return p, tabs
+
+
+# one step, one full time block and a partial one, several time blocks
+@pytest.mark.parametrize("n", [1, 37, 130])
+def test_matches_step_by_step_oracle(oracle_model, n):
+    p, tabs = oracle_model
+    grid = SimGrid(T=1.0, n_steps=n)
+    # 45 paths in blocks of 20: three path blocks, the last one partial
+    b = simulate_variance(p, tabs, grid, n_paths=45, seed=19, store_integrals=True, block_size=20)
+    V, dB, dBperp, integrals = step_by_step_reference(p, tabs, grid, 45, 19, block_size=20)
+    assert np.max(np.abs(b.V - V)) <= 1e-13 * np.max(np.abs(V))
+    assert np.max(np.abs(b.dB - dB)) <= 1e-15
+    assert np.max(np.abs(b.dBperp - dBperp)) <= 1e-15
+    assert np.max(np.abs(b.integrals - integrals)) <= 1e-15
+
+
 @pytest.fixture(scope="module")
 def small_bundle(params4, stab4):
     grid = SimGrid(T=1.0, n_steps=50)
@@ -263,6 +331,18 @@ class TestSimulate:
             b.dW(0)
         with pytest.raises(ValueError):
             simulate_variance(params4, stab4, grid, n_paths=5, seed=2, v0_mode="median")
+
+    def test_precomputed_factors(self, params4, stab4, small_bundle):
+        grid = SimGrid(T=1.0, n_steps=50)
+        factors = integral_factors(params4, grid)
+        again = simulate_variance(
+            params4, stab4, grid, n_paths=4000, seed=11, store_integrals=True, factors=factors
+        )
+        assert np.array_equal(again.V, small_bundle.V)
+        assert np.array_equal(again.dB, small_bundle.dB)
+        for bad in (factors[:1], [factors[0], factors[1][:-1]], [factors[0], factors[1][0]]):
+            with pytest.raises(ValueError):
+                simulate_variance(params4, stab4, grid, n_paths=5, seed=2, factors=bad)
 
     def test_stabilizer_coverage_checked(self, params4):
         short = [
