@@ -6,6 +6,7 @@ Provides:
   - ``mittag_leffler``: E_alpha(z) for z <= 0, accurate over the whole range.
   - ``resolvent`` / ``resolvent_density``: R(t) = E_alpha(-lam t^alpha) and
     f(t) = -R'(t), the density of the probability measure 1 - R.
+  - ``f_l2_norm``: ||f||_L2(0,inf) in closed form (no quadrature).
   - ``resolvent_table``: grid tabulation of R and f plus the L2 norm of f.
   - ``resolvent_residual`` / ``first_kind_resolvent_check``: quadrature
     diagnostics for the defining convolution identities.
@@ -20,6 +21,17 @@ monotone integral representation
                   / (r^(2 alpha) + 2 r^alpha cos(alpha pi) + 1)
 
 is used instead (substituting u = r^alpha to remove the endpoint singularity).
+
+The L2 norm of f needs no quadrature.  The Laplace transform of f_{alpha,1} is
+1/(s^alpha + 1); Parseval turns ||f_{alpha,1}||^2 into
+(1/pi) int_0^inf dw / (w^(2 alpha) + 2 w^alpha cos(alpha pi/2) + 1); with
+x = w^alpha this is the classical integral of x^(mu-1)/(x^2 + 2 x cos(phi) + 1)
+over (0, inf) at mu = 1/alpha, phi = alpha pi/2, which gives
+
+    ||f_{alpha,lam}||^2 = lam^(1/alpha) sin((1-alpha) pi/2)
+                          / (alpha |sin(pi/alpha)| sin(alpha pi/2)),
+
+which tends to lam/2 (the exponential case) as alpha -> 1; see ``f_l2_norm``.
 """
 
 from __future__ import annotations
@@ -237,44 +249,32 @@ def resolvent_density(spec: KernelSpec, t):
     return float(out[0]) if scalar else out
 
 
-def _f_l2_sq_unit(alpha: float) -> float:
-    """||f_{alpha,1}||^2 over (0, inf), by split quadrature + analytic tail.
-
-    Near 0 the substitution u = w^(1/(2 alpha - 1)) absorbs the t^(2 alpha - 2)
-    singularity exactly; the far field uses dyadic panels until the asymptotic
-    tail (f ~ alpha t^(-alpha-1)/Gamma(1-alpha)) is negligible, then the tail's
-    leading term is added in closed form.
-    """
-    p = 1.0 / (2.0 * alpha - 1.0)
-    spec1 = KernelSpec(alpha, 1.0)
-
-    nodes, weights = np.polynomial.legendre.leggauss(120)
-    # [0, 1]: integral = p * int_0^1 S(w^p)^2 dw
-    w = 0.5 * (nodes + 1.0)
-    s_vals = _f_smooth(spec1, w**p)
-    near = p * 0.5 * np.sum(weights * s_vals**2)
-
-    # [1, inf): dyadic panels
-    far = 0.0
-    lo = 1.0
-    tail_coef = (alpha / sp_gamma(1.0 - alpha)) ** 2 / (2.0 * alpha + 1.0)
-    for _ in range(80):
-        hi = 2.0 * lo
-        t = lo + (hi - lo) * 0.5 * (nodes + 1.0)
-        f_vals = resolvent_density(spec1, t)
-        far += (hi - lo) * 0.5 * np.sum(weights * f_vals**2)
-        lo = hi
-        if tail_coef * lo ** (-2.0 * alpha - 1.0) < 1e-13 * (near + far):
-            break
-    return near + far + tail_coef * lo ** (-2.0 * alpha - 1.0)
-
-
 def f_l2_norm(spec: KernelSpec) -> float:
-    """||f_{alpha,lam}||_{L2(0,inf)}; rejects alpha = 1/2 (divergent)."""
-    if spec.alpha == 1.0:
-        return math.sqrt(spec.lam / 2.0)
-    # scaling law: ||f_{alpha,lam}||^2 = lam^(1/alpha) ||f_{alpha,1}||^2
-    return math.sqrt(spec.lam ** (1.0 / spec.alpha) * _f_l2_sq_unit(spec.alpha))
+    """||f_{alpha,lam}||_{L2(0,inf)} in closed form; alpha = 1/2 diverges.
+
+    The Laplace transform of f_{alpha,1} is 1/(s^alpha + 1), so by Parseval
+    ||f_{alpha,1}||^2 = (1/pi) int_0^inf |1/((i w)^alpha + 1)|^2 dw.  With
+    |(i w)^alpha + 1|^2 = x^2 + 2 x cos(phi) + 1, x = w^alpha, phi = alpha pi/2,
+    dw = x^(1/alpha - 1) dx / alpha and the classical integral
+
+      int_0^inf x^(mu-1) / (x^2 + 2 x cos(phi) + 1) dx
+          = pi sin((1 - mu) phi) / (sin(mu pi) sin(phi))
+
+    at mu = 1/alpha, this gives
+
+      ||f_{alpha,1}||^2 = sin((1-alpha) pi/2) / (alpha |sin(pi/alpha)| sin(alpha pi/2)),
+
+    and the scaling law ||f_{alpha,lam}||^2 = lam^(1/alpha) ||f_{alpha,1}||^2.
+    |sin(pi/alpha)| is evaluated as sin(pi (1-alpha)/alpha), which keeps full
+    relative accuracy as alpha -> 1, where the value tends to 1/2.
+    """
+    alpha, lam = spec.alpha, spec.lam
+    if alpha == 1.0:
+        return math.sqrt(lam / 2.0)
+    unit_sq = math.sin((1.0 - alpha) * math.pi / 2.0) / (
+        alpha * math.sin(math.pi * (1.0 - alpha) / alpha) * math.sin(alpha * math.pi / 2.0)
+    )
+    return math.sqrt(lam ** (1.0 / alpha) * unit_sq)
 
 
 def resolvent_table(spec: KernelSpec, grid) -> ResolventTable:
@@ -303,13 +303,14 @@ def resolvent_residual(spec: KernelSpec, t, n_nodes: int = 60):
     if np.any(t <= 0.0):
         raise ValueError("resolvent_residual requires t > 0")
     xi, w = roots_jacobi(n_nodes, spec.alpha - 1.0, 0.0)
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        s = ti * 0.5 * (1.0 + xi)
-        conv = (ti / 2.0) ** spec.alpha / sp_gamma(spec.alpha) * np.sum(
-            w * resolvent(spec, s)
-        )
-        out[i] = abs(resolvent(spec, ti) + spec.lam * conv - 1.0)
+    # one resolvent call for every node of every t, plus the t themselves
+    s = t[:, None] * 0.5 * (1.0 + xi)[None, :]
+    r_all = resolvent(spec, np.concatenate([s.ravel(), t]))
+    r_nodes, r_t = r_all[: s.size].reshape(s.shape), r_all[s.size :]
+    # scalar powers: numpy's vector power can differ from them in the last bit
+    scale = np.array([(ti / 2.0) ** spec.alpha for ti in t.tolist()])
+    conv = scale / sp_gamma(spec.alpha) * np.sum(w * r_nodes, axis=1)
+    out = np.abs(r_t + spec.lam * conv - 1.0)
     return out if out.size > 1 else float(out[0])
 
 

@@ -106,8 +106,14 @@ class RateCurve:
         """int_{t0}^{t1} r(s) ds (t0 <= t1)."""
         if t1 < t0:
             raise ValueError("integral requires t0 <= t1")
-        edges = np.concatenate([[t0], self.knots[(self.knots > t0) & (self.knots < t1)], [t1]])
-        return float(np.sum(self(edges[:-1]) * np.diff(edges)))
+        return float(self.primitive(t1) - self.primitive(t0))
+
+    def primitive(self, t) -> np.ndarray:
+        """int_0^t r(s) ds for each t >= 0 (vectorised)."""
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, None)
+        at_knots = np.concatenate([[0.0], np.cumsum(self.values[:-1] * np.diff(self.knots))])
+        return at_knots[idx] + self.values[idx] * (t - self.knots[idx])
 
 
 @dataclass(frozen=True)

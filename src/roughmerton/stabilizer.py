@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_jacobi
+from scipy.special import betaln, gammaln
 
-from .kernels import KernelSpec, ResolventTable, _f_series_smooth, f_l2_norm, resolvent
+from .kernels import KernelSpec, f_l2_norm, resolvent
 
 __all__ = [
     "StabilizerTable",
@@ -64,6 +64,9 @@ class StabilizerTable:
         varsigma(t) >= 0 per grid point.
     limit : float
         Long-time limit sqrt(c) lam / ||f||_L2.
+    radius : float or None
+        Series trust radius in tau = lam^(1/alpha) t (see ``_trust_radius``);
+        None when the series is not used (c = 0 or alpha = 1).
     """
 
     spec: KernelSpec
@@ -72,10 +75,13 @@ class StabilizerTable:
     grid: np.ndarray
     values: np.ndarray
     limit: float
+    radius: float | None
 
     def __call__(self, t):
         """Evaluate varsigma at arbitrary times via the series."""
-        return stabilizer_eval(self.spec, self.c, self.coeffs, t, limit=self.limit)
+        return stabilizer_eval(
+            self.spec, self.c, self.coeffs, t, limit=self.limit, radius=self.radius
+        )
 
     @property
     def sup_norm(self) -> float:
@@ -102,23 +108,37 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
     K = n_coeffs - 1
     ks = np.arange(K + 1)
     a = np.exp(-gammaln(alpha * ks + 1.0))
-    b = np.exp(-gammaln(alpha * (ks + 1)))
+    b, bb = _b_and_bb(alpha, K + 1)
     ab = np.array([np.sum(a[: k + 1] * b[k::-1]) for k in range(K + 1)])
-    bb = np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(K + 1)])
 
     log_g2a1 = gammaln(2.0 * alpha - 1.0)
     log_ga = gammaln(alpha)
+    log_pref = (
+        2.0 * log_ga + gammaln(alpha * (ks + 1)) - log_g2a1 - gammaln(alpha * ks + 2.0 - alpha)
+    )
+    # math.exp: np.exp can differ from it in the last bit, which would move every c_k
+    pref = [math.exp(v) for v in log_pref]
+    # weights[k, l] = B(alpha (l+2) - 1, alpha (k-l-1) + 2) (b*b)_l for 1 <= l <= k
+    k_idx, l_idx = np.tril_indices(K + 1, -1)
+    l_idx = l_idx + 1
+    weights = np.zeros((K + 1, K + 1))
+    weights[k_idx, l_idx] = (
+        np.exp(betaln(alpha * (l_idx + 2) - 1.0, alpha * (k_idx - l_idx - 1) + 2.0)) * bb[l_idx]
+    )
+
     c = np.empty(K + 1)
     c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
     for k in range(1, K + 1):
-        pref = math.exp(
-            2.0 * log_ga + gammaln(alpha * (k + 1)) - log_g2a1 - gammaln(alpha * k + 2.0 - alpha)
-        )
-        ells = np.arange(1, k + 1)
-        beta_vals = np.exp(betaln(alpha * (ells + 2) - 1.0, alpha * (k - ells - 1) + 2.0))
-        conv = np.sum(beta_vals * bb[1 : k + 1] * c[k - 1 :: -1][: k])
-        c[k] = pref * (ab[k] - alpha * (k + 1) * conv)
+        conv = np.sum(weights[k, 1 : k + 1] * c[k - 1 :: -1])
+        c[k] = pref[k] * (ab[k] - alpha * (k + 1) * conv)
     return c
+
+
+def _b_and_bb(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_k = 1/Gamma(alpha (k+1)) and its Cauchy square (b*b)_k, k < n."""
+    b = np.exp(-gammaln(alpha * (np.arange(n) + 1)))
+    bb = np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(n)])
+    return b, bb
 
 
 def _series_sq_scaled(alpha: float, coeffs: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -153,12 +173,15 @@ def stabilizer_eval(
     coeffs: np.ndarray,
     t,
     limit: float | None = None,
+    radius: float | None = None,
 ):
     """varsigma_{alpha,lam,c}(t) = sqrt(max(series, 0)), t >= 0.
 
     Beyond the series trust radius the asymptotic limit
     sqrt(c) lam / ||f||_L2 is returned, blended linearly over one decade edge.
     Raises on materially negative series values inside the trust radius.
+    ``limit`` and ``radius`` (``_trust_radius(alpha, coeffs)``) are computed
+    when not given.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
@@ -179,7 +202,8 @@ def stabilizer_eval(
         return float(out[0]) if scalar else out
 
     tau = lam ** (1.0 / alpha) * t
-    radius = _trust_radius(alpha, coeffs)
+    if radius is None:
+        radius = _trust_radius(alpha, coeffs)
     sq = np.zeros_like(tau)
     inside = tau <= radius
     if np.any(inside):
@@ -219,29 +243,20 @@ def build_stabilizer(
         if spec.alpha == 1.0
         else stabilizer_coefficients(spec.alpha, n_coeffs)
     )
-    values = stabilizer_eval(spec, c, coeffs, grid, limit=limit)
+    # the series, and so its trust radius, is used only when c > 0 and alpha < 1
+    radius = _trust_radius(spec.alpha, coeffs) if c > 0.0 and spec.alpha < 1.0 else None
+    values = stabilizer_eval(spec, c, coeffs, grid, limit=limit, radius=radius)
     return StabilizerTable(
-        spec=spec, c=c, coeffs=coeffs, grid=grid, values=values, limit=limit
+        spec=spec, c=c, coeffs=coeffs, grid=grid, values=values, limit=limit, radius=radius
     )
 
 
-def functional_equation_residual(
-    table: StabilizerTable,
-    rtable: ResolventTable | None = None,
-) -> float:
+def functional_equation_residual(table: StabilizerTable) -> float:
     """sup_t |c lam^2 (1 - R(t)^2) - (f^2 * varsigma^2)(t)| / (c lam^2).
 
-    The right side is evaluated by convolving the two power series term by
-    term: with f(u)^2 = lam^2 u^(2a-2) sum_m d_m u^(a m)
-    (d_m = (-lam)^m (b*b)_m, b_k = 1/Gamma(a(k+1))) and
-    varsigma^2(tau) = 2 c lam sum_j e_j tau^(1 - a + a j)
-    (e_j = (-lam)^j c_j), each cross term integrates to a Beta function:
-
-      (f^2 * s^2)(t) = 2 c lam^3 sum_{m,j} d_m e_j
-                       B(2a - 1 + a m, 2 - a + a j) t^(a (1 + m + j)).
-
-    This is exact up to series truncation, so the residual isolates how well
-    the recurrence coefficients satisfy the defining equation.
+    For alpha < 1 the right side comes from ``_series_convolution``, which is
+    exact up to series truncation, so the residual isolates how well the
+    recurrence coefficients satisfy the defining equation.
     """
     spec, c = table.spec, table.c
     alpha, lam = spec.alpha, spec.lam
@@ -256,19 +271,41 @@ def functional_equation_residual(
         lhs = c * lam**2 * (1.0 - np.exp(-2.0 * lam * grid))
         return float(np.max(np.abs(lhs - rhs)) / (c * lam**2))
 
-    coeffs = table.coeffs
-    K = coeffs.size
+    rhs = _series_convolution(table, grid)
+    lhs = c * lam**2 * (1.0 - resolvent(spec, grid) ** 2)
+    return float(np.max(np.abs(lhs - rhs)) / (c * lam**2))
+
+
+def _series_convolution(table: StabilizerTable, grid: np.ndarray) -> np.ndarray:
+    """(f^2 * varsigma^2)(t) on ``grid`` (t > 0, alpha < 1), term by term.
+
+    With f(u)^2 = lam^2 u^(2a-2) sum_m d_m u^(a m)
+    (d_m = (-lam)^m (b*b)_m, b_k = 1/Gamma(a(k+1))) and
+    varsigma^2(tau) = 2 c lam sum_j e_j tau^(1 - a + a j)
+    (e_j = (-lam)^j c_j), each cross term integrates to a Beta function:
+
+      (f^2 * s^2)(t) = 2 c lam^3 sum_{m,j} M[m, j] t^(a (1 + m + j)),
+      M[m, j]        = d_m e_j B(2a - 1 + a m, 2 - a + a j).
+
+    The double sum depends on m and j only through m + j.  So M is folded
+    onto its anti-diagonals, g_s = sum_{m+j=s} M[m, j], and the polynomial
+    sum_s g_s u^s in u = t^a is evaluated by Horner's rule: O(K^2 + grid K)
+    work, and no grid x K array.
+    """
+    alpha, lam, c = table.spec.alpha, table.spec.lam, table.c
+    K = table.coeffs.size
     ks = np.arange(K)
-    b = np.exp(-gammaln(alpha * (ks + 1)))
-    bb = np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(K)])
+    _, bb = _b_and_bb(alpha, K)
     d = (-lam) ** ks * bb
-    e = (-lam) ** ks * coeffs
+    e = (-lam) ** ks * table.coeffs
     beta_mat = np.exp(
         betaln(2.0 * alpha - 1.0 + alpha * ks[:, None], 2.0 - alpha + alpha * ks[None, :])
     )
     M = beta_mat * d[:, None] * e[None, :]
 
-    powers = grid[:, None] ** (alpha * ks[None, :])  # p[t, m] = t^(a m)
-    rhs = 2.0 * c * lam**3 * grid**alpha * np.einsum("tm,mj,tj->t", powers, M, powers)
-    lhs = c * lam**2 * (1.0 - resolvent(spec, grid) ** 2)
-    return float(np.max(np.abs(lhs - rhs)) / (c * lam**2))
+    g = np.bincount((ks[:, None] + ks[None, :]).ravel(), weights=M.ravel())
+    u = grid**alpha
+    poly = np.full_like(u, g[-1])
+    for g_s in g[-2::-1]:
+        poly = poly * u + g_s
+    return 2.0 * c * lam**3 * u * poly

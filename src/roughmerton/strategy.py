@@ -124,7 +124,7 @@ def optimal_rule(util: UtilitySpec, params: ModelParams, sol: RiccatiSolution, t
     if util.kind == "power":
         out = base / (1.0 - util.gamma)
     else:
-        disc = np.array([math.exp(-params.rate.integral(ti, T)) for ti in t])
+        disc = np.exp(params.rate.primitive(t) - params.rate.primitive(T))
         out = disc[None, :] * base / util.gamma
     return out[:, 0] if scalar else out
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import roughmerton.cli as cli
+import roughmerton.kernels as kernels
 import roughmerton.simulate as simulate
 from roughmerton.cli import ConfigError, _default_config_path, dispatch, load_config, main
 
@@ -179,6 +180,22 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"VM_THREADS={value}" in err[0] and reason in err[0]
         assert not err[0].startswith("{")
+
+    @pytest.mark.parametrize("utility", ["power", "exponential"])
+    def test_analytic_subcommands_make_no_quad_calls(self, tmp_path, monkeypatch, utility):
+        # the analytic layer on the packaged config needs no adaptive quadrature
+        calls = []
+        real_quad = kernels.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.integrate, "quad", counting_quad)
+        for sub in ("stabilizer", "riccati", "strategy", "value"):
+            out = str(tmp_path / sub)
+            assert run_cli([sub, "--utility", utility, "--out", out]) == 0
+        assert len(calls) == 0
 
     def test_error_path_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, lambda raw: raw["model"].update(lam=[-1.0, 0.6]))

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as sp_gamma
+from scipy.special import roots_jacobi
 
 from roughmerton.kernels import (
     KernelSpec,
+    _f_smooth,
     f_l2_norm,
     first_kind_resolvent_check,
     kernel_eval,
@@ -20,6 +23,47 @@ from roughmerton.kernels import (
 )
 
 mp.mp.dps = 60
+
+
+def f_l2_sq_unit_quadrature(alpha: float) -> float:
+    """||f_{alpha,1}||^2 over (0, inf), by split quadrature + analytic tail.
+
+    Near 0 the substitution u = w^(1/(2 alpha - 1)) absorbs the t^(2 alpha - 2)
+    singularity exactly; the far field uses dyadic panels until the asymptotic
+    tail (f ~ alpha t^(-alpha-1)/Gamma(1-alpha)) is negligible, then the tail's
+    leading term is added in closed form.
+    """
+    p = 1.0 / (2.0 * alpha - 1.0)
+    spec1 = KernelSpec(alpha, 1.0)
+
+    nodes, weights = np.polynomial.legendre.leggauss(120)
+    # [0, 1]: integral = p * int_0^1 S(w^p)^2 dw
+    w = 0.5 * (nodes + 1.0)
+    near = p * 0.5 * np.sum(weights * _f_smooth(spec1, w**p) ** 2)
+
+    # [1, inf): dyadic panels
+    far = 0.0
+    lo = 1.0
+    tail_coef = (alpha / sp_gamma(1.0 - alpha)) ** 2 / (2.0 * alpha + 1.0)
+    for _ in range(80):
+        hi = 2.0 * lo
+        t = lo + (hi - lo) * 0.5 * (nodes + 1.0)
+        far += (hi - lo) * 0.5 * np.sum(weights * resolvent_density(spec1, t) ** 2)
+        lo = hi
+        if tail_coef * lo ** (-2.0 * alpha - 1.0) < 1e-13 * (near + far):
+            break
+    return near + far + tail_coef * lo ** (-2.0 * alpha - 1.0)
+
+
+def resolvent_residual_per_t(spec: KernelSpec, t, n_nodes: int = 60) -> np.ndarray:
+    """|R(t) + lam (K * R)(t) - 1|, one Gauss-Jacobi rule and two resolvent calls per t."""
+    xi, w = roots_jacobi(n_nodes, spec.alpha - 1.0, 0.0)
+    out = np.empty_like(t)
+    for i, ti in enumerate(t):
+        s = ti * 0.5 * (1.0 + xi)
+        conv = (ti / 2.0) ** spec.alpha / sp_gamma(spec.alpha) * np.sum(w * resolvent(spec, s))
+        out[i] = abs(resolvent(spec, ti) + spec.lam * conv - 1.0)
+    return out
 
 
 def ml_series_ref(alpha: float, x: float) -> float:
@@ -142,6 +186,20 @@ class TestKernelAndResolvent:
     def test_f_l2_norm_alpha_one(self):
         assert f_l2_norm(KernelSpec(1.0, 0.8)) == pytest.approx(math.sqrt(0.4), rel=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.7, 0.75, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    def test_f_l2_norm_closed_form_against_quadrature(self, alpha, lam):
+        # scaling law ||f_{alpha,lam}||^2 = lam^(1/alpha) ||f_{alpha,1}||^2
+        ref = lam ** (1.0 / alpha) * f_l2_sq_unit_quadrature(alpha)
+        assert f_l2_norm(KernelSpec(alpha, lam)) ** 2 == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.6, 1.3])
+    def test_f_l2_norm_continuous_at_alpha_one(self, lam):
+        assert f_l2_norm(KernelSpec(0.9999, lam)) ** 2 == pytest.approx(lam / 2.0, abs=1e-4)
+        # the unit-rate value is 1/2 + O(1 - alpha); lam^(1/alpha) carries the rest
+        assert f_l2_norm(KernelSpec(0.9999, 1.0)) ** 2 == pytest.approx(0.5, rel=1e-7)
+        assert f_l2_norm(KernelSpec(1.0, lam)) ** 2 == pytest.approx(lam / 2.0, rel=1e-15)
+
     @pytest.mark.parametrize("alpha,lam", [(0.9, 0.2), (0.6, 0.6), (1.0, 0.5)])
     def test_resolvent_residual_small(self, alpha, lam):
         res = resolvent_residual(KernelSpec(alpha, lam), np.linspace(0.02, 1.0, 50))
@@ -150,6 +208,14 @@ class TestKernelAndResolvent:
             # quadrature refinement tightens the residual
             res200 = resolvent_residual(KernelSpec(alpha, lam), np.linspace(0.02, 1.0, 50), n_nodes=200)
             assert np.max(res200) < np.max(res)
+
+    @pytest.mark.parametrize("alpha,lam", [(0.9, 0.2), (0.6, 0.6), (0.55, 0.6), (0.75, 3.0), (1.0, 0.5)])
+    def test_resolvent_residual_matches_per_t_loop(self, alpha, lam):
+        # (0.75, 3.0) puts nodes past the series radius, on the integral branch
+        spec = KernelSpec(alpha, lam)
+        t = np.linspace(0.02, 1.0, 50)
+        assert np.array_equal(resolvent_residual(spec, t), resolvent_residual_per_t(spec, t))
+        assert resolvent_residual(spec, 0.5) == resolvent_residual_per_t(spec, np.array([0.5]))[0]
 
     def test_first_kind_resolvent_check(self):
         assert first_kind_resolvent_check(KernelSpec(0.9, 0.2), 1.0) < 1e-12

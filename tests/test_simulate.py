@@ -103,6 +103,14 @@ class TestRateCurve:
         with pytest.raises(ValueError):
             r.integral(1.0, 0.5)
 
+    def test_primitive_matches_piecewise_sums(self):
+        r = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
+        t = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 4.0])
+        ref = [0.0, 0.002, 0.006, 0.016, 0.026, 0.029, 0.059]
+        assert np.allclose(r.primitive(t), ref, rtol=1e-14, atol=0.0)
+        assert r.primitive(0.5) == pytest.approx(0.016, rel=1e-14)
+        assert r.integral(0.1, 1.0) == pytest.approx(0.027, rel=1e-14)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RateCurve(knots=[0.5], values=[0.0])

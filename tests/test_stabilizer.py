@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln, gammaln
+from test_kernels import f_l2_sq_unit_quadrature
 
 from roughmerton.kernels import KernelSpec, f_l2_norm, resolvent, resolvent_density
 from roughmerton.stabilizer import (
     StabilizerTable,
+    _series_convolution,
+    _trust_radius,
     build_stabilizer,
     functional_equation_residual,
     stabilizer_coefficients,
@@ -17,6 +21,47 @@ from roughmerton.stabilizer import (
 )
 
 mp.mp.dps = 50
+
+
+def cauchy_bb(alpha: float, n: int) -> np.ndarray:
+    b = np.exp(-gammaln(alpha * (np.arange(n) + 1)))
+    return np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(n)])
+
+
+def coefficients_loop_reference(alpha: float, n_coeffs: int) -> np.ndarray:
+    """The c_k recurrence with every prefactor and Beta value formed inside the k loop."""
+    K = n_coeffs - 1
+    ks = np.arange(K + 1)
+    a = np.exp(-gammaln(alpha * ks + 1.0))
+    b = np.exp(-gammaln(alpha * (ks + 1)))
+    ab = np.array([np.sum(a[: k + 1] * b[k::-1]) for k in range(K + 1)])
+    bb = cauchy_bb(alpha, K + 1)
+    log_g2a1, log_ga = gammaln(2.0 * alpha - 1.0), gammaln(alpha)
+    c = np.empty(K + 1)
+    c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
+    for k in range(1, K + 1):
+        pref = math.exp(
+            2.0 * log_ga + gammaln(alpha * (k + 1)) - log_g2a1 - gammaln(alpha * k + 2.0 - alpha)
+        )
+        ells = np.arange(1, k + 1)
+        beta_vals = np.exp(betaln(alpha * (ells + 2) - 1.0, alpha * (k - ells - 1) + 2.0))
+        conv = np.sum(beta_vals * bb[1 : k + 1] * c[k - 1 :: -1][:k])
+        c[k] = pref * (ab[k] - alpha * (k + 1) * conv)
+    return c
+
+
+def series_convolution_einsum(table: StabilizerTable, grid: np.ndarray) -> np.ndarray:
+    """(f^2 * varsigma^2)(t) as the double sum sum_{m,j} t^(a m) M[m, j] t^(a j)."""
+    alpha, lam, c = table.spec.alpha, table.spec.lam, table.c
+    ks = np.arange(table.coeffs.size)
+    d = (-lam) ** ks * cauchy_bb(alpha, ks.size)
+    e = (-lam) ** ks * table.coeffs
+    beta_mat = np.exp(
+        betaln(2.0 * alpha - 1.0 + alpha * ks[:, None], 2.0 - alpha + alpha * ks[None, :])
+    )
+    M = beta_mat * d[:, None] * e[None, :]
+    powers = grid[:, None] ** (alpha * ks[None, :])
+    return 2.0 * c * lam**3 * grid**alpha * np.einsum("tm,mj,tj->t", powers, M, powers)
 
 
 def c0_ref(alpha: float) -> float:
@@ -54,6 +99,11 @@ class TestCoefficients:
     def test_coefficients_finite_to_cap(self):
         c = stabilizer_coefficients(0.6, 200)
         assert np.all(np.isfinite(c))
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.7, 0.75, 0.9, 0.95])
+    def test_hoisted_prefactors_match_loop(self, alpha):
+        got = stabilizer_coefficients(alpha, 200)
+        assert np.allclose(got, coefficients_loop_reference(alpha, 200), rtol=1e-13, atol=0.0)
 
 
 class TestStabilizerValues:
@@ -121,6 +171,57 @@ class TestStabilizerValues:
     @pytest.mark.parametrize("asset", [0, 1])
     def test_functional_equation_residual(self, stab4, asset):
         assert functional_equation_residual(stab4[asset]) < 5e-4
+
+    @pytest.mark.parametrize("alpha,lam,c", [(0.9, 0.2, 0.01), (0.6, 0.6, 0.03), (0.75, 1.3, 0.02)])
+    def test_horner_convolution_matches_double_sum(self, alpha, lam, c):
+        tab = build_stabilizer(KernelSpec(alpha, lam), c, np.linspace(0.0, 1.0, 801))
+        grid = tab.grid[1:]
+        ref = series_convolution_einsum(tab, grid)
+        assert np.allclose(_series_convolution(tab, grid), ref, rtol=1e-12, atol=0.0)
+
+    def test_horner_convolution_matches_double_sum_on_stab4(self, stab4):
+        for tab in stab4:
+            grid = tab.grid[1:]
+            ref = series_convolution_einsum(tab, grid)
+            got = _series_convolution(tab, grid)
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+            lhs = tab.c * tab.spec.lam**2 * (1.0 - resolvent(tab.spec, grid) ** 2)
+            ref_res = np.max(np.abs(lhs - ref)) / (tab.c * tab.spec.lam**2)
+            assert functional_equation_residual(tab) == pytest.approx(ref_res, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.52, 0.995, 25))
+    def test_stored_trust_radius(self, alpha):
+        # near alpha = 1 the c_k underflow to subnormals, and the radius scan's
+        # first rejected tau overflows tau^(alpha k); that stops the scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            tab = build_stabilizer(KernelSpec(alpha, 0.6), 0.03, np.linspace(0.0, 1.0, 11))
+            assert tab.radius == _trust_radius(alpha, tab.coeffs)
+            t = np.linspace(0.0, 3.0, 31)
+            assert np.array_equal(tab(t), stabilizer_eval(tab.spec, tab.c, tab.coeffs, t))
+
+    def test_no_trust_radius_without_series(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        assert build_stabilizer(KernelSpec(1.0, 0.7), 0.02, grid).radius is None
+        assert build_stabilizer(KernelSpec(0.9, 0.2), 0.0, grid).radius is None
+
+    @pytest.mark.parametrize("alphas", [(0.9, 0.6), (0.75, 0.55), (0.95, 0.7)])
+    def test_values_on_sweep_grids_match_quadrature_build(self, alphas):
+        # the benchmark's analytic sweep: packaged lam and c, three alpha pairs;
+        # the reference forms the coefficients in the k loop and takes the
+        # long-time limit from the quadrature norm
+        for alpha, lam, c in zip(alphas, (0.2, 0.6), (0.01, 0.03)):
+            spec = KernelSpec(alpha, lam)
+            coeffs = coefficients_loop_reference(alpha, 200)
+            limit = math.sqrt(c) * lam / math.sqrt(lam ** (1.0 / alpha) * f_l2_sq_unit_quadrature(alpha))
+            for n in (200, 800, 1600):
+                grid = np.linspace(0.0, 1.0, n + 1)
+                tab = build_stabilizer(spec, c, grid)
+                assert tab.limit == pytest.approx(limit, rel=1e-9)
+                ref = stabilizer_eval(spec, c, coeffs, grid, limit=limit)
+                assert np.allclose(tab.values, ref, rtol=1e-12, atol=0.0)
+                t_sim = np.linspace(0.0, 1.0, 601)
+                ref = stabilizer_eval(spec, c, coeffs, t_sim, limit=limit)
+                assert np.allclose(tab(t_sim), ref, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=10, deadline=None)
     @given(

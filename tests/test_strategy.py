@@ -24,6 +24,12 @@ def make_params(params4, **overrides):
     return ModelParams(**kw)
 
 
+def rate_integral_by_pieces(rate, t0, t1):
+    """int_{t0}^{t1} r, summed piece by piece between the knots inside (t0, t1)."""
+    edges = np.concatenate([[t0], rate.knots[(rate.knots > t0) & (rate.knots < t1)], [t1]])
+    return float(np.sum(rate(edges[:-1]) * np.diff(edges)))
+
+
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
     return solve_riccati(RiccatiSpec("power_general", params4, stab4, T=1.0, n=200))
@@ -103,6 +109,17 @@ class TestOptimalRule:
             [float(stab4[i](0.0)) for i in range(2)]
         ) * sol.psi[:, -1]
         assert np.allclose(pi0, math.exp(-0.05) * base / 0.2, rtol=1e-12)
+
+    def test_exponential_discount_matches_per_t_integrals(self, params4, stab4):
+        rate = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
+        p = make_params(params4, rate=rate)
+        sol = solve_riccati(RiccatiSpec("exponential_general", p, stab4, T=1.0, n=100))
+        util = UtilitySpec("exponential", 0.5)
+        t = np.linspace(0.0, 1.0, 41)
+        pi = optimal_rule(util, p, sol, t)
+        flat = optimal_rule(util, make_params(params4), sol, t)
+        disc = np.array([math.exp(-rate_integral_by_pieces(rate, ti, 1.0)) for ti in t])
+        assert np.allclose(pi, disc[None, :] * flat, rtol=1e-14, atol=0.0)
 
     def test_rule_domain_and_variant_checks(self, params4, sol_power, sol_exp):
         util = UtilitySpec("power", 0.2)
