@@ -21,6 +21,16 @@ fresh standard normals xi_l.  The stock drivers are B^i with
 W^i = rho_i B^i + sqrt(1-rho_i^2) B^{perp,i}; the same W drives both V and
 the wealth equation.
 
+The factor needs no dense eigensolve.  With Gauss-Legendre nodes u_r and
+weights w_r on (0, D), the block of lags >= 1 is the Gram product G G^T,
+G[j, r] = f(j D + u_r) sqrt(w_r), and only rows and columns 0 and 1 are
+outside it.  So range(C) lies in span(e_0, e_1, C[:, 0], C[:, 1], G), of
+dimension at most quad_nodes + 4 = 68 whatever n is.  ``integral_factor``
+takes an orthonormal basis Q of that span and eigensolves the small
+Q^T C Q (Rayleigh-Ritz, exact here because the span holds range(C)), with
+C Q formed from G and the two border columns, so C is never built.  Each
+column of A is signed so that its entry of largest magnitude is positive.
+
 The Volterra sum is a causal convolution over steps: with
 eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs
 sum_{l<=k} A[k-l+1] @ eta_l.  ``simulate_variance`` evaluates it in time
@@ -31,10 +41,10 @@ and block of P paths, spent in BLAS-3 products, and O(n P) memory.
 
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
-  - ``gaussian_integral_covariance``: single covariance entries (singularity-aware).
+  - ``lag_covariance_matrix``: the dense (n+1) x (n+1) covariance C, the
+    reference of the factor.
   - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1);
     ``integral_factors`` builds one per asset, for bundles that share a grid.
-  - ``sample_v0``: truncated Gaussian initial variance draws.
   - ``simulate_variance``: block-streamed, seed-deterministic path generation.
 """
 
@@ -53,11 +63,9 @@ __all__ = [
     "ModelParams",
     "SimGrid",
     "PathBundle",
-    "gaussian_integral_covariance",
     "lag_covariance_matrix",
     "integral_factor",
     "integral_factors",
-    "sample_v0",
     "simulate_variance",
 ]
 
@@ -177,10 +185,6 @@ class ModelParams:
         return self.mu0 / self.lam
 
     @property
-    def v0_mean(self) -> np.ndarray:
-        return self.x_inf
-
-    @property
     def v0_var(self) -> np.ndarray:
         """Var(V_0) = c nu^2 x_inf."""
         return self.c * self.nu**2 * self.x_inf
@@ -273,39 +277,36 @@ def _lag_entry_00(spec: KernelSpec, dt: float, q: int = _QUAD_NODES) -> float:
     return lam**2 / (2.0 * alpha - 1.0) * float(np.sum(wts * s**2))
 
 
-def gaussian_integral_covariance(
-    spec: KernelSpec,
-    grid: SimGrid,
-    ell: int,
-    k1: int,
-    k2: int,
-    quad_nodes: int = _QUAD_NODES,
-) -> float:
-    """Cov(I^ell_{k1}, I^ell_{k2}) = int_{t_{ell-1}}^{t_ell} f(t_k1 - s) f(t_k2 - s) ds.
+def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD_NODES):
+    """Border columns and Gram factor of ``lag_covariance_matrix`` (alpha < 1).
 
-    Requires 1 <= ell <= k1 <= k2 <= n.  Only the lags j = k1 - ell and
-    m = k2 - ell enter (uniform grid).  The j = m = 0 entry is handled by a
-    power substitution, the j = 0 < m row by Gauss-Jacobi quadrature with
-    weight u^(alpha-1), and the rest by Gauss-Legendre on a smooth integrand.
+    Returns (c0, c1, G): c0 = C[:, 0] and c1 = C[:, 1], each of length n + 1,
+    and G of shape (n + 1, quad_nodes) with zero rows 0 and 1 and
+    G[2 + j] = F(j + 1) sqrt(w), F the resolvent density at the Gauss-Legendre
+    nodes of lag j + 1 and w their weights.  Then C[2:, 2:] = (G G^T)[2:, 2:],
+    and C is G G^T plus the rank-2 border held by c0 and c1.
     """
-    n = grid.n_steps
-    if not (1 <= ell <= k1 <= k2 <= n):
-        raise ValueError("indices must satisfy 1 <= ell <= k1 <= k2 <= n_steps")
-    dt = grid.dt
     alpha, lam = spec.alpha, spec.lam
-    j, m = k1 - ell, k2 - ell
-    if alpha == 1.0:
-        return lam * math.exp(-lam * (j + m) * dt) * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0
-    if j == 0 and m == 0:
-        return _lag_entry_00(spec, dt, quad_nodes)
-    if j == 0:
-        # with w = u^a, f(u) du = (lam/a) S(w^(1/a)) dw and S is analytic in w
-        w, wts = _gl_nodes(quad_nodes, 0.0, dt**alpha)
-        u = w ** (1.0 / alpha)
-        g = _f_smooth(spec, u) * resolvent_density(spec, m * dt + u)
-        return lam / alpha * float(np.sum(wts * g))
-    u, w = _gl_nodes(quad_nodes, 0.0, dt)
-    return float(np.sum(w * resolvent_density(spec, j * dt + u) * resolvent_density(spec, m * dt + u)))
+    rv = resolvent(spec, dt * np.arange(n + 1))
+    c0 = np.empty(n + 1)
+    c0[0] = dt
+    c0[1:] = rv[:-1] - rv[1:]
+    c1 = np.empty(n + 1)
+    c1[0] = c0[1]
+    c1[1] = _lag_entry_00(spec, dt, quad_nodes)
+    G = np.zeros((n + 1, quad_nodes))
+    if n >= 2:
+        # lag-0 row against smooth lags: substitution w = u^alpha absorbs the
+        # singularity and leaves the smooth factor analytic in w
+        w0, wts0 = _gl_nodes(quad_nodes, 0.0, dt**alpha)
+        u0 = w0 ** (1.0 / alpha)
+        s0 = lam / alpha * _f_smooth(spec, u0) * wts0
+        lags = dt * np.arange(1, n)
+        c1[2:] = resolvent_density(spec, lags[:, None] + u0[None, :]) @ s0
+        # smooth block as a Gram product over the nodes
+        u, wts = _gl_nodes(quad_nodes, 0.0, dt)
+        G[2:] = resolvent_density(spec, lags[:, None] + u[None, :]) * np.sqrt(wts)
+    return c0, c1, G
 
 
 def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD_NODES) -> np.ndarray:
@@ -314,33 +315,23 @@ def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int, quad_nodes: int =
     Returns the (n+1) x (n+1) matrix C with C[0,0] = dt,
     C[0, 1+j] = R(j dt) - R((j+1) dt) and C[1+j, 1+m] the lag-(j,m) integral
     covariance; the same matrix serves every step column by leading-submatrix
-    restriction.
+    restriction.  ``integral_factor`` never forms it; it is the dense
+    reference of that factor.
     """
     alpha, lam = spec.alpha, spec.lam
-    C = np.empty((n + 1, n + 1))
-    C[0, 0] = dt
-    rv = resolvent(spec, dt * np.arange(n + 1))
-    C[0, 1:] = rv[:-1] - rv[1:]
-    C[1:, 0] = C[0, 1:]
     if alpha == 1.0:
+        C = np.empty((n + 1, n + 1))
+        C[0, 0] = dt
+        rv = resolvent(spec, dt * np.arange(n + 1))
+        C[0, 1:] = rv[:-1] - rv[1:]
+        C[1:, 0] = C[0, 1:]
         e = np.exp(-lam * dt * np.arange(n))
         C[1:, 1:] = np.outer(e, e) * (lam * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0)
         return C
-    C[1, 1] = _lag_entry_00(spec, dt, quad_nodes)
-    if n >= 2:
-        # lag-0 row against smooth lags: substitution w = u^alpha absorbs the
-        # singularity and leaves the smooth factor analytic in w
-        w0, wts0 = _gl_nodes(quad_nodes, 0.0, dt**alpha)
-        u0 = w0 ** (1.0 / alpha)
-        s0 = lam / alpha * _f_smooth(spec, u0) * wts0
-        lags = dt * np.arange(1, n)
-        F0 = resolvent_density(spec, lags[:, None] + u0[None, :])
-        C[1, 2:] = F0 @ s0
-        C[2:, 1] = C[1, 2:]
-        # smooth block via a single Gram product
-        u, wts = _gl_nodes(quad_nodes, 0.0, dt)
-        F = resolvent_density(spec, lags[:, None] + u[None, :])
-        C[2:, 2:] = (F * wts[None, :]) @ F.T
+    c0, c1, G = _lag_covariance_pieces(spec, dt, n, quad_nodes)
+    C = G @ G.T
+    C[:, 0] = C[0] = c0
+    C[:, 1] = C[1] = c1
     return C
 
 
@@ -350,8 +341,21 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
     At step l the joint draw (DW_l, I^l_l, ..., I^l_n) is A[:n-l+2] @ xi with
     xi ~ N(0, I_q).  For alpha = 1 the integral rows are exactly proportional
     (e^(-lam j dt)), so an exact rank-2 factor is built from the closed-form
-    2 x 2 covariance of (DW, I^l_l); otherwise a truncated eigenfactor is used
-    after a positive-semidefiniteness check.
+    2 x 2 covariance of (DW, I^l_l).
+
+    Otherwise C = G G^T + border (see ``_lag_covariance_pieces``), so
+    range(C) lies in span(e_0, e_1, c_0, c_1, G), at most quad_nodes + 4
+    dimensions.  With Q an orthonormal basis of that span (a QR), C = Q H Q^T
+    with H = Q^T C Q, and the eigenpairs of C with nonzero eigenvalue are
+    those of H carried by Q: a Rayleigh-Ritz solve that is exact, not an
+    approximation.  C Q is formed from the pieces, so C itself is never
+    built and memory is O(n quad_nodes).  The smallest eigenvalue of C is
+    min(0, lambda_min(H)) (lambda_min(H) itself when Q spans all n + 1
+    dimensions), so the positive-semidefiniteness check on H is the check on
+    C; eigenvalues at or below ``_EIG_CUT`` times the largest are dropped and
+    the kept columns are in ascending eigenvalue order.  Each column is
+    signed so that its entry of largest magnitude (the first such on a tie)
+    is positive, since an eigenvector's sign is otherwise arbitrary.
     """
     lam = spec.lam
     if spec.alpha == 1.0:
@@ -364,8 +368,14 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
         A[0] = L[0]
         A[1:] = np.exp(-lam * dt * np.arange(n))[:, None] * L[1]
         return A
-    C = lag_covariance_matrix(spec, dt, n, quad_nodes)
-    evals, evecs = np.linalg.eigh(C)
+    c0, c1, G = _lag_covariance_pieces(spec, dt, n, quad_nodes)
+    U = np.column_stack([c0, c1])
+    Q = np.linalg.qr(np.column_stack([np.eye(n + 1, 2), U, G]))[0]
+    # C Q = G (G^T Q) + B Q, B = E U^T + U E^T - E U[:2] E^T with E = [e_0, e_1]
+    CQ = G @ (G.T @ Q) + U @ Q[:2]
+    CQ[:2] += U.T @ Q - U[:2] @ Q[:2]
+    H = Q.T @ CQ
+    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
     top = evals[-1]
     if evals[0] < -_PSD_TOL * max(top, 1.0):
         raise ValueError(
@@ -373,19 +383,9 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
             f"(min eigenvalue {evals[0]:.3e}); check kernel parameters and grid"
         )
     keep = evals > _EIG_CUT * top
-    return evecs[:, keep] * np.sqrt(evals[keep])
-
-
-def sample_v0(params: ModelParams, n_paths: int, seed: int) -> np.ndarray:
-    """Initial variance draws V_0^i ~ N(x_inf_i, v0_var_i), floored at 1e-12.
-
-    Returns shape (d, n_paths).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = params.x_inf[:, None] + np.sqrt(params.v0_var)[:, None] * rng.standard_normal(
-        (params.d, n_paths)
-    )
-    return np.maximum(draws, _V0_FLOOR)
+    A = (Q @ evecs[:, keep]) * np.sqrt(evals[keep])
+    A *= np.where(A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])] < 0.0, -1.0, 1.0)
+    return A
 
 
 def integral_factors(params: ModelParams, grid: SimGrid, quad_nodes: int = _QUAD_NODES) -> list[np.ndarray]:

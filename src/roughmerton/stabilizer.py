@@ -152,18 +152,23 @@ def _trust_radius(alpha: float, coeffs: np.ndarray) -> float:
     """Largest tau where the partial sums have visibly converged.
 
     A point tau is trusted when the last kept term is below _TERM_TOL relative
-    to the partial sum and the partial sum is positive.
+    to the partial sum and the partial sum is positive.  Near alpha = 1 the
+    c_k underflow to subnormals and the scan runs far enough for
+    tau^(alpha k) to overflow.  The last term overflows first, to inf or (with
+    c_K = 0) nan, so that tau fails the test and the scan stops there; the
+    overflow itself is expected and not reported.
     """
     taus = np.geomspace(1e-4, 1e4, 200)
     k = np.arange(coeffs.size)
     trusted = taus[0]
-    for tau in taus:
-        terms = (-1.0) ** k * coeffs * tau ** (alpha * k)
-        total = np.sum(terms)
-        if total > 0.0 and abs(terms[-1]) < _TERM_TOL * total:
-            trusted = tau
-        else:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau in taus:
+            terms = (-1.0) ** k * coeffs * tau ** (alpha * k)
+            total = np.sum(terms)
+            if total > 0.0 and abs(terms[-1]) < _TERM_TOL * total:
+                trusted = tau
+            else:
+                break
     return trusted
 
 

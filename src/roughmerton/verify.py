@@ -135,7 +135,7 @@ def simulate_wealth(
         else:
             X_path = None
     else:
-        disc = np.array([math.exp(-params.rate.integral(0.0, t)) for t in times[:-1]])
+        disc = np.exp(-params.rate.primitive(times[:-1]))
         grow = math.exp(params.rate.integral(0.0, params.T))
         xd = np.full(P, params.x0)
         incs = np.zeros((n, P))
@@ -151,7 +151,7 @@ def simulate_wealth(
             xd_path[0] = params.x0
             xd_path[1:] = params.x0 + np.cumsum(incs, axis=0)
             # undiscount at each grid time
-            grow_k = np.array([math.exp(params.rate.integral(0.0, t)) for t in times])
+            grow_k = np.exp(params.rate.primitive(times))
             X_path = grow_k[:, None] * xd_path
         else:
             X_path = None
@@ -264,14 +264,12 @@ def martingale_profile(
         dZ = -params.lam[i] * Vprev * dt + params.nu[i] * sig[1:, None] * np.sqrt(Vprev) * dW
         expo += M @ dZ
 
+    r_tail = params.rate.primitive(T) - params.rate.primitive(times)
     if util.kind == "power":
-        r_tail = np.array([params.rate.integral(t, T) for t in times])
         J = X**g / g * np.exp(g * r_tail[:, None] + expo)
-        value = value_function(util, params, sol, x0=params.x0)
     else:
-        r_tail = np.array([params.rate.integral(t, T) for t in times])
         J = -np.exp(-g * np.exp(r_tail)[:, None] * X + expo) / g
-        value = value_function(util, params, sol, x0=params.x0)
+    value = value_function(util, params, sol, x0=params.x0)
 
     j_mean = J.mean(axis=1)
     diff = J - J[0]

@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ class TestCommands:
             out = str(tmp_path / sub)
             assert run_cli([sub, "--utility", utility, "--out", out]) == 0
         assert len(calls) == 0
+
+    def test_packaged_config_runs_warning_free(self, tmp_path):
+        runs = [["stabilizer"], ["riccati"], ["strategy"], ["value"], ["verify", "--paths", "200"]]
+        for args in runs:
+            out = str(tmp_path / args[0])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(args + ["--out", out])
+            assert [str(w.message) for w in caught] == [], args[0]
+            if args[0] == "verify":
+                # 200 paths are too few for the optimality gate to pass
+                assert code in (0, 1) and os.path.isfile(os.path.join(out, "verify_report.json"))
+            else:
+                assert code == 0
 
     def test_error_path_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, lambda raw: raw["model"].update(lam=[-1.0, 0.6]))

@@ -1,23 +1,76 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from roughmerton.kernels import KernelSpec, resolvent, resolvent_density
+import roughmerton.simulate as simulate
+from roughmerton.kernels import KernelSpec, _f_smooth, resolvent, resolvent_density
 from roughmerton.simulate import (
+    _EIG_CUT,
+    _PSD_TOL,
+    _QUAD_NODES,
     ModelParams,
     PathBundle,
     RateCurve,
     SimGrid,
-    gaussian_integral_covariance,
+    _gl_nodes,
+    _lag_entry_00,
     integral_factor,
     integral_factors,
     lag_covariance_matrix,
-    sample_v0,
     simulate_variance,
 )
 from roughmerton.stabilizer import build_stabilizer
+
+
+def gaussian_integral_covariance(spec, grid, ell, k1, k2, quad_nodes=_QUAD_NODES):
+    """Cov(I^ell_{k1}, I^ell_{k2}) = int_{t_{ell-1}}^{t_ell} f(t_k1 - s) f(t_k2 - s) ds.
+
+    Entry-wise oracle of lag_covariance_matrix.  Requires
+    1 <= ell <= k1 <= k2 <= n; only the lags j = k1 - ell and m = k2 - ell
+    enter.  The j = m = 0 entry uses a power substitution, the j = 0 < m row
+    the substitution w = u^alpha, and the rest Gauss-Legendre on a smooth
+    integrand.
+    """
+    n = grid.n_steps
+    if not (1 <= ell <= k1 <= k2 <= n):
+        raise ValueError("indices must satisfy 1 <= ell <= k1 <= k2 <= n_steps")
+    dt = grid.dt
+    alpha, lam = spec.alpha, spec.lam
+    j, m = k1 - ell, k2 - ell
+    if alpha == 1.0:
+        return lam * math.exp(-lam * (j + m) * dt) * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0
+    if j == 0 and m == 0:
+        return _lag_entry_00(spec, dt, quad_nodes)
+    if j == 0:
+        # with w = u^a, f(u) du = (lam/a) S(w^(1/a)) dw and S is analytic in w
+        w, wts = _gl_nodes(quad_nodes, 0.0, dt**alpha)
+        u = w ** (1.0 / alpha)
+        g = _f_smooth(spec, u) * resolvent_density(spec, m * dt + u)
+        return lam / alpha * float(np.sum(wts * g))
+    u, w = _gl_nodes(quad_nodes, 0.0, dt)
+    return float(np.sum(w * resolvent_density(spec, j * dt + u) * resolvent_density(spec, m * dt + u)))
+
+
+def signed_by_largest_entry(A):
+    """True when each column's first entry of largest magnitude is positive."""
+    return bool(np.all(A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])] > 0.0))
+
+
+def dense_integral_factor(spec, dt, n):
+    """The factor by a dense eigensolve of lag_covariance_matrix: the same
+    PSD check, cut, column order and sign convention as integral_factor."""
+    C = lag_covariance_matrix(spec, dt, n)
+    evals, evecs = np.linalg.eigh(C)
+    top = evals[-1]
+    if evals[0] < -_PSD_TOL * max(top, 1.0):
+        raise ValueError("integral covariance is not positive semidefinite")
+    keep = evals > _EIG_CUT * top
+    A = evecs[:, keep] * np.sqrt(evals[keep])
+    A *= np.where(A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])] < 0.0, -1.0, 1.0)
+    return A
 
 
 def cov_quad_ref(spec: KernelSpec, dt: float, j: int, m: int) -> float:
@@ -201,22 +254,82 @@ class TestCovariance:
         rv = resolvent(spec, dt * np.arange(n + 1))
         assert np.allclose((A @ A.T)[0, 1:], rv[:-1] - rv[1:], atol=1e-13)
 
+    @pytest.mark.parametrize("alpha,lam", [(0.9, 0.2), (0.6, 0.6), (1.0, 0.7)])
+    def test_matrix_matches_entrywise_oracle(self, alpha, lam):
+        spec = KernelSpec(alpha, lam)
+        grid = SimGrid(T=1.0, n_steps=12)
+        C = lag_covariance_matrix(spec, grid.dt, 12)
+        assert np.array_equal(C, C.T)
+        rv = resolvent(spec, grid.dt * np.arange(13))
+        assert C[0, 0] == grid.dt and np.array_equal(C[0, 1:], rv[:-1] - rv[1:])
+        ref = np.array(
+            [
+                [gaussian_integral_covariance(spec, grid, 1, 1 + min(j, m), 1 + max(j, m)) for m in range(12)]
+                for j in range(12)
+            ]
+        )
+        assert np.max(np.abs(C[1:, 1:] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _factor_cases():
+    for alpha in (0.51, 0.55, 0.6, 0.75, 0.9, 0.99):
+        for lam in (0.2, 0.6, 2.0):
+            yield alpha, lam
+
+
+class TestFactorAgainstDenseOracle:
+    @pytest.mark.parametrize("alpha,lam", list(_factor_cases()))
+    def test_matches_dense_eigensolve(self, alpha, lam):
+        spec = KernelSpec(alpha, lam)
+        for n in (1, 2, 3, 37, 600):
+            dt = 1.0 / n
+            A = integral_factor(spec, dt, n)
+            ref = dense_integral_factor(spec, dt, n)
+            C = lag_covariance_matrix(spec, dt, n)
+            assert A.shape == ref.shape, (n, A.shape, ref.shape)
+            assert np.max(np.abs(A @ A.T - C)) < 1e-12 * max(np.max(np.abs(C)), 1.0)
+            assert np.max(np.abs(A - ref)) <= 1e-8 * np.max(np.abs(A))
+            assert signed_by_largest_entry(A)
+            assert np.array_equal(A, integral_factor(spec, dt, n))
+
+    def test_psd_check_fires(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_lag_entry_00", lambda *args, **kwargs: -1.0)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            integral_factor(KernelSpec(0.6, 0.6), 1.0 / 50, 50)
+
+    def test_memory_stays_below_dense_covariance(self):
+        # C at n = 2400 is 2401^2 doubles, 46 MB; the factor never forms it
+        n = 2400
+        tracemalloc.start()
+        try:
+            A = integral_factor(KernelSpec(0.6, 0.6), 1.0 / n, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape[0] == n + 1
+        assert peak < 23e6
+
 
 class TestSampling:
-    def test_sample_v0_stats_and_floor(self, params4):
-        v0 = sample_v0(params4, 200_000, seed=7)
+    @staticmethod
+    def gaussian_v0(params, stab, n_paths, seed):
+        grid = SimGrid(T=params.T, n_steps=1)
+        return simulate_variance(params, stab, grid, n_paths, seed, v0_mode="gaussian", store_bperp=False).v0
+
+    def test_sample_v0_stats_and_floor(self, params4, stab4):
+        v0 = self.gaussian_v0(params4, stab4, 200_000, seed=7)
         assert v0.shape == (2, 200_000)
         assert np.all(v0 >= 1e-12)
         se_mean = np.sqrt(params4.v0_var / 200_000)
         assert np.all(np.abs(v0.mean(axis=1) - params4.x_inf) < 4 * se_mean)
         assert np.allclose(v0.var(axis=1), params4.v0_var, rtol=0.05)
 
-    def test_sample_v0_degenerate(self, params4):
+    def test_sample_v0_degenerate(self, params4, stab4):
         p = ModelParams(
             alpha=params4.alpha, lam=params4.lam, nu=[0.0, 0.0], theta=params4.theta,
             rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
         )
-        v0 = sample_v0(p, 100, seed=1)
+        v0 = self.gaussian_v0(p, stab4, 100, seed=1)
         assert np.allclose(v0, p.x_inf[:, None], rtol=0.0, atol=0.0)
 
 

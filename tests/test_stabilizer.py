@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -191,13 +192,19 @@ class TestStabilizerValues:
 
     @pytest.mark.parametrize("alpha", np.linspace(0.52, 0.995, 25))
     def test_stored_trust_radius(self, alpha):
-        # near alpha = 1 the c_k underflow to subnormals, and the radius scan's
-        # first rejected tau overflows tau^(alpha k); that stops the scan
-        with np.errstate(over="ignore", invalid="ignore"):
-            tab = build_stabilizer(KernelSpec(alpha, 0.6), 0.03, np.linspace(0.0, 1.0, 11))
-            assert tab.radius == _trust_radius(alpha, tab.coeffs)
-            t = np.linspace(0.0, 3.0, 31)
-            assert np.array_equal(tab(t), stabilizer_eval(tab.spec, tab.c, tab.coeffs, t))
+        tab = build_stabilizer(KernelSpec(alpha, 0.6), 0.03, np.linspace(0.0, 1.0, 11))
+        assert tab.radius == _trust_radius(alpha, tab.coeffs)
+        t = np.linspace(0.0, 3.0, 31)
+        assert np.array_equal(tab(t), stabilizer_eval(tab.spec, tab.c, tab.coeffs, t))
+
+    @pytest.mark.parametrize("alpha", [0.975, 0.99, 0.999])
+    def test_build_near_alpha_one_is_warning_free(self, alpha):
+        # the c_k underflow to subnormals here, and the radius scan reaches
+        # taus where tau^(alpha k) overflows; that must stop the scan quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = build_stabilizer(KernelSpec(alpha, 1.0), 0.03, np.linspace(0.0, 1.0, 11))
+        assert math.isfinite(tab.radius) and tab.radius > 1.0
 
     def test_no_trust_radius_without_series(self):
         grid = np.linspace(0.0, 1.0, 11)

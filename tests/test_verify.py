@@ -64,6 +64,15 @@ class TestSimulateWealth:
             run = simulate_wealth(b, UtilitySpec(kind, gamma), zero_rule(2), p)
             assert np.allclose(run.x_T, math.exp(0.04), rtol=1e-13)
 
+    def test_exponential_path_with_piecewise_rate(self, params4, stab4):
+        # with nothing invested the undiscounted path is the bank account
+        rate = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
+        p = make_params(params4, rate=rate)
+        b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
+        run = simulate_wealth(b, UtilitySpec("exponential", 0.5), zero_rule(2), p, store_path=True)
+        bank = np.array([math.exp(rate.integral(0.0, t)) for t in b.times])
+        assert np.allclose(run.X_path, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
+
     def test_power_wealth_positive_and_stats(self, bundle, params4, sol_power):
         util = UtilitySpec("power", 0.2)
         rule = lambda t: np.ones((2, np.asarray(t).size))
