@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,11 +23,12 @@ from . import __version__
 from .kernels import resolvent_residual
 from .riccati import RiccatiSpec, assumption_gate, solve_riccati
 from .simulate import ModelParams, RateCurve, SimGrid, integral_factors, simulate_variance
-from .stabilizer import StabilizerTable, build_stabilizer, functional_equation_residual
+from .stabilizer import build_stabilizer, functional_equation_residual
 from .strategy import UtilitySpec, optimal_rule, value_function
 from .verify import (
     PerturbationSpec,
     martingale_profile,
+    moment_curves,
     optimality_test,
     simulate_wealth,
     stationarity_report,
@@ -48,15 +48,24 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+# Smallest allowed run sizes: (config field, attribute, minimum).
+_SIZE_FLOORS = (
+    ("grids.n_sim", "n_sim", 1),
+    ("grids.n_riccati", "n_riccati", 2),
+    ("mc.paths", "paths", 2),
+    ("mc.block_size", "block_size", 1),
+)
+
+
 class ConfigError(ValueError):
     """Configuration file problem, naming the offending field."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration; the checks rerun on every override."""
 
-    params: ModelParams  # gamma = first utility gamma
+    params: ModelParams
     n_sim: int
     n_riccati: int
     paths: int
@@ -68,8 +77,15 @@ class RunConfig:
     tolerances: dict
     sha256: str
 
-    def params_for(self, gamma: float) -> ModelParams:
-        return dataclasses.replace(self.params, gamma=gamma)
+    def __post_init__(self):
+        for name, attr, low in _SIZE_FLOORS:
+            if getattr(self, attr) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, attr)}")
+        try:
+            for g in self.gammas:
+                self.utility(g)
+        except ValueError as exc:
+            raise ConfigError(f"utility: {exc}") from exc
 
     def utility(self, gamma: float) -> UtilitySpec:
         return UtilitySpec(kind=self.utility_kind, gamma=gamma)
@@ -87,7 +103,8 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
 def load_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    Unknown keys are rejected; ModelParams invariants are enforced; defaults:
+    Unknown keys are rejected; ModelParams invariants, the run-size floors
+    and each gamma's utility range are enforced; defaults:
     r = 0, n_sim = 600, n_riccati = 200, paths = 10000, seed = 42.
     """
     try:
@@ -139,12 +156,9 @@ def load_config(path: str) -> RunConfig:
             mu0=model["mu0"],
             c=model["c"],
             T=float(model["T"]),
-            gamma=float(gammas[0]),
             x0=float(model.get("x0", 1.0)),
             rate=rate,
         )
-        for g in gammas:
-            UtilitySpec(kind=kind, gamma=float(g))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,19 +186,19 @@ def _header(config: RunConfig, columns: list) -> list:
     ]
 
 
-def _write_csv(path: str, columns: list, rows: np.ndarray, config: RunConfig):
+def _write_csv(config: RunConfig, name: str, columns: list, rows: np.ndarray):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     lines = _header(config, columns)
     for row in rows:
         lines.append(",".join("%.17g" % v for v in row))
-    with open(path, "w") as fh:
+    with open(os.path.join(config.out_dir, name), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path: str, payload: dict, config: RunConfig):
+def _write_json(config: RunConfig, name: str, payload: dict):
     payload = dict(payload)
     payload["_meta"] = {"config_sha256": config.sha256, "seed": config.seed, "version": __version__}
-    with open(path, "w") as fh:
+    with open(os.path.join(config.out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
@@ -203,13 +217,23 @@ def _stab_tables(config: RunConfig) -> list:
     return [build_stabilizer(params.kernel_spec(i), params.c[i], grid) for i in range(params.d)]
 
 
+def _write_stabilizer_curves(config: RunConfig, tabs, name: str):
+    """varsigma of every asset on the simulation grid (stabilizer.csv, fig1.csv)."""
+    times = np.linspace(0.0, config.params.T, config.n_sim + 1)
+    cols = ["t"] + [f"sigma_{i+1}" for i in range(config.params.d)]
+    _write_csv(config, name, cols, np.column_stack([times] + [np.asarray(t(times)) for t in tabs]))
+
+
+def _solve(config: RunConfig, tabs, g: float):
+    """The exponent curves for the configured utility family at risk aversion g."""
+    params = config.params
+    return solve_riccati(RiccatiSpec(config.utility(g), params, tabs, params.T, config.n_riccati))
+
+
 def _cmd_stabilizer(config: RunConfig) -> int:
     params = config.params
     tabs = _stab_tables(config)
-    times = np.linspace(0.0, params.T, config.n_sim + 1)
-    cols = ["t"] + [f"sigma_{i+1}" for i in range(params.d)]
-    data = np.column_stack([times] + [np.asarray(t(times)) for t in tabs])
-    _write_csv(os.path.join(config.out_dir, "stabilizer.csv"), cols, data, config)
+    _write_stabilizer_curves(config, tabs, "stabilizer.csv")
     report, ok = {}, True
     for i, tab in enumerate(tabs):
         res = functional_equation_residual(tab)
@@ -223,30 +247,19 @@ def _cmd_stabilizer(config: RunConfig) -> int:
             "limit": tab.limit,
             "passed": passed,
         }
-    _write_json(os.path.join(config.out_dir, "stabilizer_report.json"), report, config)
+    _write_json(config, "stabilizer_report.json", report)
     return 0 if ok else 1
 
 
-def _variant(kind: str) -> str:
-    return "power_general" if kind == "power" else "exponential_general"
-
-
 def _cmd_riccati(config: RunConfig) -> int:
-    params = config.params_for(config.gammas[0])
-    tabs = _stab_tables(config)
-    sol = solve_riccati(RiccatiSpec(_variant(config.utility_kind), params, tabs, params.T, config.n_riccati))
-    cols = ["t"] + [f"psi_{i+1}" for i in range(params.d)]
-    _write_csv(
-        os.path.join(config.out_dir, "riccati.csv"),
-        cols,
-        np.column_stack([sol.times, sol.psi.T]),
-        config,
-    )
-    gate = assumption_gate(params, sol, p=2.0)
+    sol = _solve(config, _stab_tables(config), config.gammas[0])
+    cols = ["t"] + [f"psi_{i+1}" for i in range(config.params.d)]
+    _write_csv(config, "riccati.csv", cols, np.column_stack([sol.times, sol.psi.T]))
+    gate = assumption_gate(sol, p=2.0)
     _write_json(
-        os.path.join(config.out_dir, "riccati_report.json"),
-        {"variant": sol.variant, "gamma": params.gamma, "assumption_gate": gate},
         config,
+        "riccati_report.json",
+        {"variant": sol.variant, "gamma": sol.spec.util.gamma, "assumption_gate": gate},
     )
     return 0 if gate["passed"] else 1
 
@@ -269,58 +282,42 @@ def _simulate_bundle(config: RunConfig, tabs, v0_mode="gaussian", store_bperp=Tr
     )
 
 
+def _stationary(config: RunConfig, report: list) -> bool:
+    """The stationarity gate: every asset's mean and variance statistics within tolerance."""
+    z = config.tolerances["stationarity_z"]
+    return all(r["mean_stat"] <= z and r["var_stat"] <= z for r in report)
+
+
 def _cmd_simulate(config: RunConfig) -> int:
-    params = config.params
     bundle = _simulate_bundle(config, _stab_tables(config))
-    M = bundle.n_paths
-    cols = ["t"]
-    data = [bundle.times]
-    for i in range(params.d):
-        Vi = bundle.V[i]
-        mean_k = Vi.mean(axis=1)
-        sd_k = Vi.std(axis=1, ddof=1)
-        var_k = sd_k**2
-        m4 = ((Vi - mean_k[:, None]) ** 4).mean(axis=1)
+    curves = moment_curves(bundle)
+    cols, data = ["t"], [bundle.times]
+    for i in range(config.params.d):
         cols += [f"mean_V_{i+1}", f"var_V_{i+1}", f"se_mean_{i+1}", f"se_var_{i+1}"]
-        data += [mean_k, var_k, sd_k / math.sqrt(M), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / M)]
-    _write_csv(os.path.join(config.out_dir, "simulate.csv"), cols, np.column_stack(data), config)
+        data += list(curves[:, i])
+    _write_csv(config, "simulate.csv", cols, np.column_stack(data))
     report = stationarity_report(bundle)
-    ok = all(
-        r["mean_stat"] <= config.tolerances["stationarity_z"]
-        and r["var_stat"] <= config.tolerances["stationarity_z"]
-        for r in report
-    )
-    _write_json(os.path.join(config.out_dir, "simulate_report.json"), {"stationarity": report, "passed": ok}, config)
+    ok = _stationary(config, report)
+    _write_json(config, "simulate_report.json", {"stationarity": report, "passed": ok})
     return 0 if ok else 1
 
 
 def _cmd_strategy(config: RunConfig) -> int:
     tabs = _stab_tables(config)
+    cols = ["t"] + [f"rule_{i+1}" for i in range(config.params.d)]
     for g in config.gammas:
-        params = config.params_for(g)
-        util = config.utility(g)
-        sol = solve_riccati(RiccatiSpec(_variant(util.kind), params, tabs, params.T, config.n_riccati))
-        cols = ["t"] + [f"rule_{i+1}" for i in range(params.d)]
-        rules = optimal_rule(util, params, sol, sol.times)
-        _write_csv(
-            os.path.join(config.out_dir, f"strategy_{util.kind}_gamma{g:g}.csv"),
-            cols,
-            np.column_stack([sol.times, rules.T]),
-            config,
-        )
+        sol = _solve(config, tabs, g)
+        rules = optimal_rule(sol, sol.times)
+        name = f"strategy_{config.utility_kind}_gamma{g:g}.csv"
+        _write_csv(config, name, cols, np.column_stack([sol.times, rules.T]))
     return 0
 
 
 def _cmd_value(config: RunConfig) -> int:
     tabs = _stab_tables(config)
-    report = {}
-    for g in config.gammas:
-        params = config.params_for(g)
-        util = config.utility(g)
-        sol = solve_riccati(RiccatiSpec(_variant(util.kind), params, tabs, params.T, config.n_riccati))
-        report[f"gamma_{g:g}"] = value_function(util, params, sol, x0=params.x0)
+    report = {f"gamma_{g:g}": value_function(_solve(config, tabs, g)) for g in config.gammas}
     payload = {"utility": config.utility_kind, "x0": config.params.x0, "values": report}
-    _write_json(os.path.join(config.out_dir, "value.json"), payload, config)
+    _write_json(config, "value.json", payload)
     print(json.dumps(payload, sort_keys=True, default=_jsonable))
     return 0
 
@@ -336,12 +333,9 @@ def _cmd_verify(config: RunConfig) -> int:
     # value agreement per gamma
     values, sols = {}, {}
     for g in config.gammas:
-        params = config.params_for(g)
-        util = config.utility(g)
-        sol = solve_riccati(RiccatiSpec(_variant(util.kind), params, tabs, params.T, config.n_riccati))
-        sols[g] = sol
-        run = simulate_wealth(bundle, util, lambda t: optimal_rule(util, params, sol, t), params, tag="optimal")
-        analytic = value_function(util, params, sol, x0=params.x0)
+        sol = sols[g] = _solve(config, tabs, g)
+        run = simulate_wealth(bundle, sol.spec.util, lambda t: optimal_rule(sol, t))
+        analytic = value_function(sol)
         tol = 2.0 * run.se + config.tolerances["value_rel_allowance"] * abs(analytic)
         passed = abs(run.mean - analytic) <= tol
         ok &= passed
@@ -355,12 +349,10 @@ def _cmd_verify(config: RunConfig) -> int:
     checks["value_agreement"] = values
 
     # optimality for the first gamma
-    params = config.params_for(config.gammas[0])
-    util = config.utility(config.gammas[0])
     sol = sols[config.gammas[0]]
     ones = lambda t: np.ones((d, np.atleast_1d(t).size))
     perts = [PerturbationSpec(eps, ones, "uniform") for eps in (0.1, 0.2, 0.4)]
-    opt = optimality_test(bundle, util, params, sol, perts)
+    opt = optimality_test(bundle, sol, perts)
     # every gap non-negative within noise; the largest perturbation clearly positive
     zs = [e["z"] for e in opt["perturbations"]]
     opt_ok = all(z >= -config.tolerances["optimality_z"] for z in zs) and zs[-1] >= config.tolerances[
@@ -370,7 +362,7 @@ def _cmd_verify(config: RunConfig) -> int:
     checks["optimality"] = {"report": opt, "passed": opt_ok}
 
     # martingale profile for the first gamma
-    prof = martingale_profile(bundle, util, params, sol)
+    prof = martingale_profile(bundle, sol)
     prof_ok = prof["flat_stat"] <= config.tolerances["profile_z"]
     ok &= prof_ok
     checks["martingale_profile"] = {
@@ -380,68 +372,53 @@ def _cmd_verify(config: RunConfig) -> int:
         "passed": prof_ok,
     }
     _write_csv(
-        os.path.join(config.out_dir, "verify_profile.csv"),
+        config,
+        "verify_profile.csv",
         ["t", "mean_J", "se_paired"],
         np.column_stack([prof["times"], prof["j_mean"], prof["se_paired"]]),
-        config,
     )
 
     # stationarity on a Gaussian-V0 bundle
     bundle_g = _simulate_bundle(config, tabs, v0_mode="gaussian", store_bperp=False, factors=factors)
     stat = stationarity_report(bundle_g)
-    stat_ok = all(
-        r["mean_stat"] <= config.tolerances["stationarity_z"]
-        and r["var_stat"] <= config.tolerances["stationarity_z"]
-        for r in stat
-    )
+    stat_ok = _stationary(config, stat)
     ok &= stat_ok
     checks["stationarity"] = {"report": stat, "passed": stat_ok}
 
     checks["passed"] = ok
-    _write_json(os.path.join(config.out_dir, "verify_report.json"), checks, config)
+    _write_json(config, "verify_report.json", checks)
     return 0 if ok else 1
 
 
 def _cmd_all(config: RunConfig) -> int:
     """Full pipeline: fig1 = stabilizers, fig2 = stationarity curves,
     fig3 = exponent curves per gamma, fig4 = rule curves per gamma."""
-    params = config.params
+    d = config.params.d
     tabs = _stab_tables(config)
-    times = np.linspace(0.0, params.T, config.n_sim + 1)
-
-    cols = ["t"] + [f"sigma_{i+1}" for i in range(params.d)]
-    _write_csv(
-        os.path.join(config.out_dir, "fig1.csv"),
-        cols,
-        np.column_stack([times] + [np.asarray(t(times)) for t in tabs]),
-        config,
-    )
+    _write_stabilizer_curves(config, tabs, "fig1.csv")
 
     bundle = _simulate_bundle(config, tabs, store_bperp=False)
     cols, data = ["t"], [bundle.times]
-    for i in range(params.d):
+    for i in range(d):
         Vi = bundle.V[i]
         cols += [f"mean_V_{i+1}", f"var_V_{i+1}"]
         data += [Vi.mean(axis=1), Vi.var(axis=1, ddof=1)]
-    _write_csv(os.path.join(config.out_dir, "fig2.csv"), cols, np.column_stack(data), config)
+    _write_csv(config, "fig2.csv", cols, np.column_stack(data))
 
-    sols = {}
-    for g in config.gammas:
-        p_g = config.params_for(g)
-        sols[g] = solve_riccati(RiccatiSpec(_variant(config.utility_kind), p_g, tabs, p_g.T, config.n_riccati))
+    sols = {g: _solve(config, tabs, g) for g in config.gammas}
     grid = sols[config.gammas[0]].times
     cols, data = ["t"], [grid]
     for g in config.gammas:
-        cols += [f"psi_{i+1}_gamma{g:g}" for i in range(params.d)]
-        data += [sols[g].psi[i] for i in range(params.d)]
-    _write_csv(os.path.join(config.out_dir, "fig3.csv"), cols, np.column_stack(data), config)
+        cols += [f"psi_{i+1}_gamma{g:g}" for i in range(d)]
+        data += [sols[g].psi[i] for i in range(d)]
+    _write_csv(config, "fig3.csv", cols, np.column_stack(data))
 
     cols, data = ["t"], [grid]
     for g in config.gammas:
-        rules = optimal_rule(config.utility(g), config.params_for(g), sols[g], grid)
-        cols += [f"rule_{i+1}_gamma{g:g}" for i in range(params.d)]
-        data += [rules[i] for i in range(params.d)]
-    _write_csv(os.path.join(config.out_dir, "fig4.csv"), cols, np.column_stack(data), config)
+        rules = optimal_rule(sols[g], grid)
+        cols += [f"rule_{i+1}_gamma{g:g}" for i in range(d)]
+        data += [rules[i] for i in range(d)]
+    _write_csv(config, "fig4.csv", cols, np.column_stack(data))
     return 0
 
 
@@ -493,26 +470,19 @@ def main(argv=None) -> int:
             print(f"warning: VM_THREADS={threads} ignored: not a thread count", file=sys.stderr)
 
     try:
+        overrides = {
+            "out_dir": args.out,
+            "seed": args.seed,
+            "paths": args.paths,
+            "n_sim": args.steps,
+            "utility_kind": args.utility,
+            "gammas": None if args.gamma is None else (args.gamma,),
+        }
         config = load_config(args.config)
-        if args.out is not None:
-            config = dataclasses.replace(config, out_dir=args.out)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.paths is not None:
-            config = dataclasses.replace(config, paths=args.paths)
-        if args.steps is not None:
-            config = dataclasses.replace(config, n_sim=args.steps)
-        if args.utility is not None:
-            config = dataclasses.replace(config, utility_kind=args.utility)
-            for g in config.gammas:
-                UtilitySpec(kind=args.utility, gamma=g)
-        if args.gamma is not None:
-            UtilitySpec(kind=config.utility_kind, gamma=args.gamma)
-            config = dataclasses.replace(
-                config, gammas=(args.gamma,), params=dataclasses.replace(config.params, gamma=args.gamma)
-            )
+        # RunConfig checks the overridden config as a whole
+        config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
         return dispatch(args.subcommand, config)
-    except (ConfigError, ValueError, RuntimeError, FloatingPointError, OSError) as exc:
+    except (ConfigError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -2,14 +2,12 @@
 
 Provides:
   - ``KernelSpec``: fractional-kernel parameters (alpha, lam).
-  - ``kernel_eval``: the fractional kernel K_alpha(t) = t^(alpha-1)/Gamma(alpha).
   - ``mittag_leffler``: E_alpha(z) for z <= 0, accurate over the whole range.
   - ``resolvent`` / ``resolvent_density``: R(t) = E_alpha(-lam t^alpha) and
     f(t) = -R'(t), the density of the probability measure 1 - R.
   - ``f_l2_norm``: ||f||_L2(0,inf) in closed form (no quadrature).
-  - ``resolvent_table``: grid tabulation of R and f plus the L2 norm of f.
-  - ``resolvent_residual`` / ``first_kind_resolvent_check``: quadrature
-    diagnostics for the defining convolution identities.
+  - ``resolvent_residual``: Gauss-Jacobi check of the defining convolution
+    identity R + lam (K * R) = 1.
 
 The resolvent R solves R + lam * (K * R) = 1 with K the fractional kernel.
 For moderate arguments R is evaluated by the defining power series; for large
@@ -46,15 +44,11 @@ from scipy.special import gammaln, roots_jacobi
 
 __all__ = [
     "KernelSpec",
-    "ResolventTable",
-    "kernel_eval",
     "mittag_leffler",
     "resolvent",
     "resolvent_density",
     "f_l2_norm",
-    "resolvent_table",
     "resolvent_residual",
-    "first_kind_resolvent_check",
 ]
 
 # Seam between the defining power series and the integral representation,
@@ -83,29 +77,6 @@ class KernelSpec:
             raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class ResolventTable:
-    """Tabulated resolvent R and density f = -R' on a time grid.
-
-    ``f_values[0]`` is ``+inf`` when alpha < 1 (integrable singularity at 0);
-    consumers must integrate through it with a power substitution.
-    """
-
-    spec: KernelSpec
-    grid: np.ndarray
-    r_values: np.ndarray
-    f_values: np.ndarray
-    l2_norm_f: float
-
-
-def kernel_eval(spec: KernelSpec, t):
-    """Evaluate K(t) = t^(alpha-1)/Gamma(alpha) for t > 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("kernel_eval requires t > 0")
-    return t ** (spec.alpha - 1.0) / sp_gamma(spec.alpha)
 
 
 def _ml_series(alpha: float, z: np.ndarray) -> np.ndarray:
@@ -277,22 +248,6 @@ def f_l2_norm(spec: KernelSpec) -> float:
     return math.sqrt(lam ** (1.0 / alpha) * unit_sq)
 
 
-def resolvent_table(spec: KernelSpec, grid) -> ResolventTable:
-    """Tabulate R and f on ``grid`` (starting at 0, strictly increasing)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must start at 0 and be strictly increasing")
-    r_values = resolvent(spec, grid)
-    f_values = resolvent_density(spec, grid)
-    return ResolventTable(
-        spec=spec,
-        grid=grid,
-        r_values=r_values,
-        f_values=f_values,
-        l2_norm_f=f_l2_norm(spec),
-    )
-
-
 def resolvent_residual(spec: KernelSpec, t, n_nodes: int = 60):
     """|R(t) + lam (K * R)(t) - 1| by Gauss-Jacobi quadrature.
 
@@ -312,19 +267,3 @@ def resolvent_residual(spec: KernelSpec, t, n_nodes: int = 60):
     conv = scale / sp_gamma(spec.alpha) * np.sum(w * r_nodes, axis=1)
     out = np.abs(r_t + spec.lam * conv - 1.0)
     return out if out.size > 1 else float(out[0])
-
-
-def first_kind_resolvent_check(spec: KernelSpec, t: float, n_nodes: int = 24) -> float:
-    """|(K * r)(t) - 1| with r(s) = s^(-alpha)/Gamma(1-alpha), alpha < 1.
-
-    The convolution equals B(alpha, 1-alpha)/(Gamma(alpha) Gamma(1-alpha)) = 1
-    for every t; the quadrature (Jacobi weights on both endpoints) verifies it.
-    """
-    if spec.alpha >= 1.0:
-        raise ValueError("first-kind resolvent check requires alpha < 1")
-    if t <= 0.0:
-        raise ValueError("first_kind_resolvent_check requires t > 0")
-    with np.errstate(invalid="ignore"):
-        _, w = roots_jacobi(n_nodes, spec.alpha - 1.0, -spec.alpha)
-    conv = np.sum(w) / (sp_gamma(spec.alpha) * sp_gamma(1.0 - spec.alpha))
-    return abs(conv - 1.0)

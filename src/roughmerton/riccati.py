@@ -20,15 +20,16 @@ distortion coefficient, s = varsigma^i, th = theta_i.  The solver is the
 fractional Adams predictor--corrector with per-asset weights; lag-indexed
 weight tables give O(n^2) total cost.
 
-Provides ``RiccatiSpec`` / ``RiccatiSolution``, ``riccati_rhs``,
-``solve_riccati`` (with blowup detection and horizon bisection),
-``psi_bound_check`` and ``assumption_gate``.
+Provides ``RiccatiSpec`` (the utility, model and stabilizers solved for) /
+``RiccatiSolution``, ``solve_riccati`` (with blowup detection and horizon
+bisection), ``psi_bound_check`` and ``assumption_gate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gamma as sp_gamma
@@ -37,18 +38,17 @@ from .kernels import mittag_leffler
 from .simulate import ModelParams
 from .stabilizer import StabilizerTable
 
+if TYPE_CHECKING:
+    from .strategy import UtilitySpec
+
 __all__ = [
-    "VARIANTS",
     "RiccatiSpec",
     "RiccatiSolution",
     "RiccatiBlowup",
-    "riccati_rhs",
     "solve_riccati",
     "psi_bound_check",
     "assumption_gate",
 ]
-
-VARIANTS = ("power_general", "power_degenerate", "exponential_general", "exponential_degenerate")
 
 # Blowup cap on |psi| and the relative resolution of the refined horizon.
 _PSI_CAP = 1e6
@@ -75,33 +75,38 @@ class RiccatiBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class RiccatiSpec:
-    """Problem statement for the exponent curves.
+    """Problem statement for the exponent curves of one utility.
 
-    ``variant`` is one of ``VARIANTS``; ``stabilizers`` holds one
-    StabilizerTable per asset covering [0, T]; ``n`` is the Adams grid size.
+    ``util`` is the ``UtilitySpec`` solved for: its family picks the equation
+    and its gamma the coefficients, and every rule and value computed from
+    the solution reads both from here.  ``degenerate`` selects the
+    equal-correlation form; ``stabilizers`` holds one StabilizerTable per
+    asset covering [0, T]; ``n`` is the Adams grid size.
     """
 
-    variant: str
+    util: UtilitySpec
     params: ModelParams
     stabilizers: list[StabilizerTable]
     T: float
     n: int
+    degenerate: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         p = self.params
         if len(self.stabilizers) != p.d:
             raise ValueError(f"need {p.d} stabilizer tables, got {len(self.stabilizers)}")
         if self.T <= 0.0 or self.n < 2:
             raise ValueError("require T > 0 and n >= 2")
-        if self.variant.startswith("power") and not (0.0 < p.gamma < 1.0):
-            raise ValueError("power variants require 0 < gamma < 1")
-        if self.variant.endswith("degenerate") and not np.all(p.rho == p.rho[0]):
+        if self.degenerate and not np.all(p.rho == p.rho[0]):
             raise ValueError("degenerate variants require all rho_i equal")
         for i, tab in enumerate(self.stabilizers):
             if tab.grid[-1] < self.T - 1e-12:
                 raise ValueError(f"stabilizer table {i} does not cover [0, T]")
+
+    @property
+    def variant(self) -> str:
+        """``{kind}_general`` or ``{kind}_degenerate``, kind the utility family."""
+        return f"{self.util.kind}_{'degenerate' if self.degenerate else 'general'}"
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,6 @@ class RiccatiSolution:
     times: np.ndarray
     psi: np.ndarray  # (d, n+1)
     rhs_values: np.ndarray  # (d, n+1)
-    a: np.ndarray  # forcing constants, (d,)
-    blowup_flag: bool = False
 
     @property
     def variant(self) -> str:
@@ -129,20 +132,20 @@ class RiccatiSolution:
         return np.stack([np.interp(t, self.times, self.psi[i]) for i in range(self.psi.shape[0])])
 
 
-def _variant_coefficients(variant: str, params: ModelParams):
+def _variant_coefficients(spec: RiccatiSpec):
     """Forcing constants a_i and the (linear, quadratic) F coefficients.
 
     Returns (a, lin, quad) with F_i(s, x) = lin_i * s_i(s) * x - lam_i * x
     + quad_i * (s_i(s) * x)^2.
     """
-    g = params.gamma
-    th, rho, nu = params.theta, params.rho, params.nu
-    if variant == "power_general":
+    g = spec.util.gamma
+    th, rho, nu = spec.params.theta, spec.params.rho, spec.params.nu
+    if spec.variant == "power_general":
         gg = g / (1.0 - g)
         a = g * th**2 / (2.0 * (1.0 - g))
         lin = gg * th * rho * nu
         quad = nu**2 / 2.0 * (1.0 + gg * rho**2)
-    elif variant == "power_degenerate":
+    elif spec.variant == "power_degenerate":
         delta = (1.0 - g) / (1.0 - g + g * rho**2)
         a = g * th**2 / (2.0 * delta * (1.0 - g))
         lin = (g / (1.0 - g)) * rho * th * nu
@@ -152,16 +155,6 @@ def _variant_coefficients(variant: str, params: ModelParams):
         lin = -th * rho * nu
         quad = nu**2 / 2.0 * (1.0 - rho**2)
     return a, lin, quad
-
-
-def riccati_rhs(spec: RiccatiSpec, i: int, s: float, psi) -> float:
-    """a_i + F_i(T - s, psi_i): the Volterra right-hand side at solver time s."""
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    a, lin, quad = _variant_coefficients(spec.variant, spec.params)
-    sig = float(spec.stabilizers[i](spec.T - s))
-    x = psi[i]
-    sx = sig * x
-    return float(a[i] + lin[i] * sx - spec.params.lam[i] * x + quad[i] * sx * sx)
 
 
 def _adams_weights(alpha: float, dt: float, n: int):
@@ -231,7 +224,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
     when |psi| exceeds 1e6 before T.
     """
     params, T, n = spec.params, spec.T, spec.n
-    a, lin, quad = _variant_coefficients(spec.variant, spec.params)
+    a, lin, quad = _variant_coefficients(spec)
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
     psi = np.empty((params.d, n + 1))
@@ -248,7 +241,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
         psi[i], rhs_values[i] = p_i, f_i
     if math.isfinite(t_max):
         raise RiccatiBlowup(spec.variant, t_max, T)
-    return RiccatiSolution(spec=spec, times=times, psi=psi, rhs_values=rhs_values, a=a)
+    return RiccatiSolution(spec=spec, times=times, psi=psi, rhs_values=rhs_values)
 
 
 def _refine_horizon(spec: RiccatiSpec, i: int, a_i, lin_i, quad_i, t_bad: float) -> float:
@@ -282,7 +275,7 @@ def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
     ('pass'/'fail'/'skipped'), 'bound', 'sup_psi' and 'lam_bar'.
     """
     spec = sol.spec
-    if not spec.variant.startswith("exponential"):
+    if spec.util.kind != "exponential":
         raise ValueError("psi_bound_check applies to exponential variants")
     params, T = spec.params, spec.T
     reports = []
@@ -304,12 +297,7 @@ def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
     return reports
 
 
-def assumption_gate(
-    params: ModelParams,
-    sol: RiccatiSolution,
-    p: float,
-    a: float | None = None,
-) -> dict:
+def assumption_gate(sol: RiccatiSolution, p: float, a: float | None = None) -> dict:
     """Exponential-moment feasibility report.
 
     Checks max_i sup_t (theta_i^2 + nu_i^2 varsigma^i(t)^2 psi^i(T-t)^2)
@@ -320,6 +308,7 @@ def assumption_gate(
     if p <= 1.0:
         raise ValueError("require p > 1")
     spec = sol.spec
+    params = spec.params
     s_norm = float(np.sum(params.rho**2))
     a_p = max(
         p * (2.0 + s_norm),

@@ -25,7 +25,7 @@ The factor needs no dense eigensolve.  With Gauss-Legendre nodes u_r and
 weights w_r on (0, D), the block of lags >= 1 is the Gram product G G^T,
 G[j, r] = f(j D + u_r) sqrt(w_r), and only rows and columns 0 and 1 are
 outside it.  So range(C) lies in span(e_0, e_1, C[:, 0], C[:, 1], G), of
-dimension at most quad_nodes + 4 = 68 whatever n is.  ``integral_factor``
+dimension at most _QUAD_NODES + 4 = 68 whatever n is.  ``integral_factor``
 takes an orthonormal basis Q of that span and eigensolves the small
 Q^T C Q (Rayleigh-Ritz, exact here because the span holds range(C)), with
 C Q formed from G and the two border columns, so C is never built.  Each
@@ -51,7 +51,7 @@ Provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -133,8 +133,10 @@ class ModelParams:
     ``theta`` >= 0, leverage ``rho`` in [-1, 1], mean-level drive ``mu0``,
     and variance scale ``c`` >= 0 (so Var(V_0) = c nu^2 x_inf).
 
-    ``rate`` is the piecewise-constant short rate, ``T`` the horizon,
-    ``gamma`` the risk aversion and ``x0`` the initial wealth.
+    ``rate`` is the piecewise-constant short rate, ``T`` the horizon and
+    ``x0`` the initial wealth.  Risk aversion belongs to the utility
+    (``strategy.UtilitySpec``), which the Riccati solution carries; a
+    ``gamma`` keyword is accepted for older callers and ignored.
     """
 
     alpha: np.ndarray
@@ -145,11 +147,11 @@ class ModelParams:
     mu0: np.ndarray
     c: np.ndarray
     T: float
-    gamma: float
     x0: float = 1.0
     rate: RateCurve = field(default_factory=RateCurve)
+    gamma: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, gamma):
         arrays = {}
         for name in ("alpha", "lam", "nu", "theta", "rho", "mu0", "c"):
             arrays[name] = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
@@ -172,8 +174,6 @@ class ModelParams:
             raise ValueError("mu0 must be >= 0")
         if self.T <= 0.0:
             raise ValueError("horizon T must be > 0")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
 
     @property
     def d(self) -> int:
@@ -219,8 +219,6 @@ class PathBundle:
 
     Attributes
     ----------
-    seed : int
-        Master seed; equal seeds give bit-identical bundles.
     times : np.ndarray
         Grid times t_0..t_n.
     V : np.ndarray
@@ -238,7 +236,6 @@ class PathBundle:
         The parameters the bundle was simulated under.
     """
 
-    seed: int
     times: np.ndarray
     V: np.ndarray
     dB: np.ndarray
@@ -265,23 +262,23 @@ def _gl_nodes(n: int, a: float, b: float):
     return a + (b - a) * (x + 1.0) / 2.0, (b - a) / 2.0 * w
 
 
-def _lag_entry_00(spec: KernelSpec, dt: float, q: int = _QUAD_NODES) -> float:
+def _lag_entry_00(spec: KernelSpec, dt: float) -> float:
     """int_0^dt f(u)^2 du via the power substitution u = w^(1/(2a-1))."""
     alpha, lam = spec.alpha, spec.lam
     if alpha == 1.0:
         return lam * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0
     # u^(2a-2) du = dw / (2a-1) with w = u^(2a-1): the integrand becomes smooth
-    w, wts = _gl_nodes(q, 0.0, dt ** (2.0 * alpha - 1.0))
+    w, wts = _gl_nodes(_QUAD_NODES, 0.0, dt ** (2.0 * alpha - 1.0))
     u = w ** (1.0 / (2.0 * alpha - 1.0))
     s = _f_smooth(spec, u)
     return lam**2 / (2.0 * alpha - 1.0) * float(np.sum(wts * s**2))
 
 
-def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD_NODES):
+def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int):
     """Border columns and Gram factor of ``lag_covariance_matrix`` (alpha < 1).
 
     Returns (c0, c1, G): c0 = C[:, 0] and c1 = C[:, 1], each of length n + 1,
-    and G of shape (n + 1, quad_nodes) with zero rows 0 and 1 and
+    and G of shape (n + 1, _QUAD_NODES) with zero rows 0 and 1 and
     G[2 + j] = F(j + 1) sqrt(w), F the resolvent density at the Gauss-Legendre
     nodes of lag j + 1 and w their weights.  Then C[2:, 2:] = (G G^T)[2:, 2:],
     and C is G G^T plus the rank-2 border held by c0 and c1.
@@ -293,23 +290,23 @@ def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int, quad_nodes: int 
     c0[1:] = rv[:-1] - rv[1:]
     c1 = np.empty(n + 1)
     c1[0] = c0[1]
-    c1[1] = _lag_entry_00(spec, dt, quad_nodes)
-    G = np.zeros((n + 1, quad_nodes))
+    c1[1] = _lag_entry_00(spec, dt)
+    G = np.zeros((n + 1, _QUAD_NODES))
     if n >= 2:
         # lag-0 row against smooth lags: substitution w = u^alpha absorbs the
         # singularity and leaves the smooth factor analytic in w
-        w0, wts0 = _gl_nodes(quad_nodes, 0.0, dt**alpha)
+        w0, wts0 = _gl_nodes(_QUAD_NODES, 0.0, dt**alpha)
         u0 = w0 ** (1.0 / alpha)
         s0 = lam / alpha * _f_smooth(spec, u0) * wts0
         lags = dt * np.arange(1, n)
         c1[2:] = resolvent_density(spec, lags[:, None] + u0[None, :]) @ s0
         # smooth block as a Gram product over the nodes
-        u, wts = _gl_nodes(quad_nodes, 0.0, dt)
+        u, wts = _gl_nodes(_QUAD_NODES, 0.0, dt)
         G[2:] = resolvent_density(spec, lags[:, None] + u[None, :]) * np.sqrt(wts)
     return c0, c1, G
 
 
-def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD_NODES) -> np.ndarray:
+def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
     """Joint covariance of (DW_l, I^l_l, ..., I^l_{l+n-1}) on a uniform grid.
 
     Returns the (n+1) x (n+1) matrix C with C[0,0] = dt,
@@ -328,14 +325,14 @@ def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int, quad_nodes: int =
         e = np.exp(-lam * dt * np.arange(n))
         C[1:, 1:] = np.outer(e, e) * (lam * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0)
         return C
-    c0, c1, G = _lag_covariance_pieces(spec, dt, n, quad_nodes)
+    c0, c1, G = _lag_covariance_pieces(spec, dt, n)
     C = G @ G.T
     C[:, 0] = C[0] = c0
     C[:, 1] = C[1] = c1
     return C
 
 
-def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD_NODES) -> np.ndarray:
+def integral_factor(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
     """Factor A with A A^T = lag_covariance_matrix, shape (n+1, q).
 
     At step l the joint draw (DW_l, I^l_l, ..., I^l_n) is A[:n-l+2] @ xi with
@@ -344,12 +341,12 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
     2 x 2 covariance of (DW, I^l_l).
 
     Otherwise C = G G^T + border (see ``_lag_covariance_pieces``), so
-    range(C) lies in span(e_0, e_1, c_0, c_1, G), at most quad_nodes + 4
+    range(C) lies in span(e_0, e_1, c_0, c_1, G), at most _QUAD_NODES + 4
     dimensions.  With Q an orthonormal basis of that span (a QR), C = Q H Q^T
     with H = Q^T C Q, and the eigenpairs of C with nonzero eigenvalue are
     those of H carried by Q: a Rayleigh-Ritz solve that is exact, not an
     approximation.  C Q is formed from the pieces, so C itself is never
-    built and memory is O(n quad_nodes).  The smallest eigenvalue of C is
+    built and memory is O(n _QUAD_NODES).  The smallest eigenvalue of C is
     min(0, lambda_min(H)) (lambda_min(H) itself when Q spans all n + 1
     dimensions), so the positive-semidefiniteness check on H is the check on
     C; eigenvalues at or below ``_EIG_CUT`` times the largest are dropped and
@@ -368,7 +365,7 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
         A[0] = L[0]
         A[1:] = np.exp(-lam * dt * np.arange(n))[:, None] * L[1]
         return A
-    c0, c1, G = _lag_covariance_pieces(spec, dt, n, quad_nodes)
+    c0, c1, G = _lag_covariance_pieces(spec, dt, n)
     U = np.column_stack([c0, c1])
     Q = np.linalg.qr(np.column_stack([np.eye(n + 1, 2), U, G]))[0]
     # C Q = G (G^T Q) + B Q, B = E U^T + U E^T - E U[:2] E^T with E = [e_0, e_1]
@@ -388,9 +385,9 @@ def integral_factor(spec: KernelSpec, dt: float, n: int, quad_nodes: int = _QUAD
     return A
 
 
-def integral_factors(params: ModelParams, grid: SimGrid, quad_nodes: int = _QUAD_NODES) -> list[np.ndarray]:
+def integral_factors(params: ModelParams, grid: SimGrid) -> list[np.ndarray]:
     """``integral_factor`` of every asset of ``params`` on ``grid``, in asset order."""
-    return [integral_factor(params.kernel_spec(i), grid.dt, grid.n_steps, quad_nodes) for i in range(params.d)]
+    return [integral_factor(params.kernel_spec(i), grid.dt, grid.n_steps) for i in range(params.d)]
 
 
 def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
@@ -413,7 +410,6 @@ def simulate_variance(
     store_bperp: bool = True,
     store_integrals: bool = False,
     block_size: int = 25000,
-    quad_nodes: int = _QUAD_NODES,
     factors: list[np.ndarray] | None = None,
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
@@ -445,9 +441,6 @@ def simulate_variance(
         Optional storage (memory: each field is d*n*n_paths doubles).
     block_size : int
         Paths per streamed block.
-    quad_nodes : int
-        Quadrature nodes of the covariance entries; unused when ``factors``
-        is given.
     factors : list of np.ndarray, optional
         ``integral_factors(params, grid)`` built beforehand, so that several
         bundles on one grid share them; each must have n_steps + 1 rows.
@@ -466,7 +459,7 @@ def simulate_variance(
         if tab.grid[-1] < params.T - 1e-12:
             raise ValueError(f"stabilizer table {i} does not cover [0, T]")
     if factors is None:
-        factors = integral_factors(params, grid, quad_nodes)
+        factors = integral_factors(params, grid)
     elif len(factors) != d or any(np.ndim(A) != 2 or np.shape(A)[0] != n + 1 for A in factors):
         raise ValueError(f"factors must be {d} two-dimensional arrays with n_steps + 1 = {n + 1} rows")
 
@@ -537,7 +530,6 @@ def simulate_variance(
                 dBperp[i, :, lo:hi] = rho_c[i] * dW - rho[i] * what
 
     return PathBundle(
-        seed=seed,
         times=times,
         V=V,
         dB=dB,

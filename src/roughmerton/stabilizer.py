@@ -83,10 +83,6 @@ class StabilizerTable:
             self.spec, self.c, self.coeffs, t, limit=self.limit, radius=self.radius
         )
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.values))
-
 
 def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
     """Coefficients c_0..c_K of the stabilizer series, K = n_coeffs - 1.
@@ -230,13 +226,8 @@ def stabilizer_eval(
     return float(out[0]) if scalar else out
 
 
-def build_stabilizer(
-    spec: KernelSpec,
-    c: float,
-    grid,
-    n_coeffs: int = _K_CAP,
-) -> StabilizerTable:
-    """Tabulate the stabilizer on ``grid`` (starting at 0)."""
+def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
+    """Tabulate the stabilizer on ``grid`` (starting at 0), with ``_K_CAP`` series coefficients."""
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must start at 0 and be strictly increasing")
@@ -246,7 +237,7 @@ def build_stabilizer(
     coeffs = (
         np.empty(0)
         if spec.alpha == 1.0
-        else stabilizer_coefficients(spec.alpha, n_coeffs)
+        else stabilizer_coefficients(spec.alpha, _K_CAP)
     )
     # the series, and so its trust radius, is used only when c > 0 and alpha < 1
     radius = _trust_radius(spec.alpha, coeffs) if c > 0.0 and spec.alpha < 1.0 else None

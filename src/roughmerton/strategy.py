@@ -15,7 +15,9 @@ exponential-affine form
   exponential:  -(1/gamma) exp(-gamma e^{int_0^T r} x0) exp(sum_i int ... ds)
 
 with the adjusted forward curve g_0^i(s) = E[V_0^i] + mu0_i s^alpha_i /
-Gamma(alpha_i + 1), evaluated at the mean initial variance.
+Gamma(alpha_i + 1), evaluated at the mean initial variance.  Rules and
+values take the utility, gamma and model from the Riccati solution's spec,
+so they always match the equation that was solved.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from .simulate import ModelParams
 
 __all__ = [
     "UtilitySpec",
-    "StrategyValue",
     "g0_curve",
     "optimal_rule",
     "value_function",
-    "strategy_profile",
 ]
 
 
@@ -63,19 +63,6 @@ class UtilitySpec:
         return -np.exp(-self.gamma * x) / self.gamma
 
 
-@dataclass(frozen=True)
-class StrategyValue:
-    """Deterministic rule curves and the analytic value.
-
-    ``pi_star[i, k]`` multiplies sqrt(V^i) at time ``times[k]``; ``value`` is
-    the analytic value function at x0 and V_0 = E[V_0].
-    """
-
-    times: np.ndarray
-    pi_star: np.ndarray
-    value: float
-
-
 def g0_curve(params: ModelParams, s) -> np.ndarray:
     """Adjusted forward curve g_0^i(s) = E[V_0^i] + mu0_i s^alpha_i / Gamma(alpha_i+1).
 
@@ -93,20 +80,14 @@ def g0_curve(params: ModelParams, s) -> np.ndarray:
     )
 
 
-def _check_variant(util, sol: RiccatiSolution):
-    want = "power" if util.kind == "power" else "exponential"
-    if not sol.variant.startswith(want):
-        raise ValueError(f"{util.kind} utility needs a {want} Riccati solution, got {sol.variant}")
-
-
-def optimal_rule(util: UtilitySpec, params: ModelParams, sol: RiccatiSolution, t) -> np.ndarray:
+def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     """Deterministic multiplier of sqrt(V^i) in the optimal strategy at time(s) t.
 
     For the degenerate power solution the hedging term carries the distortion
     coefficient delta (theta + delta rho nu varsigma psi_deg, consistent with
     the general rule through psi_general = delta psi_degenerate).
     """
-    _check_variant(util, sol)
+    util, params = sol.spec.util, sol.spec.params
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -117,7 +98,7 @@ def optimal_rule(util: UtilitySpec, params: ModelParams, sol: RiccatiSolution, t
     sig = np.stack([np.asarray(sol.spec.stabilizers[i](t)) for i in range(params.d)])
     hedge = params.rho[:, None] * params.nu[:, None] * sig * psi_rev
     if sol.variant == "power_degenerate":
-        g = params.gamma
+        g = util.gamma
         delta = (1.0 - g) / (1.0 - g + g * params.rho**2)
         hedge = delta[:, None] * hedge
     base = params.theta[:, None] + hedge
@@ -129,22 +110,16 @@ def optimal_rule(util: UtilitySpec, params: ModelParams, sol: RiccatiSolution, t
     return out[:, 0] if scalar else out
 
 
-def value_function(
-    util: UtilitySpec,
-    params: ModelParams,
-    sol: RiccatiSolution,
-    stab=None,
-    x0: float | None = None,
-) -> float:
+def value_function(sol: RiccatiSolution, x0: float | None = None) -> float:
     """Analytic value function at initial wealth x0 and V_0 = E[V_0].
 
     The exponent integral uses the solver's stored right-hand-side values:
     a_i + F_i(s, psi^i(T-s)) on the grid is the time reversal of
     ``sol.rhs_values[i]``; composite Simpson integrates it against g_0^i.
     The degenerate power solution is rejected (the theorem's exponent uses
-    the general-correlation forcing).
+    the general-correlation forcing).  ``x0`` defaults to the model's.
     """
-    _check_variant(util, sol)
+    util, params = sol.spec.util, sol.spec.params
     if sol.variant == "power_degenerate":
         raise ValueError("value_function requires the general-correlation power solution")
     if x0 is None:
@@ -160,10 +135,3 @@ def value_function(
             raise ValueError("power utility requires x0 > 0")
         return x0**g / g * math.exp(g * r_int + expo)
     return -1.0 / g * math.exp(-g * math.exp(r_int) * x0) * math.exp(expo)
-
-
-def strategy_profile(util: UtilitySpec, params: ModelParams, sol: RiccatiSolution) -> StrategyValue:
-    """Rule curves on the solver grid plus the analytic value at params.x0."""
-    pi = optimal_rule(util, params, sol, sol.times)
-    val = value_function(util, params, sol, x0=params.x0)
-    return StrategyValue(times=sol.times, pi_star=pi, value=val)

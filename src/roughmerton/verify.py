@@ -25,18 +25,21 @@ fractional kernel (K1(s - t_{l-1}) - K1(s - t_l))/D, K1(t) = t^alpha /
 Gamma(alpha + 1) -- the exact average of K over the increment interval, which
 avoids the K(0) singularity at grid points.  J should be flat in t for the
 optimal rule, with J_0 = value function and J_T = U(X_T).
+
+The market (theta, rates, x0, kernels) is read from the bundle's
+``params``; the utility and the exponent curves from the Riccati solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
-from .simulate import ModelParams, PathBundle
+from .simulate import PathBundle
 from .strategy import UtilitySpec, g0_curve, optimal_rule, value_function
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "simulate_wealth",
     "optimality_test",
     "martingale_profile",
+    "moment_curves",
     "stationarity_report",
 ]
 
@@ -53,17 +57,11 @@ __all__ = [
 class WealthRun:
     """Terminal wealth and utility statistics for one strategy on one bundle."""
 
-    util: UtilitySpec
-    tag: str
     x_T: np.ndarray
     u_T: np.ndarray
     mean: float
     se: float
     X_path: np.ndarray | None = None
-
-    @property
-    def ci95(self) -> tuple:
-        return (self.mean - 1.96 * self.se, self.mean + 1.96 * self.se)
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,13 @@ def _rule_matrix(rule, times: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def simulate_wealth(
-    bundle: PathBundle,
-    util: UtilitySpec,
-    rule,
-    params: ModelParams,
-    tag: str = "",
-    store_path: bool = False,
-) -> WealthRun:
-    """Terminal wealth/utility under ``rule`` on the bundle's paths.
+def simulate_wealth(bundle: PathBundle, util: UtilitySpec, rule, store_path: bool = False) -> WealthRun:
+    """Terminal wealth/utility under ``rule`` on the bundle's paths and market.
 
     ``rule(t)`` returns the per-asset multiplier of sqrt(V) for a time array
     t, shape (d, len(t)); it is evaluated at the left endpoint of each step.
     """
+    params = bundle.params
     d = params.d
     times = bundle.times
     n = times.size - 1
@@ -162,16 +154,10 @@ def simulate_wealth(
     u = util.u(x_T)
     mean = float(np.mean(u))
     se = float(np.std(u, ddof=1) / math.sqrt(P))
-    return WealthRun(util=util, tag=tag, x_T=x_T, u_T=u, mean=mean, se=se, X_path=X_path)
+    return WealthRun(x_T=x_T, u_T=u, mean=mean, se=se, X_path=X_path)
 
 
-def optimality_test(
-    bundle: PathBundle,
-    util: UtilitySpec,
-    params: ModelParams,
-    sol: RiccatiSolution,
-    perturbations: list,
-) -> dict:
+def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: list) -> dict:
     """Paired common-random-number comparison of the optimal rule vs perturbed rules.
 
     For each PerturbationSpec, Delta = E[U(X^{pi*})] - E[U(X^{pi* + eps h})]
@@ -180,13 +166,13 @@ def optimality_test(
     perturbation with keys 'label', 'epsilon', 'delta', 'se', 'z',
     'delta_over_eps2'.
     """
-    base_rule = lambda t: optimal_rule(util, params, sol, t)
-    base = simulate_wealth(bundle, util, base_rule, params, tag="optimal")
+    util = sol.spec.util
+    base = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t))
     entries = []
     for pert in perturbations:
         eps, h = pert.epsilon, pert.h
-        rule = lambda t, eps=eps, h=h: optimal_rule(util, params, sol, t) + eps * np.asarray(h(t))
-        run = simulate_wealth(bundle, util, rule, params, tag=f"pert[{pert.label}]x{eps}")
+        rule = lambda t, eps=eps, h=h: optimal_rule(sol, t) + eps * np.asarray(h(t))
+        run = simulate_wealth(bundle, util, rule)
         diff = base.u_T - run.u_T
         delta = float(np.mean(diff))
         se = float(np.std(diff, ddof=1) / math.sqrt(diff.size))
@@ -211,13 +197,7 @@ def _reverse_cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def martingale_profile(
-    bundle: PathBundle,
-    util: UtilitySpec,
-    params: ModelParams,
-    sol: RiccatiSolution,
-    stab=None,
-) -> dict:
+def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
     Requires a bundle with dBperp stored (to reconstruct dW) and simulated
@@ -226,6 +206,7 @@ def martingale_profile(
     J_t - J_0, the flatness statistic max_k |mean_k - mean_0| / SE_k, and the
     two endpoint references.
     """
+    params, util = bundle.params, sol.spec.util
     d = params.d
     times = bundle.times
     n = times.size - 1
@@ -233,8 +214,7 @@ def martingale_profile(
     P = bundle.n_paths
     T = params.T
 
-    rule = lambda t: optimal_rule(util, params, sol, t)
-    run = simulate_wealth(bundle, util, rule, params, tag="optimal", store_path=True)
+    run = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t), store_path=True)
     X = run.X_path  # (n+1, P)
 
     g = util.gamma
@@ -269,7 +249,7 @@ def martingale_profile(
         J = X**g / g * np.exp(g * r_tail[:, None] + expo)
     else:
         J = -np.exp(-g * np.exp(r_tail)[:, None] * X + expo) / g
-    value = value_function(util, params, sol, x0=params.x0)
+    value = value_function(sol, x0=params.x0)
 
     j_mean = J.mean(axis=1)
     diff = J - J[0]
@@ -288,6 +268,24 @@ def martingale_profile(
     }
 
 
+def moment_curves(bundle: PathBundle) -> np.ndarray:
+    """Sample mean and variance of V per asset and grid time, with their SEs.
+
+    Returns (mean, var, se_mean, se_var) stacked, each of shape (d, n+1):
+    var = sd^2 with the unbiased sd, se_mean = sd/sqrt(M) and SE(var) from
+    the fourth central moment over M paths.
+    """
+    P = bundle.n_paths
+    out = np.empty((4,) + bundle.V.shape[:2])
+    for i, Vi in enumerate(bundle.V):
+        mean_k = Vi.mean(axis=1)
+        sd_k = Vi.std(axis=1, ddof=1)
+        var_k = sd_k**2
+        m4 = ((Vi - mean_k[:, None]) ** 4).mean(axis=1)
+        out[:, i] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
+    return out
+
+
 def stationarity_report(bundle: PathBundle) -> list[dict]:
     """Per-asset flatness of sample mean and variance of V across the grid.
 
@@ -296,16 +294,10 @@ def stationarity_report(bundle: PathBundle) -> list[dict]:
     moment.  Both should be small (<= 3) under fake stationarity.
     """
     params = bundle.params
-    P = bundle.n_paths
+    curves = moment_curves(bundle)
     out = []
     for i in range(params.d):
-        Vi = bundle.V[i]
-        mean_k = Vi.mean(axis=1)
-        sd_k = Vi.std(axis=1, ddof=1)
-        se_mean = sd_k / math.sqrt(P)
-        var_k = sd_k**2
-        m4 = ((Vi - mean_k[:, None]) ** 4).mean(axis=1)
-        se_var = np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
+        mean_k, var_k, se_mean, se_var = curves[:, i]
         # floor the SEs at rounding-noise scale so degenerate (constant-path)
         # cases yield 0 statistics instead of 0/0
         floor = 8.0 * np.finfo(float).eps * max(params.x_inf[i], 1.0)

@@ -17,7 +17,6 @@ def params4():
         mu0=[0.2, 0.25],
         c=[0.01, 0.03],
         T=1.0,
-        gamma=0.2,
         x0=1.0,
     )
 

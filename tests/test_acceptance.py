@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 
 from roughmerton.cli import _default_config_path, load_config, main as cli_main
 from roughmerton.kernels import KernelSpec, resolvent_residual
-from roughmerton.riccati import RiccatiSpec, psi_bound_check, solve_riccati
+from roughmerton.riccati import RiccatiSpec, _variant_coefficients, psi_bound_check, solve_riccati
 from roughmerton.simulate import ModelParams, SimGrid, simulate_variance
 from roughmerton.stabilizer import build_stabilizer, functional_equation_residual
 from roughmerton.strategy import UtilitySpec, optimal_rule, value_function
@@ -49,17 +49,18 @@ def big_bundle(params4, stab4):
     return _cache["big"]
 
 
-def solution(params, stab4, variant, n=200, key=None):
-    key = key or (variant, params.gamma)
+def solution(params4, stab4, util):
+    """The n = 200 solution on the shared parameters, one per utility."""
+    key = (util.kind, util.gamma)
     if key not in _cache:
-        _cache[key] = solve_riccati(RiccatiSpec(variant, params, stab4, T=1.0, n=n))
+        _cache[key] = solve_riccati(RiccatiSpec(util, params4, stab4, T=1.0, n=200))
     return _cache[key]
 
 
-def with_gamma(params4, gamma, **overrides):
+def with_params(params4, **overrides):
     kw = dict(
         alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=gamma,
+        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
     )
     kw.update(overrides)
     return ModelParams(**kw)
@@ -97,12 +98,10 @@ def test_criterion_3_fake_stationarity(params4, stab4):
 
 def test_criterion_4_riccati_alpha_one_reduction(params4):
     t0 = time.time()
-    p = with_gamma(params4, 0.2, alpha=[1.0, 1.0])
+    p = with_params(params4, alpha=[1.0, 1.0])
     stabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0, 1, 11)) for i in range(2)]
-    sol = solve_riccati(RiccatiSpec("exponential_general", p, stabs, T=1.0, n=200))
-    from roughmerton.riccati import _variant_coefficients
-
-    a, lin, quad = _variant_coefficients("exponential_general", p)
+    sol = solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), p, stabs, T=1.0, n=200))
+    a, lin, quad = _variant_coefficients(sol.spec)
     sup_err = 0.0
     for i in range(2):
         sig = float(stabs[i](0.5))  # constant for alpha = 1
@@ -119,9 +118,8 @@ def test_criterion_5_riccati_convergence(params4, stab4):
     t0 = time.time()
     ratios = []
     for i, alpha in enumerate(params4.alpha):
-        p = with_gamma(params4, 0.2)
         sols = {
-            n: solve_riccati(RiccatiSpec("power_general", p, stab4, T=1.0, n=n)).psi[i]
+            n: solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, T=1.0, n=n)).psi[i]
             for n in (100, 200, 400, 800, 1600)
         }
         rate = 2.0 ** (1.0 + alpha)
@@ -144,7 +142,7 @@ def test_criterion_5_riccati_convergence(params4, stab4):
 
 def test_criterion_6_exponential_sign_and_bound(params4, stab4):
     t0 = time.time()
-    sol = solution(params4, stab4, "exponential_general")
+    sol = solution(params4, stab4, UtilitySpec("exponential", 0.2))
     sign_ok = bool(np.all(sol.psi <= 0.0) and np.all(sol.psi[:, 1:] < 0.0))
     reports = psi_bound_check(sol)
     bound_ok = all(r["status"] == "pass" for r in reports)
@@ -158,10 +156,11 @@ def test_criterion_6_exponential_sign_and_bound(params4, stab4):
 
 def test_criterion_7_degenerate_general_consistency(params4, stab4):
     t0 = time.time()
-    p = with_gamma(params4, 0.2, rho=[-0.6, -0.6])
+    p = with_params(params4, rho=[-0.6, -0.6])
+    util = UtilitySpec("power", 0.2)
     delta = (1.0 - 0.2) / (1.0 - 0.2 + 0.2 * 0.36)
-    sol_g = solve_riccati(RiccatiSpec("power_general", p, stab4, T=1.0, n=200))
-    sol_d = solve_riccati(RiccatiSpec("power_degenerate", p, stab4, T=1.0, n=200))
+    sol_g = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=200))
+    sol_d = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=200, degenerate=True))
     gap = float(np.max(np.abs(delta * sol_d.psi - sol_g.psi)))
     elapsed_ok = time.time() - t0 < 2.0
     report(7, gap <= 1e-8 and elapsed_ok, f"sup |delta psi_deg - psi_gen| {gap:.2e} <= 1e-8", t0)
@@ -172,13 +171,11 @@ def test_criterion_8_value_agreement(params4, stab4):
     bundle = big_bundle(params4, stab4)
     details, ok = [], True
     for kind in ("power", "exponential"):
-        variant = f"{kind}_general"
         for g in GAMMAS:
-            p = with_gamma(params4, g)
             util = UtilitySpec(kind, g)
-            sol = solution(p, stab4, variant, key=(variant, g))
-            run = simulate_wealth(bundle, util, lambda t: optimal_rule(util, p, sol, t), p)
-            analytic = value_function(util, p, sol, x0=p.x0)
+            sol = solution(params4, stab4, util)
+            run = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t))
+            analytic = value_function(sol)
             gap = abs(run.mean - analytic)
             tol = 2.0 * run.se + 0.005 * abs(analytic)
             ok &= gap <= tol
@@ -190,8 +187,7 @@ def test_criterion_8_value_agreement(params4, stab4):
 def test_criterion_9_martingale_optimality(params4, stab4):
     t0 = time.time()
     bundle = big_bundle(params4, stab4)
-    util = UtilitySpec("power", 0.2)
-    sol = solution(params4, stab4, "power_general", key=("power_general", 0.2))
+    sol = solution(params4, stab4, UtilitySpec("power", 0.2))
     directions = {
         "uniform": lambda t: np.ones((2, np.atleast_1d(t).size)),
         "long_short": lambda t: np.array([[1.0], [-1.0]]) * np.ones((2, np.atleast_1d(t).size)),
@@ -200,7 +196,7 @@ def test_criterion_9_martingale_optimality(params4, stab4):
     ok, details = True, []
     for label, h in directions.items():
         perts = [PerturbationSpec(e, h, label) for e in (0.1, 0.2, 0.4)]
-        rep = optimality_test(bundle, util, params4, sol, perts)
+        rep = optimality_test(bundle, sol, perts)
         zs = [e["z"] for e in rep["perturbations"]]
         curv = np.array([e["delta_over_eps2"] for e in rep["perturbations"]])
         spread = float(np.max(np.abs(curv / curv.mean() - 1.0)))
@@ -216,9 +212,8 @@ def test_criterion_10_martingale_profile(params4, stab4):
         params4, stab4, SimGrid(T=1.0, n_steps=600), n_paths=10_000, seed=42,
         v0_mode="mean", store_bperp=True,
     )
-    util = UtilitySpec("power", 0.2)
-    sol = solution(params4, stab4, "power_general", key=("power_general", 0.2))
-    prof = martingale_profile(bundle, util, params4, sol)
+    sol = solution(params4, stab4, UtilitySpec("power", 0.2))
+    prof = martingale_profile(bundle, sol)
     flat_ok = prof["flat_stat"] <= 3.0
     start_ok = abs(prof["j_mean"][0] - prof["value"]) <= 1e-6 * abs(prof["value"])
     end_ok = abs(prof["j_mean"][-1] - prof["terminal_mean_utility"]) <= 1e-12 * abs(

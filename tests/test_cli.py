@@ -13,6 +13,11 @@ import roughmerton.simulate as simulate
 from roughmerton.cli import ConfigError, _default_config_path, dispatch, load_config, main
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def write_config(tmp_path, mutate=None, name="cfg.json"):
     with open(_default_config_path()) as fh:
         raw = json.load(fh)
@@ -32,7 +37,6 @@ class TestLoadConfig:
         assert cfg.gammas == (0.2, 0.5, 0.8)
         assert cfg.n_sim == 600 and cfg.n_riccati == 200
         assert cfg.paths == 10000 and cfg.seed == 42
-        assert cfg.params.gamma == 0.2  # first utility gamma
         assert len(cfg.sha256) == 64
 
     @pytest.mark.parametrize(
@@ -101,7 +105,7 @@ class TestCommands:
         assert head[3].strip() == "# columns=t,sigma_1,sigma_2"
         data = np.loadtxt(csv, delimiter=",", comments="#")
         assert data.shape == (41, 3)
-        report = json.load(open(os.path.join(out, "stabilizer_report.json")))
+        report = read_json(os.path.join(out, "stabilizer_report.json"))
         assert report["asset_1"]["passed"] and report["asset_2"]["passed"]
         assert report["_meta"]["seed"] == 42
 
@@ -114,7 +118,7 @@ class TestCommands:
         assert np.all(data[0, 1:] == 0.0)
 
         assert run_cli(["value", "--config", cfg, "--out", out]) == 0
-        vals = json.load(open(os.path.join(out, "value.json")))
+        vals = read_json(os.path.join(out, "value.json"))
         assert set(vals["values"]) == {"gamma_0.2", "gamma_0.5"}
         assert vals["utility"] == "power"
 
@@ -132,14 +136,14 @@ class TestCommands:
         assert filecmp.cmp(
             os.path.join(out1, "simulate.csv"), os.path.join(out2, "simulate.csv"), shallow=False
         )
-        report = json.load(open(os.path.join(out1, "simulate_report.json")))
+        report = read_json(os.path.join(out1, "simulate_report.json"))
         assert "stationarity" in report
 
     def test_gamma_and_utility_overrides(self, tmp_path):
         cfg = write_config(tmp_path, self.shrink)
         out = str(tmp_path / "out")
         assert run_cli(["value", "--config", cfg, "--out", out, "--gamma", "0.3"]) == 0
-        vals = json.load(open(os.path.join(out, "value.json")))
+        vals = read_json(os.path.join(out, "value.json"))
         assert list(vals["values"]) == ["gamma_0.3"]
         # power gammas are invalid for gamma >= 1 but fine for exponential
         assert run_cli(["value", "--config", cfg, "--out", out, "--gamma", "1.5"]) == 1
@@ -149,6 +153,43 @@ class TestCommands:
             )
             == 0
         )
+
+    def test_one_gamma_source(self, tmp_path):
+        # a rule solved for one gamma is the same whichever gammas the run holds
+        all_out, one_out = str(tmp_path / "all"), str(tmp_path / "one")
+        assert run_cli(["strategy", "--out", all_out]) == 0
+        assert run_cli(["strategy", "--gamma", "0.5", "--out", one_out]) == 0
+        assert os.listdir(one_out) == ["strategy_power_gamma0.5.csv"]
+        assert filecmp.cmp(
+            os.path.join(all_out, "strategy_power_gamma0.5.csv"),
+            os.path.join(one_out, "strategy_power_gamma0.5.csv"),
+            shallow=False,
+        )
+        assert run_cli(["riccati", "--gamma", "0.5", "--out", one_out]) == 0
+        report = read_json(os.path.join(one_out, "riccati_report.json"))
+        assert report["gamma"] == 0.5 and report["variant"] == "power_general"
+
+    @pytest.mark.parametrize(
+        "field,args,mutate",
+        [
+            pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim=0), id="n_sim"),
+            pytest.param("grids.n_riccati", [], lambda raw: raw["grids"].update(n_riccati=1), id="n_riccati"),
+            pytest.param("mc.paths", [], lambda raw: raw["mc"].update(paths=1), id="paths"),
+            pytest.param("mc.block_size", [], lambda raw: raw["mc"].update(block_size=0), id="block_size"),
+            pytest.param("mc.paths", ["--paths", "0"], None, id="paths_override"),
+            pytest.param("grids.n_sim", ["--steps", "0"], None, id="steps_override"),
+        ],
+    )
+    def test_out_of_range_run_size_is_named(self, tmp_path, capsys, field, args, mutate):
+        cfg = write_config(tmp_path, mutate)
+        out = str(tmp_path / "out")
+        assert run_cli(["simulate", "--config", cfg, "--out", out] + args) == 1
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError" and field in payload["message"]
+        assert not os.path.exists(out)
 
     def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
         calls = {"factor": 0, "solve": 0}
@@ -218,6 +259,16 @@ class TestCommands:
         err = capsys.readouterr().err
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigError"
+
+    def test_arithmetic_error_is_a_json_error_line(self, tmp_path, capsys, monkeypatch):
+        def negative_series(*args, **kwargs):
+            raise ArithmeticError("stabilizer series went negative inside its trust radius")
+
+        monkeypatch.setattr(cli, "build_stabilizer", negative_series)
+        assert run_cli(["stabilizer", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ArithmeticError"
 
     def test_dispatch_unknown(self, tmp_path):
         cfg = load_config(write_config(tmp_path, self.shrink))

@@ -13,13 +13,10 @@ from roughmerton.kernels import (
     KernelSpec,
     _f_smooth,
     f_l2_norm,
-    first_kind_resolvent_check,
-    kernel_eval,
     mittag_leffler,
     resolvent,
     resolvent_density,
     resolvent_residual,
-    resolvent_table,
 )
 
 mp.mp.dps = 60
@@ -125,13 +122,6 @@ class TestMittagLeffler:
 
 
 class TestKernelAndResolvent:
-    def test_kernel_eval(self):
-        spec = KernelSpec(alpha=0.9, lam=0.2)
-        t = np.array([0.5, 1.0, 2.0])
-        assert np.allclose(kernel_eval(spec, t), t ** (-0.1) / math.gamma(0.9), rtol=1e-14)
-        with pytest.raises(ValueError):
-            kernel_eval(spec, 0.0)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(alpha=0.5, lam=1.0)
@@ -216,18 +206,3 @@ class TestKernelAndResolvent:
         t = np.linspace(0.02, 1.0, 50)
         assert np.array_equal(resolvent_residual(spec, t), resolvent_residual_per_t(spec, t))
         assert resolvent_residual(spec, 0.5) == resolvent_residual_per_t(spec, np.array([0.5]))[0]
-
-    def test_first_kind_resolvent_check(self):
-        assert first_kind_resolvent_check(KernelSpec(0.9, 0.2), 1.0) < 1e-12
-        with pytest.raises(ValueError):
-            first_kind_resolvent_check(KernelSpec(1.0, 0.2), 1.0)
-
-    def test_resolvent_table(self):
-        spec = KernelSpec(0.9, 0.2)
-        grid = np.linspace(0.0, 1.0, 11)
-        tab = resolvent_table(spec, grid)
-        assert np.array_equal(tab.grid, grid)
-        assert np.allclose(tab.r_values, resolvent(spec, grid))
-        assert tab.l2_norm_f == pytest.approx(f_l2_norm(spec), rel=1e-14)
-        with pytest.raises(ValueError):
-            resolvent_table(spec, np.array([0.1, 0.2]))

@@ -7,19 +7,23 @@ from scipy.integrate import solve_ivp
 from roughmerton.riccati import (
     RiccatiBlowup,
     RiccatiSpec,
+    _variant_coefficients,
     assumption_gate,
     psi_bound_check,
-    riccati_rhs,
     solve_riccati,
 )
 from roughmerton.simulate import ModelParams
 from roughmerton.stabilizer import build_stabilizer
+from roughmerton.strategy import UtilitySpec
+
+POWER = UtilitySpec("power", 0.2)
+EXP = UtilitySpec("exponential", 0.2)
 
 
 def make_params(params4, **overrides):
     kw = dict(
         alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
     )
     kw.update(overrides)
     return ModelParams(**kw)
@@ -30,37 +34,50 @@ def make_stabs(params, grid_pts=201):
     return [build_stabilizer(params.kernel_spec(i), params.c[i], grid) for i in range(params.d)]
 
 
+def riccati_rhs(spec, i, s, psi):
+    """a_i + F_i(T - s, psi_i): the Volterra right-hand side at solver time s."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    a, lin, quad = _variant_coefficients(spec)
+    sig = float(spec.stabilizers[i](spec.T - s))
+    x = psi[i]
+    sx = sig * x
+    return float(a[i] + lin[i] * sx - spec.params.lam[i] * x + quad[i] * sx * sx)
+
+
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
-    return solve_riccati(RiccatiSpec("power_general", params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(POWER, params4, stab4, T=1.0, n=200))
 
 
 @pytest.fixture(scope="module")
 def sol_exp(params4, stab4):
-    return solve_riccati(RiccatiSpec("exponential_general", params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(EXP, params4, stab4, T=1.0, n=200))
 
 
 class TestSpecValidation:
     def test_variant_and_grid_checks(self, params4, stab4):
+        # the variant is named after the utility family and the correlation form
+        assert RiccatiSpec(POWER, params4, stab4, T=1.0, n=200).variant == "power_general"
+        equal = make_params(params4, rho=[-0.6, -0.6])
+        spec = RiccatiSpec(EXP, equal, stab4, T=1.0, n=200, degenerate=True)
+        assert spec.variant == "exponential_degenerate"
         with pytest.raises(ValueError):
-            RiccatiSpec("power", params4, stab4, T=1.0, n=200)
+            RiccatiSpec(POWER, params4, stab4, T=0.0, n=200)
         with pytest.raises(ValueError):
-            RiccatiSpec("power_general", params4, stab4, T=0.0, n=200)
+            RiccatiSpec(POWER, params4, stab4, T=1.0, n=1)
         with pytest.raises(ValueError):
-            RiccatiSpec("power_general", params4, stab4, T=1.0, n=1)
-        with pytest.raises(ValueError):
-            RiccatiSpec("power_general", params4, stab4[:1], T=1.0, n=200)
+            RiccatiSpec(POWER, params4, stab4[:1], T=1.0, n=200)
 
     def test_power_gamma_range(self, params4, stab4):
-        bad = make_params(params4, gamma=1.5)
+        # the utility rejects a power gamma outside (0, 1) before any spec is built
         with pytest.raises(ValueError):
-            RiccatiSpec("power_general", bad, stab4, T=1.0, n=100)
+            UtilitySpec("power", 1.5)
         # exponential utility allows any gamma > 0
-        RiccatiSpec("exponential_general", bad, stab4, T=1.0, n=100)
+        RiccatiSpec(UtilitySpec("exponential", 1.5), params4, stab4, T=1.0, n=100)
 
     def test_degenerate_requires_equal_rho(self, params4, stab4):
         with pytest.raises(ValueError):
-            RiccatiSpec("power_degenerate", params4, stab4, T=1.0, n=100)
+            RiccatiSpec(POWER, params4, stab4, T=1.0, n=100, degenerate=True)
 
     def test_coverage_check(self, params4):
         short = [
@@ -68,14 +85,13 @@ class TestSpecValidation:
             for i in range(2)
         ]
         with pytest.raises(ValueError):
-            RiccatiSpec("power_general", params4, short, T=1.0, n=100)
+            RiccatiSpec(POWER, params4, short, T=1.0, n=100)
 
 
 class TestSolution:
     def test_initial_value_and_shapes(self, sol_power):
         assert sol_power.psi.shape == (2, 201)
         assert np.all(sol_power.psi[:, 0] == 0.0)
-        assert not sol_power.blowup_flag
 
     def test_rhs_values_consistent(self, sol_power, params4):
         spec = sol_power.spec
@@ -86,8 +102,8 @@ class TestSolution:
 
     def test_theta_zero_gives_zero(self, params4, stab4):
         p = make_params(params4, theta=[0.0, 0.0])
-        for variant in ("power_general", "exponential_general"):
-            sol = solve_riccati(RiccatiSpec(variant, p, stab4, T=1.0, n=50))
+        for util in (POWER, EXP):
+            sol = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=50))
             assert np.all(sol.psi == 0.0)
 
     def test_exponential_sign(self, sol_exp):
@@ -102,7 +118,7 @@ class TestSolution:
         sups = []
         for th in (0.05, 0.1, 0.2):
             p = make_params(params4, theta=[th, th])
-            sol = solve_riccati(RiccatiSpec("exponential_general", p, stab4, T=1.0, n=100))
+            sol = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=100))
             sups.append(np.max(np.abs(sol.psi)))
         assert sups[0] < sups[1] < sups[2]
 
@@ -117,12 +133,10 @@ class TestSolution:
         p = make_params(params4, alpha=[1.0, 1.0])
         stabs = make_stabs(p, grid_pts=11)
         sig = [float(tab(0.5)) for tab in stabs]
-        for variant in ("power_general", "exponential_general"):
-            spec = RiccatiSpec(variant, p, stabs, T=1.0, n=200)
+        for util in (POWER, EXP):
+            spec = RiccatiSpec(util, p, stabs, T=1.0, n=200)
             sol = solve_riccati(spec)
-            from roughmerton.riccati import _variant_coefficients
-
-            a, lin, quad = _variant_coefficients(variant, p)
+            a, lin, quad = _variant_coefficients(spec)
             for i in range(2):
                 ode = solve_ivp(
                     lambda t, y: a[i]
@@ -140,14 +154,14 @@ class TestSolution:
     def test_degenerate_distortion_identity(self, params4, stab4):
         # with equal rho, delta * psi_degenerate = psi_general for power utility
         p = make_params(params4, rho=[-0.6, -0.6])
-        g = p.gamma
+        g = POWER.gamma
         delta = (1.0 - g) / (1.0 - g + g * 0.36)
-        sol_g = solve_riccati(RiccatiSpec("power_general", p, stab4, T=1.0, n=150))
-        sol_d = solve_riccati(RiccatiSpec("power_degenerate", p, stab4, T=1.0, n=150))
+        sol_g = solve_riccati(RiccatiSpec(POWER, p, stab4, T=1.0, n=150))
+        sol_d = solve_riccati(RiccatiSpec(POWER, p, stab4, T=1.0, n=150, degenerate=True))
         assert np.max(np.abs(delta * sol_d.psi - sol_g.psi)) < 1e-10
         # the two exponential variants are literally the same equation
-        sol_e1 = solve_riccati(RiccatiSpec("exponential_general", p, stab4, T=1.0, n=50))
-        sol_e2 = solve_riccati(RiccatiSpec("exponential_degenerate", p, stab4, T=1.0, n=50))
+        sol_e1 = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=50))
+        sol_e2 = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=50, degenerate=True))
         assert np.array_equal(sol_e1.psi, sol_e2.psi)
 
 
@@ -156,16 +170,16 @@ class TestBlowup:
         # strong positive leverage and vol-of-vol push the power quadratic
         # supercritical well before T
         p = make_params(
-            params4, rho=[0.9, 0.9], nu=[3.0, 3.0], theta=[2.5, 2.5], gamma=0.9,
-            c=[1.0, 1.0], T=40.0,
+            params4, rho=[0.9, 0.9], nu=[3.0, 3.0], theta=[2.5, 2.5], c=[1.0, 1.0], T=40.0,
         )
+        util = UtilitySpec("power", 0.9)
         stabs = make_stabs(p, grid_pts=401)
-        spec = RiccatiSpec("power_general", p, stabs, T=40.0, n=400)
+        spec = RiccatiSpec(util, p, stabs, T=40.0, n=400)
         with pytest.raises(RiccatiBlowup) as exc:
             solve_riccati(spec)
         assert 0.0 < exc.value.t_max < 40.0
         # the refined horizon is usable
-        ok = RiccatiSpec("power_general", p, stabs, T=exc.value.t_max, n=400)
+        ok = RiccatiSpec(util, p, stabs, T=exc.value.t_max, n=400)
         solve_riccati(ok)
 
 
@@ -184,26 +198,26 @@ class TestBoundsAndGates:
 
     def test_assumption_constant_reference_value(self, params4, stab4, sol_power):
         # a(2) with rho = (1, 1): |S| = 2, so max(2*4, 2*28*5, 2*5) = 280
-        gate = assumption_gate(params4, sol_power, p=2.0)
+        gate = assumption_gate(sol_power, p=2.0)
         s = float(np.sum(params4.rho**2))
         assert gate["a_p"] == pytest.approx(
             max(2 * (2 + s), 2 * 28 * (1 + s * s), 2 * (1 + s * s)), rel=1e-14
         )
         p_unit = make_params(params4, rho=[1.0, 1.0])
         stabs = stab4  # only rho enters a(p)
-        sol = solve_riccati(RiccatiSpec("exponential_general", p_unit, stabs, T=1.0, n=50))
-        gate_unit = assumption_gate(p_unit, sol, p=2.0)
+        sol = solve_riccati(RiccatiSpec(EXP, p_unit, stabs, T=1.0, n=50))
+        gate_unit = assumption_gate(sol, p=2.0)
         assert gate_unit["a_p"] == 280.0
 
     def test_assumption_gate_default_and_explicit(self, params4, sol_power):
-        gate = assumption_gate(params4, sol_power, p=2.0)
+        gate = assumption_gate(sol_power, p=2.0)
         assert gate["a_defaulted"] and gate["passed"]
         assert gate["threshold"] == pytest.approx(2.0 * gate["lhs_sup"], rel=1e-14)
-        tight = assumption_gate(params4, sol_power, p=2.0, a=gate["a_p"] * gate["lhs_sup"] / 2.0)
+        tight = assumption_gate(sol_power, p=2.0, a=gate["a_p"] * gate["lhs_sup"] / 2.0)
         assert not tight["a_defaulted"]
         assert not tight["passed"]
         with pytest.raises(ValueError):
-            assumption_gate(params4, sol_power, p=1.0)
+            assumption_gate(sol_power, p=1.0)
 
 
 class TestConvergence:
@@ -214,7 +228,7 @@ class TestConvergence:
         p = make_params(params4, alpha=[alpha, alpha])
         stabs = make_stabs(p)
         sols = {
-            n: solve_riccati(RiccatiSpec("power_general", p, stabs, T=1.0, n=n))
+            n: solve_riccati(RiccatiSpec(POWER, p, stabs, T=1.0, n=n))
             for n in (200, 400, 800, 1600)
         }
         rate = 2.0 ** (1.0 + alpha)

@@ -25,7 +25,7 @@ from roughmerton.simulate import (
 from roughmerton.stabilizer import build_stabilizer
 
 
-def gaussian_integral_covariance(spec, grid, ell, k1, k2, quad_nodes=_QUAD_NODES):
+def gaussian_integral_covariance(spec, grid, ell, k1, k2):
     """Cov(I^ell_{k1}, I^ell_{k2}) = int_{t_{ell-1}}^{t_ell} f(t_k1 - s) f(t_k2 - s) ds.
 
     Entry-wise oracle of lag_covariance_matrix.  Requires
@@ -43,14 +43,14 @@ def gaussian_integral_covariance(spec, grid, ell, k1, k2, quad_nodes=_QUAD_NODES
     if alpha == 1.0:
         return lam * math.exp(-lam * (j + m) * dt) * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0
     if j == 0 and m == 0:
-        return _lag_entry_00(spec, dt, quad_nodes)
+        return _lag_entry_00(spec, dt)
     if j == 0:
         # with w = u^a, f(u) du = (lam/a) S(w^(1/a)) dw and S is analytic in w
-        w, wts = _gl_nodes(quad_nodes, 0.0, dt**alpha)
+        w, wts = _gl_nodes(_QUAD_NODES, 0.0, dt**alpha)
         u = w ** (1.0 / alpha)
         g = _f_smooth(spec, u) * resolvent_density(spec, m * dt + u)
         return lam / alpha * float(np.sum(wts * g))
-    u, w = _gl_nodes(quad_nodes, 0.0, dt)
+    u, w = _gl_nodes(_QUAD_NODES, 0.0, dt)
     return float(np.sum(w * resolvent_density(spec, j * dt + u) * resolvent_density(spec, m * dt + u)))
 
 
@@ -195,7 +195,7 @@ class TestModelParams:
     def test_rejects_bad_arrays(self, params4, field, value):
         kw = dict(
             alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
         )
         kw[field] = value
         with pytest.raises(ValueError):
@@ -204,12 +204,10 @@ class TestModelParams:
     def test_rejects_bad_scalars_and_lengths(self, params4):
         kw = dict(
             alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
         )
         with pytest.raises(ValueError):
             ModelParams(**{**kw, "T": 0.0})
-        with pytest.raises(ValueError):
-            ModelParams(**{**kw, "gamma": 0.0})
         with pytest.raises(ValueError):
             ModelParams(**{**kw, "lam": [0.2]})
 
@@ -327,7 +325,7 @@ class TestSampling:
     def test_sample_v0_degenerate(self, params4, stab4):
         p = ModelParams(
             alpha=params4.alpha, lam=params4.lam, nu=[0.0, 0.0], theta=params4.theta,
-            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
         )
         v0 = self.gaussian_v0(p, stab4, 100, seed=1)
         assert np.allclose(v0, p.x_inf[:, None], rtol=0.0, atol=0.0)
@@ -339,7 +337,7 @@ def oracle_model(request, params4):
     alpha = request.param
     p = ModelParams(
         alpha=[alpha, alpha], lam=params4.lam, nu=params4.nu, theta=params4.theta,
-        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
     )
     tabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0.0, 1.0, 51)) for i in range(2)]
     return p, tabs
@@ -403,7 +401,7 @@ class TestSimulate:
     def test_deterministic_when_nu_zero(self, params4, stab4):
         p = ModelParams(
             alpha=params4.alpha, lam=params4.lam, nu=[0.0, 0.0], theta=params4.theta,
-            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
         )
         grid = SimGrid(T=1.0, n_steps=20)
         b = simulate_variance(p, stab4, grid, n_paths=3, seed=5)
@@ -419,7 +417,7 @@ class TestSimulate:
         # acc_k = e^(-lam dt) acc_{k-1} + g_k, since f is a pure exponential
         p = ModelParams(
             alpha=[1.0, 1.0], lam=[0.2, 0.6], nu=[0.4, 0.2], theta=[0.1, 0.1],
-            rho=[-0.7, -0.55], mu0=[0.2, 0.25], c=[0.01, 0.03], T=1.0, gamma=0.2,
+            rho=[-0.7, -0.55], mu0=[0.2, 0.25], c=[0.01, 0.03], T=1.0,
         )
         grid = SimGrid(T=1.0, n_steps=30)
         tabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0, 1, 11)) for i in range(2)]

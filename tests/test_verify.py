@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
-from roughmerton.strategy import UtilitySpec, value_function
+from roughmerton.strategy import UtilitySpec
 from roughmerton.verify import (
     PerturbationSpec,
     martingale_profile,
@@ -18,7 +19,7 @@ from roughmerton.verify import (
 def make_params(params4, **overrides):
     kw = dict(
         alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, gamma=0.2,
+        rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
     )
     kw.update(overrides)
     return ModelParams(**kw)
@@ -32,12 +33,12 @@ def bundle(params4, stab4):
 
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
-    return solve_riccati(RiccatiSpec("power_general", params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, T=1.0, n=200))
 
 
 @pytest.fixture(scope="module")
 def sol_exp(params4, stab4):
-    return solve_riccati(RiccatiSpec("exponential_general", params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), params4, stab4, T=1.0, n=200))
 
 
 def zero_rule(d):
@@ -49,7 +50,7 @@ class TestSimulateWealth:
         # with nothing invested, X_T = x0 e^{int r} exactly for both utilities
         for kind, gamma in (("power", 0.2), ("exponential", 0.5)):
             util = UtilitySpec(kind, gamma)
-            run = simulate_wealth(bundle, util, zero_rule(2), params4)
+            run = simulate_wealth(bundle, util, zero_rule(2))
             assert np.allclose(run.x_T, params4.x0, rtol=0.0, atol=1e-14)
             # sd measures deviation from the computed mean, which carries a
             # rounding error of order one ulp even for constant samples
@@ -61,7 +62,7 @@ class TestSimulateWealth:
         grid = SimGrid(T=1.0, n_steps=20)
         b = simulate_variance(p, stab4, grid, n_paths=50, seed=1)
         for kind, gamma in (("power", 0.2), ("exponential", 0.5)):
-            run = simulate_wealth(b, UtilitySpec(kind, gamma), zero_rule(2), p)
+            run = simulate_wealth(b, UtilitySpec(kind, gamma), zero_rule(2))
             assert np.allclose(run.x_T, math.exp(0.04), rtol=1e-13)
 
     def test_exponential_path_with_piecewise_rate(self, params4, stab4):
@@ -69,14 +70,14 @@ class TestSimulateWealth:
         rate = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
         p = make_params(params4, rate=rate)
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
-        run = simulate_wealth(b, UtilitySpec("exponential", 0.5), zero_rule(2), p, store_path=True)
+        run = simulate_wealth(b, UtilitySpec("exponential", 0.5), zero_rule(2), store_path=True)
         bank = np.array([math.exp(rate.integral(0.0, t)) for t in b.times])
         assert np.allclose(run.X_path, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
 
     def test_power_wealth_positive_and_stats(self, bundle, params4, sol_power):
         util = UtilitySpec("power", 0.2)
         rule = lambda t: np.ones((2, np.asarray(t).size))
-        run = simulate_wealth(bundle, util, rule, params4, store_path=True)
+        run = simulate_wealth(bundle, util, rule, store_path=True)
         assert np.all(run.x_T > 0.0)
         assert np.all(run.X_path > 0.0)
         assert np.allclose(run.X_path[-1], run.x_T, rtol=1e-12)
@@ -92,7 +93,7 @@ class TestSimulateWealth:
         util = UtilitySpec("power", 0.2)
         pi = np.array([0.5, 0.7])
         rule = lambda t: np.tile(pi[:, None], (1, np.asarray(t).size))
-        run = simulate_wealth(b, util, rule, p)
+        run = simulate_wealth(b, util, rule)
         v = p.x_inf
         mu = float(np.sum((pi * p.theta - 0.5 * pi**2) * v))
         var = float(np.sum(pi**2 * v))  # dB are independent across assets
@@ -100,32 +101,26 @@ class TestSimulateWealth:
         assert abs(logx.mean() - mu) < 4 * math.sqrt(var / 100_000)
         assert logx.var() == pytest.approx(var, rel=0.02)
 
-    def test_rule_validation(self, bundle, params4):
+    def test_rule_validation(self, bundle):
         util = UtilitySpec("power", 0.2)
         with pytest.raises(ValueError):
-            simulate_wealth(bundle, util, lambda t: np.zeros((3, np.asarray(t).size)), params4)
+            simulate_wealth(bundle, util, lambda t: np.zeros((3, np.asarray(t).size)))
         with pytest.raises(ValueError):
-            simulate_wealth(
-                bundle, util, lambda t: np.full((2, np.asarray(t).size), np.nan), params4
-            )
+            simulate_wealth(bundle, util, lambda t: np.full((2, np.asarray(t).size), np.nan))
 
 
 class TestOptimality:
     def test_epsilon_zero_gives_exact_zero(self, bundle, params4, sol_power):
-        util = UtilitySpec("power", 0.2)
         h = lambda t: np.ones((2, np.asarray(t).size))
-        report = optimality_test(
-            bundle, util, params4, sol_power, [PerturbationSpec(0.0, h, "flat")]
-        )
+        report = optimality_test(bundle, sol_power, [PerturbationSpec(0.0, h, "flat")])
         entry = report["perturbations"][0]
         assert entry["delta"] == 0.0
         assert entry["delta_over_eps2"] == 0.0
 
     def test_suboptimality_positive_and_quadratic(self, bundle, params4, sol_power):
-        util = UtilitySpec("power", 0.2)
         h = lambda t: np.ones((2, np.asarray(t).size))
         perts = [PerturbationSpec(e, h, "flat") for e in (0.2, 0.4)]
-        report = optimality_test(bundle, util, params4, sol_power, perts)
+        report = optimality_test(bundle, sol_power, perts)
         entries = report["perturbations"]
         for e in entries:
             assert e["delta"] > 0.0
@@ -134,10 +129,9 @@ class TestOptimality:
         assert 0.7 < ratio < 1.4  # quadratic scaling in epsilon
 
     def test_crn_pairing_deterministic(self, bundle, params4, sol_power):
-        util = UtilitySpec("power", 0.2)
         h = lambda t: np.ones((2, np.asarray(t).size))
-        r1 = optimality_test(bundle, util, params4, sol_power, [PerturbationSpec(0.3, h, "f")])
-        r2 = optimality_test(bundle, util, params4, sol_power, [PerturbationSpec(0.3, h, "f")])
+        r1 = optimality_test(bundle, sol_power, [PerturbationSpec(0.3, h, "f")])
+        r2 = optimality_test(bundle, sol_power, [PerturbationSpec(0.3, h, "f")])
         assert r1["perturbations"][0]["delta"] == r2["perturbations"][0]["delta"]
 
     def test_perturbation_spec_guard(self):
@@ -149,9 +143,9 @@ class TestMartingaleProfile:
     @pytest.mark.parametrize("kind,variant", [("power", "power_general"),
                                               ("exponential", "exponential_general")])
     def test_profile_flat_and_endpoints(self, bundle, params4, stab4, kind, variant):
-        util = UtilitySpec(kind, 0.2)
-        sol = solve_riccati(RiccatiSpec(variant, params4, stab4, T=1.0, n=200))
-        prof = martingale_profile(bundle, util, params4, sol)
+        sol = solve_riccati(RiccatiSpec(UtilitySpec(kind, 0.2), params4, stab4, T=1.0, n=200))
+        assert sol.variant == variant
+        prof = martingale_profile(bundle, sol)
         # J_0 is deterministic (V_0 pinned at its mean) and equals the value
         assert prof["se_paired"][0] == 0.0
         assert prof["j_mean"][0] == pytest.approx(prof["value"], rel=1e-6)
@@ -160,20 +154,18 @@ class TestMartingaleProfile:
         assert prof["flat_stat"] < 3.5
 
     def test_profile_not_flat_under_wrong_psi(self, bundle, params4, stab4, sol_power):
-        # feeding the profile a mismatched theta should break flatness
+        # feeding the profile psi solved under a mismatched theta should break flatness
         p_wrong = make_params(params4, theta=[0.3, 0.3])
-        sol_wrong = solve_riccati(
-            RiccatiSpec("power_general", p_wrong, stab4, T=1.0, n=200)
-        )
-        util = UtilitySpec("power", 0.2)
-        prof = martingale_profile(bundle, util, params4, sol_wrong)
+        sol_wrong = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p_wrong, stab4, T=1.0, n=200))
+        wrong_psi = dataclasses.replace(sol_power, psi=sol_wrong.psi, rhs_values=sol_wrong.rhs_values)
+        prof = martingale_profile(bundle, wrong_psi)
         assert prof["flat_stat"] > 5.0
 
     def test_requires_dbperp(self, params4, stab4, sol_power):
         grid = SimGrid(T=1.0, n_steps=20)
         b = simulate_variance(params4, stab4, grid, n_paths=10, seed=1, store_bperp=False)
         with pytest.raises(ValueError):
-            martingale_profile(b, UtilitySpec("power", 0.2), params4, sol_power)
+            martingale_profile(b, sol_power)
 
 
 class TestStationarity:
