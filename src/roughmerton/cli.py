@@ -100,11 +100,21 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
             raise ConfigError(f"missing key {where}.{key}")
 
 
+def _integer(section: dict, key: str, default: int, where: str) -> int:
+    """section[key] (or ``default``) as an int; a JSON number with a fractional part,
+    a string or a boolean is rejected rather than truncated or converted."""
+    val = section.get(key, default)
+    if isinstance(val, bool) or not (isinstance(val, int) or (isinstance(val, float) and val.is_integer())):
+        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
+    return int(val)
+
+
 def load_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    Unknown keys are rejected; ModelParams invariants, the run-size floors
-    and each gamma's utility range are enforced; defaults:
+    Unknown keys are rejected; run sizes and the seed must be integers;
+    ModelParams invariants, the run-size floors and each gamma's utility
+    range are enforced; defaults:
     r = 0, n_sim = 600, n_riccati = 200, paths = 10000, seed = 42.
     """
     try:
@@ -164,11 +174,11 @@ def load_config(path: str) -> RunConfig:
 
     return RunConfig(
         params=params,
-        n_sim=int(grids.get("n_sim", 600)),
-        n_riccati=int(grids.get("n_riccati", 200)),
-        paths=int(mc.get("paths", 10000)),
-        seed=int(mc.get("seed", 42)),
-        block_size=int(mc.get("block_size", 25000)),
+        n_sim=_integer(grids, "n_sim", 600, "grids"),
+        n_riccati=_integer(grids, "n_riccati", 200, "grids"),
+        paths=_integer(mc, "paths", 10000, "mc"),
+        seed=_integer(mc, "seed", 42, "mc"),
+        block_size=_integer(mc, "block_size", 25000, "mc"),
         utility_kind=kind,
         gammas=tuple(float(g) for g in gammas),
         out_dir=raw.get("outputs", "out"),
@@ -378,7 +388,8 @@ def _cmd_verify(config: RunConfig) -> int:
         np.column_stack([prof["times"], prof["j_mean"], prof["se_paired"]]),
     )
 
-    # stationarity on a Gaussian-V0 bundle
+    # stationarity on a Gaussian-V0 bundle; the mean-V0 one is released first
+    del bundle
     bundle_g = _simulate_bundle(config, tabs, v0_mode="gaussian", store_bperp=False, factors=factors)
     stat = stationarity_report(bundle_g)
     stat_ok = _stationary(config, stat)

@@ -39,6 +39,16 @@ each finished block adds its terms to all later steps with one matrix
 product against a Toeplitz gather of A.  That is O(n^2 q P) flops per asset
 and block of P paths, spent in BLAS-3 products, and O(n P) memory.
 
+The standard normals are drawn one time block ahead: while the calling
+thread runs a block's products, one helper thread (a pool scoped to the
+call) fills the next block's normals into the other of two preallocated
+buffers.  Each asset stream still makes one (m, q, P) draw per time block,
+and the orthogonal driver is drawn per time block as (m, P), which is the
+same stream as one (n, P) draw.  Every generator is used by the helper
+thread alone, in the serial order, so the paths are those of a serial loop
+bit for bit.  The helper thread is not a BLAS thread: BLAS thread limits do
+not count it.
+
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``lag_covariance_matrix``: the dense (n+1) x (n+1) covariance C, the
@@ -51,6 +61,7 @@ Provides:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -253,7 +264,9 @@ class PathBundle:
         if self.dBperp is None:
             raise ValueError("bundle was built without dBperp storage")
         r = self.params.rho[i]
-        return r * self.dB[i] + math.sqrt(max(1.0 - r * r, 0.0)) * self.dBperp[i]
+        dW = r * self.dB[i]
+        dW += math.sqrt(max(1.0 - r * r, 0.0)) * self.dBperp[i]
+        return dW
 
 
 def _gl_nodes(n: int, a: float, b: float):
@@ -400,6 +413,37 @@ def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
     return A[np.maximum(lag, 0)].reshape(n, b * A.shape[1])
 
 
+def _normals_ahead(pool: ThreadPoolExecutor, draws, max_shape: tuple):
+    """Yield the standard normals (eta, z) of each draw of ``draws``, in order.
+
+    Each draw is (rng, bperp_rng, (m, q, P)): eta of shape (m, q, P) comes
+    from rng and z of shape (m, P) from bperp_rng, none larger than
+    ``max_shape``.  The one worker of ``pool`` fills the next draw into the
+    other of two buffers while the caller works on the current one, so a
+    yielded pair is valid until the next is requested.  The worker is the
+    only user of every generator and draws in order, so the values are
+    those of a serial loop.
+    """
+    m_max, q_max, p_max = max_shape
+    bufs = [(np.empty(m_max * q_max * p_max), np.empty(m_max * p_max)) for _ in range(2)]
+
+    def fill(k, rng, bperp_rng, shape):
+        m, q, P = shape
+        eta_buf, z_buf = bufs[k % 2]
+        eta = rng.standard_normal(out=eta_buf[: m * q * P].reshape(shape))
+        z = bperp_rng.standard_normal(out=z_buf[: m * P].reshape(m, P))
+        return eta, z
+
+    current = None
+    for k, draw in enumerate(draws):
+        ahead = pool.submit(fill, k, *draw)
+        if current is not None:
+            yield current.result()
+        current = ahead
+    if current is not None:
+        yield current.result()
+
+
 def simulate_variance(
     params: ModelParams,
     stab: list[StabilizerTable],
@@ -424,6 +468,13 @@ def simulate_variance(
     for a block of P paths; the normals and the sums are those of the
     step-by-step scheme, summed in another order.
 
+    The normals of each time block, (m, q, P) from the asset's stream and
+    (m, P) from the orthogonal driver's, are drawn by one helper thread a
+    block ahead, into two buffers reused for the whole call, while this
+    thread runs the block's products; dB and dBperp are formed block by
+    block.  The helper thread ends before the call returns or raises, and
+    an error it meets is raised here.
+
     Parameters
     ----------
     params : ModelParams
@@ -433,8 +484,9 @@ def simulate_variance(
     n_paths : int
     seed : int
         Master seed.  Streams are spawned per path block and, within a block,
-        per asset plus one for V_0 and one for the orthogonal driver, so the
-        result is bit-reproducible and blocks are independent.
+        per asset plus one for V_0 and one for the orthogonal driver (drawn
+        for asset 0's steps, then asset 1's, ...), so the result is
+        bit-reproducible and blocks are independent.
     v0_mode : {"gaussian", "mean"}
         Draw V_0 from its stationary Gaussian, or pin it at E[V_0] = x_inf.
     store_bperp, store_integrals : bool
@@ -477,57 +529,63 @@ def simulate_variance(
     integrals = np.empty((d, n, n_paths)) if store_integrals else None
     v0_out = np.empty((d, n_paths))
 
-    n_blocks = (n_paths + block_size - 1) // block_size
-    block_seeds = np.random.SeedSequence(seed).spawn(n_blocks)
+    spans = [(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)]
+    # per path block: one stream per asset, then one for V_0 and one for the orthogonal driver
+    streams = [bss.spawn(d + 2) for bss in np.random.SeedSequence(seed).spawn(len(spans))]
     sqrt_dt = math.sqrt(dt)
 
-    for b, bss in enumerate(block_seeds):
-        lo = b * block_size
-        hi = min(lo + block_size, n_paths)
-        P = hi - lo
-        subs = bss.spawn(d + 2)
-        v0_rng = np.random.default_rng(subs[d])
-        bperp_rng = np.random.default_rng(subs[d + 1])
+    def draws():
+        """The normals of every time block, in the order the loop below consumes them."""
+        for subs, (lo, hi) in zip(streams, spans):
+            bperp_rng = np.random.default_rng(subs[d + 1])
+            for i in range(d):
+                rng = np.random.default_rng(subs[i])
+                for start in range(0, n, tb):
+                    yield rng, bperp_rng, (min(tb, n - start), factors[i].shape[1], hi - lo)
 
-        if v0_mode == "gaussian":
-            v0 = np.maximum(
-                x_inf[:, None] + v0_sd[:, None] * v0_rng.standard_normal((d, P)), _V0_FLOOR
-            )
-        else:
-            v0 = np.broadcast_to(x_inf[:, None], (d, P)).copy()
-        v0_out[:, lo:hi] = v0
+    max_shape = (tb, max(A.shape[1] for A in factors), min(block_size, n_paths))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        normals = _normals_ahead(pool, draws(), max_shape)
+        for subs, (lo, hi) in zip(streams, spans):
+            P = hi - lo
+            if v0_mode == "gaussian":
+                v0_rng = np.random.default_rng(subs[d])
+                v0 = np.maximum(
+                    x_inf[:, None] + v0_sd[:, None] * v0_rng.standard_normal((d, P)), _V0_FLOOR
+                )
+            else:
+                v0 = np.broadcast_to(x_inf[:, None], (d, P)).copy()
+            v0_out[:, lo:hi] = v0
 
-        for i in range(d):
-            rng = np.random.default_rng(subs[i])
-            A, K = factors[i], gathers[i]
-            q = A.shape[1]
-            scale = params.nu[i] / params.lam[i]
-            dW = np.empty((n, P))
-            Vi = V[i, :, lo:hi]
-            Vi[0] = v0[i]
-            # until step k is reached, Vi[k] holds the pushes of finished blocks
-            Vi[1:] = 0.0
-            for start in range(0, n, tb):
-                m = min(tb, n - start)
-                # one draw per block consumes the stream of m draws of (q, P)
-                eta = rng.standard_normal((m, q, P))
-                dW[start : start + m] = A[0] @ eta
-                if store_integrals:
-                    integrals[i, start : start + m, lo:hi] = A[1] @ eta
-                for j in range(m):
-                    ell = start + j + 1
-                    eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vi[ell - 1])
-                    own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
-                    h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
-                    Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
-                if start + m < n:
-                    Vi[start + m + 1 :] += K[m : n - start] @ eta.reshape(m * q, P)
-            # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
-            # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
-            what = sqrt_dt * bperp_rng.standard_normal((n, P))
-            dB[i, :, lo:hi] = rho[i] * dW + rho_c[i] * what
-            if store_bperp:
-                dBperp[i, :, lo:hi] = rho_c[i] * dW - rho[i] * what
+            for i in range(d):
+                A, K = factors[i], gathers[i]
+                q = A.shape[1]
+                scale = params.nu[i] / params.lam[i]
+                Vi = V[i, :, lo:hi]
+                Vi[0] = v0[i]
+                # until step k is reached, Vi[k] holds the pushes of finished blocks
+                Vi[1:] = 0.0
+                for start in range(0, n, tb):
+                    m = min(tb, n - start)
+                    # eta: the stream's next m draws of (q, P); z: the orthogonal driver's next m rows
+                    eta, z = next(normals)
+                    dW = A[0] @ eta
+                    # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
+                    # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
+                    z *= sqrt_dt  # now What
+                    dB[i, start : start + m, lo:hi] = rho[i] * dW + rho_c[i] * z
+                    if store_bperp:
+                        dBperp[i, start : start + m, lo:hi] = rho_c[i] * dW - rho[i] * z
+                    if store_integrals:
+                        integrals[i, start : start + m, lo:hi] = A[1] @ eta
+                    for j in range(m):
+                        ell = start + j + 1
+                        eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vi[ell - 1])
+                        own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
+                        h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
+                        Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
+                    if start + m < n:
+                        Vi[start + m + 1 :] += K[m : n - start] @ eta.reshape(m * q, P)
 
     return PathBundle(
         times=times,

@@ -55,6 +55,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [12.7, "abc", "12", True, None])
+    @pytest.mark.parametrize(
+        "section,key",
+        [("grids", "n_sim"), ("grids", "n_riccati"), ("mc", "paths"), ("mc", "seed"), ("mc", "block_size")],
+    )
+    def test_non_integral_run_size_is_named(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, lambda raw: raw[section].update({key: value}))
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+            load_config(path)
+
+    def test_integral_float_run_size_accepted(self, tmp_path):
+        path = write_config(tmp_path, lambda raw: raw["grids"].update(n_sim=12.0))
+        cfg = load_config(path)
+        assert cfg.n_sim == 12 and isinstance(cfg.n_sim, int)
+
     def test_missing_required_section(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw.pop("model"))
         with pytest.raises(ConfigError):
@@ -176,6 +191,8 @@ class TestCommands:
             pytest.param("grids.n_riccati", [], lambda raw: raw["grids"].update(n_riccati=1), id="n_riccati"),
             pytest.param("mc.paths", [], lambda raw: raw["mc"].update(paths=1), id="paths"),
             pytest.param("mc.block_size", [], lambda raw: raw["mc"].update(block_size=0), id="block_size"),
+            pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim=12.7), id="n_sim_fractional"),
+            pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim="abc"), id="n_sim_string"),
             pytest.param("mc.paths", ["--paths", "0"], None, id="paths_override"),
             pytest.param("grids.n_sim", ["--steps", "0"], None, id="steps_override"),
         ],

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -462,6 +463,53 @@ class TestSimulate:
         for bad in (factors[:1], [factors[0], factors[1][:-1]], [factors[0], factors[1][0]]):
             with pytest.raises(ValueError):
                 simulate_variance(params4, stab4, grid, n_paths=5, seed=2, factors=bad)
+
+    def test_helper_thread_ends_with_the_call(self, params4, stab4):
+        before = threading.active_count()
+        simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=70), n_paths=45, seed=4, block_size=20)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_caller_and_ends_helper_thread(self, params4, stab4, monkeypatch):
+        real_rng = np.random.default_rng
+        calls = {"n": 0}
+
+        class FailingGenerator:
+            """A generator whose fourth standard_normal call, over all instances, raises."""
+
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] == 4:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=70), n_paths=45, seed=4, block_size=20)
+        assert calls["n"] >= 4
+        assert threading.active_count() == before
+
+    def test_drivers_match_serial_draws(self, params4, stab4):
+        # three time blocks (the last partial) and three path blocks (the last partial)
+        grid, n_paths, block_size, seed = SimGrid(T=1.0, n_steps=70), 45, 20, 8
+        b = simulate_variance(params4, stab4, grid, n_paths, seed, block_size=block_size)
+        n, d = grid.n_steps, params4.d
+        rho = params4.rho
+        rho_c = np.sqrt(np.maximum(1.0 - rho**2, 0.0))
+        for blk, bss in enumerate(np.random.SeedSequence(seed).spawn(3)):
+            lo, hi = blk * block_size, min((blk + 1) * block_size, n_paths)
+            subs = bss.spawn(d + 2)
+            bperp_rng = np.random.default_rng(subs[d + 1])
+            for i in range(d):
+                A = integral_factor(params4.kernel_spec(i), grid.dt, n)
+                eta = np.random.default_rng(subs[i]).standard_normal((n, A.shape[1], hi - lo))
+                dW = A[0] @ eta
+                what = math.sqrt(grid.dt) * bperp_rng.standard_normal((n, hi - lo))
+                assert np.array_equal(b.dB[i, :, lo:hi], rho[i] * dW + rho_c[i] * what)
+                assert np.array_equal(b.dBperp[i, :, lo:hi], rho_c[i] * dW - rho[i] * what)
 
     def test_stabilizer_coverage_checked(self, params4):
         short = [
