@@ -10,15 +10,32 @@ Provides:
     identity R + lam (K * R) = 1.
 
 The resolvent R solves R + lam * (K * R) = 1 with K the fractional kernel.
-For moderate arguments R is evaluated by the defining power series; for large
-arguments the series suffers catastrophic cancellation, so the completely
-monotone integral representation
+R and f are two members of the two-parameter family
+E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta):
 
-    E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) w_alpha(r) dr,
-    w_alpha(r)  = sin(alpha pi)/pi * r^(alpha-1)
-                  / (r^(2 alpha) + 2 r^alpha cos(alpha pi) + 1)
+    R(t) = E_{alpha,1}(-lam t^alpha),
+    f(t) = lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha),
 
-is used instead (substituting u = r^alpha to remove the endpoint singularity).
+and one representation serves both, indexed by m = 0 (beta_0 = 1) and
+m = 1 (beta_1 = alpha).  The coefficients are 1/Gamma(alpha (k+m) + 1 - m)
+(``_ml_coefficients``, which the stabilizer series also reads).  For
+|z| <= 2 the defining series is summed; for larger arguments it suffers
+catastrophic cancellation, so the completely monotone (spectral)
+representation is integrated instead: t -> E_alpha(-t^alpha) is the
+Laplace transform of the spectral density
+
+    w_alpha(r) = sin(alpha pi)/pi * r^(alpha-1)
+                 / (r^(2 alpha) + 2 r^alpha cos(alpha pi) + 1),
+
+and differentiating R(t) = int exp(-r lam^(1/alpha) t) w_alpha(r) dr in t
+gives f as the same integral with one more factor r.  With x = -z and
+u = r^alpha (which removes the endpoint singularity) both read
+
+    E_{alpha,beta_m}(-x) = x^(m (1/alpha - 1)) sin(alpha pi)/(alpha pi)
+                           int_0^inf u^(m/alpha) exp(-(u x)^(1/alpha))
+                                     / (u^2 + 2 u cos(alpha pi) + 1) du,
+
+which ``_ml_integral`` evaluates.
 
 The L2 norm of f needs no quadrature.  The Laplace transform of f_{alpha,1} is
 1/(s^alpha + 1); Parseval turns ||f_{alpha,1}||^2 into
@@ -79,12 +96,26 @@ class KernelSpec:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def _ml_series(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Defining power series sum_k z^k / Gamma(alpha k + 1), |z| small."""
-    out = np.ones_like(z)
-    term = np.ones_like(z)
+def _gamma_arg(alpha: float, k, m: int):
+    """alpha (k + m) + 1 - m: Gamma's argument in the k-th coefficient of E_{alpha,beta_m}."""
+    return alpha * (k + m) + (1 - m)
+
+
+def _ml_coefficients(alpha: float, n: int, m: int) -> np.ndarray:
+    """1/Gamma(alpha (k + m) + 1 - m), k < n: the series coefficients of E_{alpha,beta_m}."""
+    return np.exp(-gammaln(_gamma_arg(alpha, np.arange(n), m)))
+
+
+def _ml_series(alpha: float, z: np.ndarray, m: int) -> np.ndarray:
+    """Defining power series sum_k z^k / Gamma(alpha (k + m) + 1 - m), |z| small.
+
+    Summed forward, each term from the last through the ratio of consecutive
+    coefficients, until the terms fall below 1e-18.
+    """
+    term = np.full_like(z, 1.0 / sp_gamma(_gamma_arg(alpha, 0, m)))
+    out = term
     for k in range(1, 200):
-        coef = math.exp(gammaln(alpha * (k - 1) + 1.0) - gammaln(alpha * k + 1.0))
+        coef = math.exp(gammaln(_gamma_arg(alpha, k - 1, m)) - gammaln(_gamma_arg(alpha, k, m)))
         term = term * z * coef
         out = out + term
         if np.max(np.abs(term)) < 1e-18:
@@ -92,36 +123,61 @@ def _ml_series(alpha: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ml_integral(alpha: float, x: float) -> float:
-    """E_alpha(-x) for x > 0 via the completely monotone representation.
+def _ml_integral(alpha: float, x: float, m: int) -> float:
+    """E_{alpha,beta_m}(-x) for x > 0 from the spectral representation.
 
-    t -> E_alpha(-t^alpha) is the Laplace transform of the spectral density
-    w_alpha, so E_alpha(-x) = int_0^inf exp(-r x^(1/a)) w_alpha(r) dr.  After
-    u = r^alpha the integrand is smooth at the origin:
-
-      E_alpha(-x) = sin(a pi)/(a pi) *
-                    int_0^inf exp(-(u x)^(1/a)) / (u^2 + 2 u cos(a pi) + 1) du.
+    With u0 = cos(pi (1-a)) = -cos(a pi) and s = sin(pi (1-a)) = sin(a pi),
+    the denominator u^2 + 2 u cos(a pi) + 1 is v^2 + s^2, v = u - u0: a peak
+    of width s, which narrows as a -> 1.  Once it is narrow (h = 100 s
+    <= u0/2), |v| <= h is integrated in v = s tan(phi), where the integrand
+    is g(u) = u^(m/a) exp(-(u x)^(1/a)) times dphi / s.  The rest of
+    u >= u0/2 is integrated in v, with breakpoints at v = +-h 10^j, and
+    u < u0/2 in u: each variable is the one in which its nodes keep full
+    relative precision.  The exponential reaches e^-60 at u = 60^a / x,
+    where the range is cut.
     """
-    theta = alpha * math.pi
-    cos_t = math.cos(theta)
-    pref = math.sin(theta) / theta
     inv_a = 1.0 / alpha
+    u0 = math.cos(math.pi * (1.0 - alpha))
+    s = math.sin(math.pi * (1.0 - alpha))
+    u_cut = 60.0**alpha / x
+    h = 100.0 * s if 200.0 * s <= u0 else 0.0
+    split = 0.5 * u0 if u0 > 0.0 else u_cut
+    breaks = [sign * h * 10.0**j for j in range(1, 20) for sign in (-1.0, 1.0)] if h else []
 
-    def integrand(u: float) -> float:
-        return math.exp(-((u * x) ** inv_a)) / (u * u + 2.0 * u * cos_t + 1.0)
+    def g(u: float) -> float:
+        return u ** (m * inv_a) * math.exp(-((u * x) ** inv_a))
 
-    # cut where the exponential reaches e^-50; flag the near-pole of the
-    # denominator (at u = -cos(theta)) as a breakpoint when inside the range
-    upper = 50.0**alpha / x
-    points = [-cos_t] if 0.0 < -cos_t < upper else None
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-13, limit=400, points=points
-    )
-    return pref * val
+    def tail(v: float) -> float:
+        return g(u0 + v) / (v * v + s * s)
+
+    def quad(fun, lo: float, hi: float, points=()) -> float:
+        if lo >= hi:
+            return 0.0
+        inside = [p for p in points if lo < p < hi] or None
+        return integrate.quad(fun, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400, points=inside)[0]
+
+    v_cut = u_cut - u0
+    peak = quad(lambda phi: g(u0 + s * math.tan(phi)), math.atan(-h / s), math.atan(min(h, v_cut) / s))
+    near = quad(tail, split - u0, min(-h, v_cut), breaks) + quad(tail, max(h, split - u0), v_cut, breaks)
+    far = quad(lambda u: g(u) / ((u - u0) ** 2 + s * s), 0.0, min(split, u_cut))
+    return x ** (m * (inv_a - 1.0)) * (peak + s * (near + far)) / (alpha * math.pi)
+
+
+def _ml(alpha: float, z: np.ndarray, m: int) -> np.ndarray:
+    """E_{alpha,1}(z) (m = 0) or E_{alpha,alpha}(z) (m = 1) on an array z <= 0."""
+    if alpha == 1.0:
+        return np.exp(z)
+    out = np.empty_like(z)
+    small = np.abs(z) <= _SERIES_RADIUS
+    if np.any(small):
+        out[small] = _ml_series(alpha, z[small], m)
+    for idx in np.flatnonzero(~small):
+        out[idx] = _ml_integral(alpha, -z[idx], m)
+    return out
 
 
 def mittag_leffler(alpha: float, z):
-    """Mittag-Leffler function E_alpha(z) for z <= 0, 0 < alpha <= 1.
+    """Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z) for z <= 0, 0 < alpha <= 1.
 
     Values lie in (0, 1]; relative accuracy ~1e-12 over the full range.
     """
@@ -130,18 +186,8 @@ def mittag_leffler(alpha: float, z):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr > 0.0):
         raise ValueError("mittag_leffler requires z <= 0")
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if alpha == 1.0:
-        out = np.exp(z_arr)
-    else:
-        out = np.empty_like(z_arr)
-        small = np.abs(z_arr) <= _SERIES_RADIUS
-        if np.any(small):
-            out[small] = _ml_series(alpha, z_arr[small])
-        for idx in np.flatnonzero(~small):
-            out[idx] = _ml_integral(alpha, -z_arr[idx])
-    return float(out[0]) if scalar else out
+    out = _ml(alpha, np.atleast_1d(z_arr), 0)
+    return float(out[0]) if z_arr.ndim == 0 else out
 
 
 def resolvent(spec: KernelSpec, t):
@@ -149,61 +195,12 @@ def resolvent(spec: KernelSpec, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("resolvent requires t >= 0")
-    out = mittag_leffler(spec.alpha, -spec.lam * t**spec.alpha)
-    return out
-
-
-def _f_series_smooth(alpha: float, z: np.ndarray) -> np.ndarray:
-    """S(z) = sum_k (-1)^k z^k / Gamma(alpha (k+1)), so f = lam t^(alpha-1) S."""
-    out = np.full_like(z, 1.0 / sp_gamma(alpha))
-    term = np.full_like(z, 1.0 / sp_gamma(alpha))
-    for k in range(1, 200):
-        coef = math.exp(gammaln(alpha * k) - gammaln(alpha * (k + 1)))
-        term = term * (-z) * coef
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    return out
-
-
-def _f_integral_smooth(alpha: float, x: float) -> float:
-    """f(t)/(lam t^(alpha-1)) for x = lam t^alpha > 0, integral representation.
-
-    Differentiating R(t) = int exp(-r lam^(1/a) t) w_alpha(r) dr in t gives
-      f(t) = lam^(1/a) int_0^inf r exp(-r lam^(1/a) t) w_alpha(r) dr,
-    and dividing by lam t^(alpha-1), with u = r^alpha, the smooth factor is
-      x^(1/a - 1) * sin(a pi)/(a pi) *
-      int_0^inf u^(1/a) exp(-(u x)^(1/a)) / (u^2 + 2 u cos(a pi) + 1) du.
-    """
-    theta = alpha * math.pi
-    cos_t = math.cos(theta)
-    pref = math.sin(theta) / theta
-    inv_a = 1.0 / alpha
-
-    def integrand(u: float) -> float:
-        return u**inv_a * math.exp(-((u * x) ** inv_a)) / (u * u + 2.0 * u * cos_t + 1.0)
-
-    upper = 60.0**alpha / x
-    points = [-cos_t] if 0.0 < -cos_t < upper else None
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-13, limit=400, points=points
-    )
-    return x ** (inv_a - 1.0) * pref * val
+    return mittag_leffler(spec.alpha, -spec.lam * t**spec.alpha)
 
 
 def _f_smooth(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Smooth factor S with f(t) = lam * t^(alpha-1) * S(t), t > 0."""
-    alpha, lam = spec.alpha, spec.lam
-    if alpha == 1.0:
-        return np.exp(-lam * t)
-    z = lam * t**alpha
-    out = np.empty_like(z)
-    small = z <= _SERIES_RADIUS
-    if np.any(small):
-        out[small] = _f_series_smooth(alpha, z[small])
-    for idx in np.flatnonzero(~small):
-        out[idx] = _f_integral_smooth(alpha, z[idx])
-    return out
+    """Smooth factor S = E_{alpha,alpha}(-lam t^alpha) with f(t) = lam t^(alpha-1) S(t), t > 0."""
+    return _ml(spec.alpha, -spec.lam * t**spec.alpha, 1)
 
 
 def resolvent_density(spec: KernelSpec, t):

@@ -81,13 +81,13 @@ class RiccatiSpec:
     and its gamma the coefficients, and every rule and value computed from
     the solution reads both from here.  ``degenerate`` selects the
     equal-correlation form; ``stabilizers`` holds one StabilizerTable per
-    asset covering [0, T]; ``n`` is the Adams grid size.
+    asset covering [0, T], T = ``params.T`` the horizon solved on; ``n`` is
+    the Adams grid size.
     """
 
     util: UtilitySpec
     params: ModelParams
     stabilizers: list[StabilizerTable]
-    T: float
     n: int
     degenerate: bool = False
 
@@ -95,12 +95,12 @@ class RiccatiSpec:
         p = self.params
         if len(self.stabilizers) != p.d:
             raise ValueError(f"need {p.d} stabilizer tables, got {len(self.stabilizers)}")
-        if self.T <= 0.0 or self.n < 2:
-            raise ValueError("require T > 0 and n >= 2")
+        if self.n < 2:
+            raise ValueError("require n >= 2")
         if self.degenerate and not np.all(p.rho == p.rho[0]):
             raise ValueError("degenerate variants require all rho_i equal")
         for i, tab in enumerate(self.stabilizers):
-            if tab.grid[-1] < self.T - 1e-12:
+            if tab.grid[-1] < p.T - 1e-12:
                 raise ValueError(f"stabilizer table {i} does not cover [0, T]")
 
     @property
@@ -223,7 +223,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
     Raises ``RiccatiBlowup`` (carrying the refined largest usable horizon)
     when |psi| exceeds 1e6 before T.
     """
-    params, T, n = spec.params, spec.T, spec.n
+    params, T, n = spec.params, spec.params.T, spec.n
     a, lin, quad = _variant_coefficients(spec)
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
@@ -246,7 +246,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
 
 def _refine_horizon(spec: RiccatiSpec, i: int, a_i, lin_i, quad_i, t_bad: float) -> float:
     """Bisect the largest horizon on which asset i stays below the cap."""
-    params, T, n = spec.params, spec.T, spec.n
+    params, n = spec.params, spec.n
 
     def blows(horizon: float) -> bool:
         sig_rev = np.asarray(spec.stabilizers[i](horizon - np.linspace(0.0, horizon, n + 1)))
@@ -255,7 +255,7 @@ def _refine_horizon(spec: RiccatiSpec, i: int, a_i, lin_i, quad_i, t_bad: float)
         )
         return blow >= 0
 
-    lo, hi = 0.0, min(t_bad, T)
+    lo, hi = 0.0, min(t_bad, params.T)
     for _ in range(60):
         if hi - lo <= _TMAX_RESOLUTION * hi:
             break
@@ -277,7 +277,7 @@ def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
     spec = sol.spec
     if spec.util.kind != "exponential":
         raise ValueError("psi_bound_check applies to exponential variants")
-    params, T = spec.params, spec.T
+    params = spec.params
     reports = []
     for i in range(params.d):
         sig_sup = float(np.max(np.asarray(spec.stabilizers[i](sol.times))))
@@ -290,20 +290,21 @@ def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
                 {"status": "skipped", "bound": math.inf, "sup_psi": sup_psi, "lam_bar": lam_bar}
             )
             continue
-        r_T = mittag_leffler(params.alpha[i], -lam_bar * T ** params.alpha[i])
+        r_T = mittag_leffler(params.alpha[i], -lam_bar * params.T ** params.alpha[i])
         bound = params.theta[i] ** 2 / (2.0 * lam_bar) * (1.0 - r_T)
         status = "pass" if sup_psi <= bound * (1.0 + 1e-10) + 1e-15 else "fail"
         reports.append({"status": status, "bound": bound, "sup_psi": sup_psi, "lam_bar": lam_bar})
     return reports
 
 
-def assumption_gate(sol: RiccatiSolution, p: float, a: float | None = None) -> dict:
-    """Exponential-moment feasibility report.
+def assumption_gate(sol: RiccatiSolution, p: float) -> dict:
+    """Exponential-moment level the theorem needs, for this solution.
 
-    Checks max_i sup_t (theta_i^2 + nu_i^2 varsigma^i(t)^2 psi^i(T-t)^2)
-    <= a / a(p) with a(p) = max[p(2+|S|), 2(8p^2-2p)(1+|S|^2), p(1+|S|^2)]
-    and |S| = sum_i rho_i^2.  When ``a`` is omitted it defaults to
-    2 a(p) * lhs (a self-consistent sufficiency level, reported as such).
+    The theorem applies under a uniform exponential moment of order a with
+    max_i sup_t (theta_i^2 + nu_i^2 varsigma^i(t)^2 psi^i(T-t)^2) <= a / a(p),
+    a(p) = max[p(2+|S|), 2(8p^2-2p)(1+|S|^2), p(1+|S|^2)] and
+    |S| = sum_i rho_i^2.  Returns a(p) ('a_p'), the supremum ('lhs_sup') and
+    the least such level 'a_required' = a(p) * lhs_sup.
     """
     if p <= 1.0:
         raise ValueError("require p > 1")
@@ -321,15 +322,4 @@ def assumption_gate(sol: RiccatiSolution, p: float, a: float | None = None) -> d
         sig = np.asarray(spec.stabilizers[i](sol.times))
         psi_rev = sol.psi[i][::-1]
         lhs = max(lhs, float(np.max(params.theta[i] ** 2 + params.nu[i] ** 2 * sig**2 * psi_rev**2)))
-    a_default = a is None
-    if a is None:
-        a = 2.0 * a_p * lhs
-    threshold = a / a_p
-    return {
-        "a_p": a_p,
-        "lhs_sup": lhs,
-        "a": a,
-        "a_defaulted": a_default,
-        "threshold": threshold,
-        "passed": bool(lhs <= threshold),
-    }
+    return {"a_p": a_p, "lhs_sup": lhs, "a_required": a_p * lhs}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .kernels import KernelSpec, f_l2_norm, resolvent
+from .kernels import KernelSpec, _ml_coefficients, f_l2_norm, resolvent
 
 __all__ = [
     "StabilizerTable",
@@ -94,8 +94,10 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
             [ (a*b)_k - alpha (k+1) sum_{l=1..k}
                 B(alpha (l+2) - 1, alpha (k-l-1) + 2) (b*b)_l c_{k-l} ]
 
-    with a_k = 1/Gamma(alpha k + 1), b_k = 1/Gamma(alpha (k+1)) and (u*v) the
-    Cauchy product.  Gamma ratios go through gammaln to survive large k.
+    with a_k = 1/Gamma(alpha k + 1), b_k = 1/Gamma(alpha (k+1)) the series
+    coefficients of E_{alpha,1} and E_{alpha,alpha} (``kernels._ml_coefficients``)
+    and (u*v) the Cauchy product.  Gamma ratios go through gammaln to survive
+    large k.
     """
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"coefficient recurrence requires alpha in (1/2, 1), got {alpha}")
@@ -103,9 +105,8 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
         raise ValueError("n_coeffs must be >= 1")
     K = n_coeffs - 1
     ks = np.arange(K + 1)
-    a = np.exp(-gammaln(alpha * ks + 1.0))
-    b, bb = _b_and_bb(alpha, K + 1)
-    ab = np.array([np.sum(a[: k + 1] * b[k::-1]) for k in range(K + 1)])
+    a, b = _ml_coefficients(alpha, K + 1, 0), _ml_coefficients(alpha, K + 1, 1)
+    ab, bb = _cauchy(a, b), _cauchy(b, b)
 
     log_g2a1 = gammaln(2.0 * alpha - 1.0)
     log_ga = gammaln(alpha)
@@ -130,42 +131,44 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
     return c
 
 
-def _b_and_bb(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """b_k = 1/Gamma(alpha (k+1)) and its Cauchy square (b*b)_k, k < n."""
-    b = np.exp(-gammaln(alpha * (np.arange(n) + 1)))
-    bb = np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(n)])
-    return b, bb
+def _cauchy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cauchy product (u*v)_k = sum_{l<=k} u_l v_{k-l}, k < len(u)."""
+    return np.array([np.sum(u[: k + 1] * v[k::-1]) for k in range(u.size)])
+
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] u^k by Horner's rule."""
+    poly = np.full_like(u, coeffs[-1])
+    for c_k in coeffs[-2::-1]:
+        poly = poly * u + c_k
+    return poly
 
 
 def _series_sq_scaled(alpha: float, coeffs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """varsigma_alpha^2(tau) = 2 tau^(1-alpha) sum_k (-1)^k c_k tau^(alpha k)."""
     signs = (-1.0) ** np.arange(coeffs.size)
-    powers = tau[..., None] ** (alpha * np.arange(coeffs.size))
-    return 2.0 * tau ** (1.0 - alpha) * (powers @ (signs * coeffs))
+    return 2.0 * tau ** (1.0 - alpha) * _horner(signs * coeffs, tau**alpha)
 
 
 def _trust_radius(alpha: float, coeffs: np.ndarray) -> float:
     """Largest tau where the partial sums have visibly converged.
 
     A point tau is trusted when the last kept term is below _TERM_TOL relative
-    to the partial sum and the partial sum is positive.  Near alpha = 1 the
-    c_k underflow to subnormals and the scan runs far enough for
-    tau^(alpha k) to overflow.  The last term overflows first, to inf or (with
-    c_K = 0) nan, so that tau fails the test and the scan stops there; the
-    overflow itself is expected and not reported.
+    to the partial sum and the partial sum is positive; the radius is the
+    last of 200 geometric tau before the first untrusted one.  Near
+    alpha = 1 the c_k underflow to subnormals and tau^(alpha k) overflows at
+    the larger tau.  The last term overflows first, to inf or (with c_K = 0)
+    nan, so that tau is untrusted; the overflow itself is expected and not
+    reported.
     """
     taus = np.geomspace(1e-4, 1e4, 200)
     k = np.arange(coeffs.size)
-    trusted = taus[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in taus:
-            terms = (-1.0) ** k * coeffs * tau ** (alpha * k)
-            total = np.sum(terms)
-            if total > 0.0 and abs(terms[-1]) < _TERM_TOL * total:
-                trusted = tau
-            else:
-                break
-    return trusted
+        terms = (-1.0) ** k * coeffs * taus[:, None] ** (alpha * k)
+        total = np.sum(terms, axis=1)
+        trusted = (total > 0.0) & (np.abs(terms[:, -1]) < _TERM_TOL * total)
+    n_lead = int(np.logical_and.accumulate(trusted).sum())
+    return taus[max(n_lead - 1, 0)]
 
 
 def stabilizer_eval(
@@ -291,8 +294,8 @@ def _series_convolution(table: StabilizerTable, grid: np.ndarray) -> np.ndarray:
     alpha, lam, c = table.spec.alpha, table.spec.lam, table.c
     K = table.coeffs.size
     ks = np.arange(K)
-    _, bb = _b_and_bb(alpha, K)
-    d = (-lam) ** ks * bb
+    b = _ml_coefficients(alpha, K, 1)
+    d = (-lam) ** ks * _cauchy(b, b)
     e = (-lam) ** ks * table.coeffs
     beta_mat = np.exp(
         betaln(2.0 * alpha - 1.0 + alpha * ks[:, None], 2.0 - alpha + alpha * ks[None, :])
@@ -301,7 +304,4 @@ def _series_convolution(table: StabilizerTable, grid: np.ndarray) -> np.ndarray:
 
     g = np.bincount((ks[:, None] + ks[None, :]).ravel(), weights=M.ravel())
     u = grid**alpha
-    poly = np.full_like(u, g[-1])
-    for g_s in g[-2::-1]:
-        poly = poly * u + g_s
-    return 2.0 * c * lam**3 * u * poly
+    return 2.0 * c * lam**3 * u * _horner(g, u)

@@ -91,9 +91,9 @@ def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if np.any((t < 0.0) | (t > sol.spec.T + 1e-12)):
+    T = params.T
+    if np.any((t < 0.0) | (t > T + 1e-12)):
         raise ValueError("t must lie in [0, T]")
-    T = sol.spec.T
     psi_rev = sol.psi_at(T - t)  # (d, len(t))
     sig = np.stack([np.asarray(sol.spec.stabilizers[i](t)) for i in range(params.d)])
     hedge = params.rho[:, None] * params.nu[:, None] * sig * psi_rev
@@ -124,7 +124,7 @@ def value_function(sol: RiccatiSolution, x0: float | None = None) -> float:
         raise ValueError("value_function requires the general-correlation power solution")
     if x0 is None:
         x0 = params.x0
-    T, times = sol.spec.T, sol.times
+    T, times = params.T, sol.times
     g0 = g0_curve(params, times)  # (d, n+1)
     integrand = sol.rhs_values[:, ::-1] * g0
     expo = float(sum(simpson(integrand[i], x=times) for i in range(params.d)))

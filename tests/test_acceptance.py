@@ -53,7 +53,7 @@ def solution(params4, stab4, util):
     """The n = 200 solution on the shared parameters, one per utility."""
     key = (util.kind, util.gamma)
     if key not in _cache:
-        _cache[key] = solve_riccati(RiccatiSpec(util, params4, stab4, T=1.0, n=200))
+        _cache[key] = solve_riccati(RiccatiSpec(util, params4, stab4, n=200))
     return _cache[key]
 
 
@@ -100,7 +100,7 @@ def test_criterion_4_riccati_alpha_one_reduction(params4):
     t0 = time.time()
     p = with_params(params4, alpha=[1.0, 1.0])
     stabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0, 1, 11)) for i in range(2)]
-    sol = solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), p, stabs, T=1.0, n=200))
+    sol = solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), p, stabs, n=200))
     a, lin, quad = _variant_coefficients(sol.spec)
     sup_err = 0.0
     for i in range(2):
@@ -119,7 +119,7 @@ def test_criterion_5_riccati_convergence(params4, stab4):
     ratios = []
     for i, alpha in enumerate(params4.alpha):
         sols = {
-            n: solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, T=1.0, n=n)).psi[i]
+            n: solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, n=n)).psi[i]
             for n in (100, 200, 400, 800, 1600)
         }
         rate = 2.0 ** (1.0 + alpha)
@@ -159,8 +159,8 @@ def test_criterion_7_degenerate_general_consistency(params4, stab4):
     p = with_params(params4, rho=[-0.6, -0.6])
     util = UtilitySpec("power", 0.2)
     delta = (1.0 - 0.2) / (1.0 - 0.2 + 0.2 * 0.36)
-    sol_g = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=200))
-    sol_d = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=200, degenerate=True))
+    sol_g = solve_riccati(RiccatiSpec(util, p, stab4, n=200))
+    sol_d = solve_riccati(RiccatiSpec(util, p, stab4, n=200, degenerate=True))
     gap = float(np.max(np.abs(delta * sol_d.psi - sol_g.psi)))
     elapsed_ok = time.time() - t0 < 2.0
     report(7, gap <= 1e-8 and elapsed_ok, f"sup |delta psi_deg - psi_gen| {gap:.2e} <= 1e-8", t0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -79,6 +80,35 @@ def ml_asymptotic_ref(alpha: float, x: float, terms: int = 6) -> float:
     )
 
 
+def ml_ref(alpha: float, beta: float, x) -> mp.mpf:
+    """High-precision E_{alpha,beta}(-x), x > 0.
+
+    x <= 40: the defining series, with enough digits for its cancellation
+    (the terms reach about exp(x^(1/alpha))); beyond, the asymptotic expansion
+    -sum_{k>=1} (-x)^(-k) / Gamma(beta - alpha k).
+    """
+    a, b, X = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+    if X > 40:
+        with mp.workdps(50):
+            return -mp.fsum((-X) ** (-k) * mp.rgamma(b - a * k) for k in range(1, 30))
+    dps = 40 + int(float(X) ** (1.0 / alpha) / 2.3)
+    with mp.workdps(dps):
+        total, k = mp.mpf(0), 0
+        while True:
+            term = (-X) ** k * mp.rgamma(a * k + b)
+            total += term
+            if k > 10 and abs(term) < mp.mpf(10) ** (5 - dps):
+                return +total
+            k += 1
+
+
+def density_ref(alpha: float, lam: float, t: float) -> float:
+    """f(t) = lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha) in high precision."""
+    T = mp.mpf(t)
+    x = lam * T ** mp.mpf(alpha)
+    return float(lam * T ** (mp.mpf(alpha) - 1) * ml_ref(alpha, alpha, x))
+
+
 class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9, 0.99])
     @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 1.999, 2.0, 2.001, 5.0, 50.0, 500.0])
@@ -109,6 +139,19 @@ class TestMittagLeffler:
             mittag_leffler(0.0, -1.0)
         with pytest.raises(ValueError):
             mittag_leffler(0.7, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.999999, 1 - 1e-8, 1 - 1e-10])
+    @pytest.mark.parametrize("x", [2.001, 5.0, 20.0, 40.0])
+    def test_integral_branch_near_alpha_one(self, alpha, x):
+        # the spectral density's peak narrows to width ~pi (1 - alpha) here;
+        # both E_{alpha,1} and f must resolve it, and without a quadrature warning
+        t = x ** (1.0 / alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = mittag_leffler(alpha, -x)
+            f = resolvent_density(KernelSpec(alpha, 1.0), t)
+        assert r == pytest.approx(float(ml_ref(alpha, 1.0, x)), rel=1e-10)
+        assert f == pytest.approx(density_ref(alpha, 1.0, t), rel=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -155,6 +198,16 @@ class TestKernelAndResolvent:
             limit=200,
         )
         assert val == pytest.approx(1.0 - resolvent(spec, T), abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("x", [0.3, 1.0, 1.999, 2.0, 2.001, 5.0, 50.0, 500.0])
+    def test_density_against_mpmath(self, alpha, x):
+        # x = lam t^alpha: the series branch up to 2, the integral branch beyond
+        lam = 0.6
+        t = (x / lam) ** (1.0 / alpha)
+        assert resolvent_density(KernelSpec(alpha, lam), t) == pytest.approx(
+            density_ref(alpha, lam, t), rel=1e-10
+        )
 
     def test_density_positive_and_singular_at_zero(self):
         spec = KernelSpec(alpha=0.9, lam=0.2)

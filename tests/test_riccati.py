@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def riccati_rhs(spec, i, s, psi):
     """a_i + F_i(T - s, psi_i): the Volterra right-hand side at solver time s."""
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     a, lin, quad = _variant_coefficients(spec)
-    sig = float(spec.stabilizers[i](spec.T - s))
+    sig = float(spec.stabilizers[i](spec.params.T - s))
     x = psi[i]
     sx = sig * x
     return float(a[i] + lin[i] * sx - spec.params.lam[i] * x + quad[i] * sx * sx)
@@ -46,38 +47,38 @@ def riccati_rhs(spec, i, s, psi):
 
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
-    return solve_riccati(RiccatiSpec(POWER, params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(POWER, params4, stab4, n=200))
 
 
 @pytest.fixture(scope="module")
 def sol_exp(params4, stab4):
-    return solve_riccati(RiccatiSpec(EXP, params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(EXP, params4, stab4, n=200))
 
 
 class TestSpecValidation:
     def test_variant_and_grid_checks(self, params4, stab4):
         # the variant is named after the utility family and the correlation form
-        assert RiccatiSpec(POWER, params4, stab4, T=1.0, n=200).variant == "power_general"
+        assert RiccatiSpec(POWER, params4, stab4, n=200).variant == "power_general"
         equal = make_params(params4, rho=[-0.6, -0.6])
-        spec = RiccatiSpec(EXP, equal, stab4, T=1.0, n=200, degenerate=True)
+        spec = RiccatiSpec(EXP, equal, stab4, n=200, degenerate=True)
         assert spec.variant == "exponential_degenerate"
         with pytest.raises(ValueError):
-            RiccatiSpec(POWER, params4, stab4, T=0.0, n=200)
+            make_params(params4, T=0.0)
         with pytest.raises(ValueError):
-            RiccatiSpec(POWER, params4, stab4, T=1.0, n=1)
+            RiccatiSpec(POWER, params4, stab4, n=1)
         with pytest.raises(ValueError):
-            RiccatiSpec(POWER, params4, stab4[:1], T=1.0, n=200)
+            RiccatiSpec(POWER, params4, stab4[:1], n=200)
 
     def test_power_gamma_range(self, params4, stab4):
         # the utility rejects a power gamma outside (0, 1) before any spec is built
         with pytest.raises(ValueError):
             UtilitySpec("power", 1.5)
         # exponential utility allows any gamma > 0
-        RiccatiSpec(UtilitySpec("exponential", 1.5), params4, stab4, T=1.0, n=100)
+        RiccatiSpec(UtilitySpec("exponential", 1.5), params4, stab4, n=100)
 
     def test_degenerate_requires_equal_rho(self, params4, stab4):
         with pytest.raises(ValueError):
-            RiccatiSpec(POWER, params4, stab4, T=1.0, n=100, degenerate=True)
+            RiccatiSpec(POWER, params4, stab4, n=100, degenerate=True)
 
     def test_coverage_check(self, params4):
         short = [
@@ -85,7 +86,7 @@ class TestSpecValidation:
             for i in range(2)
         ]
         with pytest.raises(ValueError):
-            RiccatiSpec(POWER, params4, short, T=1.0, n=100)
+            RiccatiSpec(POWER, params4, short, n=100)
 
 
 class TestSolution:
@@ -103,7 +104,7 @@ class TestSolution:
     def test_theta_zero_gives_zero(self, params4, stab4):
         p = make_params(params4, theta=[0.0, 0.0])
         for util in (POWER, EXP):
-            sol = solve_riccati(RiccatiSpec(util, p, stab4, T=1.0, n=50))
+            sol = solve_riccati(RiccatiSpec(util, p, stab4, n=50))
             assert np.all(sol.psi == 0.0)
 
     def test_exponential_sign(self, sol_exp):
@@ -118,7 +119,7 @@ class TestSolution:
         sups = []
         for th in (0.05, 0.1, 0.2):
             p = make_params(params4, theta=[th, th])
-            sol = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=100))
+            sol = solve_riccati(RiccatiSpec(EXP, p, stab4, n=100))
             sups.append(np.max(np.abs(sol.psi)))
         assert sups[0] < sups[1] < sups[2]
 
@@ -134,7 +135,7 @@ class TestSolution:
         stabs = make_stabs(p, grid_pts=11)
         sig = [float(tab(0.5)) for tab in stabs]
         for util in (POWER, EXP):
-            spec = RiccatiSpec(util, p, stabs, T=1.0, n=200)
+            spec = RiccatiSpec(util, p, stabs, n=200)
             sol = solve_riccati(spec)
             a, lin, quad = _variant_coefficients(spec)
             for i in range(2):
@@ -156,12 +157,12 @@ class TestSolution:
         p = make_params(params4, rho=[-0.6, -0.6])
         g = POWER.gamma
         delta = (1.0 - g) / (1.0 - g + g * 0.36)
-        sol_g = solve_riccati(RiccatiSpec(POWER, p, stab4, T=1.0, n=150))
-        sol_d = solve_riccati(RiccatiSpec(POWER, p, stab4, T=1.0, n=150, degenerate=True))
+        sol_g = solve_riccati(RiccatiSpec(POWER, p, stab4, n=150))
+        sol_d = solve_riccati(RiccatiSpec(POWER, p, stab4, n=150, degenerate=True))
         assert np.max(np.abs(delta * sol_d.psi - sol_g.psi)) < 1e-10
         # the two exponential variants are literally the same equation
-        sol_e1 = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=50))
-        sol_e2 = solve_riccati(RiccatiSpec(EXP, p, stab4, T=1.0, n=50, degenerate=True))
+        sol_e1 = solve_riccati(RiccatiSpec(EXP, p, stab4, n=50))
+        sol_e2 = solve_riccati(RiccatiSpec(EXP, p, stab4, n=50, degenerate=True))
         assert np.array_equal(sol_e1.psi, sol_e2.psi)
 
 
@@ -174,12 +175,12 @@ class TestBlowup:
         )
         util = UtilitySpec("power", 0.9)
         stabs = make_stabs(p, grid_pts=401)
-        spec = RiccatiSpec(util, p, stabs, T=40.0, n=400)
+        spec = RiccatiSpec(util, p, stabs, n=400)
         with pytest.raises(RiccatiBlowup) as exc:
             solve_riccati(spec)
         assert 0.0 < exc.value.t_max < 40.0
         # the refined horizon is usable
-        ok = RiccatiSpec(util, p, stabs, T=exc.value.t_max, n=400)
+        ok = RiccatiSpec(util, dataclasses.replace(p, T=exc.value.t_max), stabs, n=400)
         solve_riccati(ok)
 
 
@@ -205,19 +206,30 @@ class TestBoundsAndGates:
         )
         p_unit = make_params(params4, rho=[1.0, 1.0])
         stabs = stab4  # only rho enters a(p)
-        sol = solve_riccati(RiccatiSpec(EXP, p_unit, stabs, T=1.0, n=50))
+        sol = solve_riccati(RiccatiSpec(EXP, p_unit, stabs, n=50))
         gate_unit = assumption_gate(sol, p=2.0)
         assert gate_unit["a_p"] == 280.0
 
     def test_assumption_gate_default_and_explicit(self, params4, sol_power):
+        # the gate reports the least moment level a = a(p) * lhs_sup under
+        # which the theorem applies; it has no threshold of its own
         gate = assumption_gate(sol_power, p=2.0)
-        assert gate["a_defaulted"] and gate["passed"]
-        assert gate["threshold"] == pytest.approx(2.0 * gate["lhs_sup"], rel=1e-14)
-        tight = assumption_gate(sol_power, p=2.0, a=gate["a_p"] * gate["lhs_sup"] / 2.0)
-        assert not tight["a_defaulted"]
-        assert not tight["passed"]
-        with pytest.raises(ValueError):
-            assumption_gate(sol_power, p=1.0)
+        assert set(gate) == {"a_p", "lhs_sup", "a_required"}
+        assert gate["a_required"] == gate["a_p"] * gate["lhs_sup"]
+        sup = max(
+            float(np.max(
+                params4.theta[i] ** 2
+                + params4.nu[i] ** 2
+                * np.asarray(sol_power.spec.stabilizers[i](sol_power.times)) ** 2
+                * sol_power.psi[i][::-1] ** 2
+            ))
+            for i in range(2)
+        )
+        assert gate["lhs_sup"] == sup and sup > float(np.max(params4.theta**2))
+        assert assumption_gate(sol_power, p=3.0)["a_required"] > gate["a_required"]
+        for p in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                assumption_gate(sol_power, p=p)
 
 
 class TestConvergence:
@@ -228,7 +240,7 @@ class TestConvergence:
         p = make_params(params4, alpha=[alpha, alpha])
         stabs = make_stabs(p)
         sols = {
-            n: solve_riccati(RiccatiSpec(POWER, p, stabs, T=1.0, n=n))
+            n: solve_riccati(RiccatiSpec(POWER, p, stabs, n=n))
             for n in (200, 400, 800, 1600)
         }
         rate = 2.0 ** (1.0 + alpha)

@@ -25,7 +25,7 @@ def rate_integral_by_pieces(rate, t0, t1):
 
 
 def solve(kind, gamma, params, stabs, n=200, degenerate=False):
-    return solve_riccati(RiccatiSpec(UtilitySpec(kind, gamma), params, stabs, 1.0, n, degenerate))
+    return solve_riccati(RiccatiSpec(UtilitySpec(kind, gamma), params, stabs, n, degenerate))
 
 
 @pytest.fixture(scope="module")

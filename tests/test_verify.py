@@ -33,12 +33,12 @@ def bundle(params4, stab4):
 
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
-    return solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), params4, stab4, n=200))
 
 
 @pytest.fixture(scope="module")
 def sol_exp(params4, stab4):
-    return solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), params4, stab4, T=1.0, n=200))
+    return solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), params4, stab4, n=200))
 
 
 def zero_rule(d):
@@ -143,7 +143,7 @@ class TestMartingaleProfile:
     @pytest.mark.parametrize("kind,variant", [("power", "power_general"),
                                               ("exponential", "exponential_general")])
     def test_profile_flat_and_endpoints(self, bundle, params4, stab4, kind, variant):
-        sol = solve_riccati(RiccatiSpec(UtilitySpec(kind, 0.2), params4, stab4, T=1.0, n=200))
+        sol = solve_riccati(RiccatiSpec(UtilitySpec(kind, 0.2), params4, stab4, n=200))
         assert sol.variant == variant
         prof = martingale_profile(bundle, sol)
         # J_0 is deterministic (V_0 pinned at its mean) and equals the value
@@ -156,7 +156,7 @@ class TestMartingaleProfile:
     def test_profile_not_flat_under_wrong_psi(self, bundle, params4, stab4, sol_power):
         # feeding the profile psi solved under a mismatched theta should break flatness
         p_wrong = make_params(params4, theta=[0.3, 0.3])
-        sol_wrong = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p_wrong, stab4, T=1.0, n=200))
+        sol_wrong = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p_wrong, stab4, n=200))
         wrong_psi = dataclasses.replace(sol_power, psi=sol_wrong.psi, rhs_values=sol_wrong.rhs_values)
         prof = martingale_profile(bundle, wrong_psi)
         assert prof["flat_stat"] > 5.0
