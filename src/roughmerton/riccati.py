@@ -213,6 +213,7 @@ def _solve_single(
 
 
 def _sig_reversed(spec: RiccatiSpec, i: int, T: float, n: int) -> np.ndarray:
+    """varsigma^i(T - t) on the n-step grid of [0, T]."""
     times = np.linspace(0.0, T, n + 1)
     return np.asarray(spec.stabilizers[i](T - times))
 
@@ -231,7 +232,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
     rhs_values = np.empty((params.d, n + 1))
     t_max = math.inf
     for i in range(params.d):
-        sig_rev = _sig_reversed(spec, i, T, n)
+        sig_rev = np.asarray(spec.stabilizers[i](T - times))
         p_i, f_i, blow = _solve_single(
             params.alpha[i], params.lam[i], a[i], lin[i], quad[i], sig_rev, dt, n
         )
@@ -249,7 +250,7 @@ def _refine_horizon(spec: RiccatiSpec, i: int, a_i, lin_i, quad_i, t_bad: float)
     params, n = spec.params, spec.n
 
     def blows(horizon: float) -> bool:
-        sig_rev = np.asarray(spec.stabilizers[i](horizon - np.linspace(0.0, horizon, n + 1)))
+        sig_rev = _sig_reversed(spec, i, horizon, n)
         _, _, blow = _solve_single(
             params.alpha[i], params.lam[i], a_i, lin_i, quad_i, sig_rev, horizon / n, n
         )

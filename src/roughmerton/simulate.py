@@ -53,8 +53,7 @@ Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``lag_covariance_matrix``: the dense (n+1) x (n+1) covariance C, the
     reference of the factor.
-  - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1);
-    ``integral_factors`` builds one per asset, for bundles that share a grid.
+  - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
   - ``simulate_variance``: block-streamed, seed-deterministic path generation.
 """
 
@@ -76,7 +75,6 @@ __all__ = [
     "PathBundle",
     "lag_covariance_matrix",
     "integral_factor",
-    "integral_factors",
     "simulate_variance",
 ]
 
@@ -398,11 +396,6 @@ def integral_factor(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
     return A
 
 
-def integral_factors(params: ModelParams, grid: SimGrid) -> list[np.ndarray]:
-    """``integral_factor`` of every asset of ``params`` on ``grid``, in asset order."""
-    return [integral_factor(params.kernel_spec(i), grid.dt, grid.n_steps) for i in range(params.d)]
-
-
 def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
     """K[i, j q + r] = A[i - j + 1, r], shape (n, b q); entries with i < j are never read.
 
@@ -454,7 +447,6 @@ def simulate_variance(
     store_bperp: bool = True,
     store_integrals: bool = False,
     block_size: int = 25000,
-    factors: list[np.ndarray] | None = None,
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
 
@@ -493,9 +485,6 @@ def simulate_variance(
         Optional storage (memory: each field is d*n*n_paths doubles).
     block_size : int
         Paths per streamed block.
-    factors : list of np.ndarray, optional
-        ``integral_factors(params, grid)`` built beforehand, so that several
-        bundles on one grid share them; each must have n_steps + 1 rows.
 
     Returns
     -------
@@ -510,11 +499,8 @@ def simulate_variance(
     for i, tab in enumerate(stab):
         if tab.grid[-1] < params.T - 1e-12:
             raise ValueError(f"stabilizer table {i} does not cover [0, T]")
-    if factors is None:
-        factors = integral_factors(params, grid)
-    elif len(factors) != d or any(np.ndim(A) != 2 or np.shape(A)[0] != n + 1 for A in factors):
-        raise ValueError(f"factors must be {d} two-dimensional arrays with n_steps + 1 = {n + 1} rows")
 
+    factors = [integral_factor(params.kernel_spec(i), dt, n) for i in range(d)]
     tb = min(_TIME_BLOCK, n)
     gathers = [_toeplitz_gather(A, n, tb) for A in factors]
     r_vals = [resolvent(params.kernel_spec(i), times) for i in range(d)]

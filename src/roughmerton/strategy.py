@@ -14,10 +14,13 @@ exponential-affine form
                     + sum_i int_0^T (a_i + F_i(s, psi^i(T-s))) g_0^i(s) ds)
   exponential:  -(1/gamma) exp(-gamma e^{int_0^T r} x0) exp(sum_i int ... ds)
 
-with the adjusted forward curve g_0^i(s) = E[V_0^i] + mu0_i s^alpha_i /
-Gamma(alpha_i + 1), evaluated at the mean initial variance.  Rules and
-values take the utility, gamma and model from the Riccati solution's spec,
-so they always match the equation that was solved.
+with the adjusted forward curve g_0^i(s) = V_0^i + mu0_i s^alpha_i /
+Gamma(alpha_i + 1).  g_0 is affine in V_0 with slope 1, so the value at any
+initial variance is the value at the mean E[V_0] = x_inf times
+exp(sum_i beta_i (V_0^i - x_inf^i)), beta_i = int_0^T (a_i + F_i(s,
+psi^i(T-s))) ds.  Rules and values take the utility, gamma and model from
+the Riccati solution's spec, so they always match the equation that was
+solved.
 """
 
 from __future__ import annotations
@@ -110,28 +113,38 @@ def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
-def value_function(sol: RiccatiSolution, x0: float | None = None) -> float:
-    """Analytic value function at initial wealth x0 and V_0 = E[V_0].
+def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> float:
+    """Analytic value function at initial wealth x0 and initial variance v0.
 
     The exponent integral uses the solver's stored right-hand-side values:
     a_i + F_i(s, psi^i(T-s)) on the grid is the time reversal of
-    ``sol.rhs_values[i]``; composite Simpson integrates it against g_0^i.
-    The degenerate power solution is rejected (the theorem's exponent uses
-    the general-correlation forcing).  ``x0`` defaults to the model's.
+    ``sol.rhs_values[i]``; composite Simpson integrates it against g_0^i at
+    V_0 = x_inf, and on its own for the slope beta_i of the exponent in V_0^i.
+    ``v0`` is one initial variance per asset, shape (d,), or one per asset
+    and path, shape (d, P); for the latter the result is the mean over the
+    P paths of the value at each path's V_0.  The degenerate power solution
+    is rejected (the theorem's exponent uses the general-correlation
+    forcing).  ``x0`` defaults to the model's and ``v0`` to x_inf, where the
+    V_0 factor is exactly 1.
     """
     util, params = sol.spec.util, sol.spec.params
     if sol.variant == "power_degenerate":
         raise ValueError("value_function requires the general-correlation power solution")
     if x0 is None:
         x0 = params.x0
+    if v0 is None:
+        v0 = params.x_inf
     T, times = params.T, sol.times
     g0 = g0_curve(params, times)  # (d, n+1)
     integrand = sol.rhs_values[:, ::-1] * g0
     expo = float(sum(simpson(integrand[i], x=times) for i in range(params.d)))
+    beta = np.array([simpson(sol.rhs_values[i, ::-1], x=times) for i in range(params.d)])
+    shift = beta @ (np.reshape(v0, (params.d, -1)) - params.x_inf[:, None])
+    v0_factor = float(np.mean(np.exp(shift)))
     r_int = params.rate.integral(0.0, T)
     g = util.gamma
     if util.kind == "power":
         if x0 <= 0.0:
             raise ValueError("power utility requires x0 > 0")
-        return x0**g / g * math.exp(g * r_int + expo)
-    return -1.0 / g * math.exp(-g * math.exp(r_int) * x0) * math.exp(expo)
+        return x0**g / g * math.exp(g * r_int + expo) * v0_factor
+    return -1.0 / g * math.exp(-g * math.exp(r_int) * x0) * math.exp(expo) * v0_factor

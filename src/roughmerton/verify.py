@@ -18,7 +18,8 @@ number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
   Gamma_t = exp( [gamma int_t^T r]_power
                  + sum_i int_t^T (a_i + F_i(s, psi^i(T-s))) g^i_t(s) ds ),
 
-with the pathwise adjusted forward curve discretized from the simulated path:
+with the pathwise adjusted forward curve discretized from the simulated path,
+g_0 taken at the path's own V_0:
 g_t(s) = g_0(s) + sum_{l <= k} Kbar_l(s) DZ_l, where DZ_l = -lam V_{l-1} D
 + nu varsigma(t_l) sqrt(V_{l-1}) DW_l and Kbar_l is the increment-averaged
 fractional kernel (K1(s - t_{l-1}) - K1(s - t_l))/D, K1(t) = t^alpha /
@@ -218,11 +219,12 @@ def _reverse_cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
 def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
-    Requires a bundle with dBperp stored (to reconstruct dW) and simulated
-    with V_0 = E[V_0] if the J_0 endpoint is to match the analytic value.
-    Returns a dict with the time grid, mean J, the paired standard error of
-    J_t - J_0, the flatness statistic max_k |mean_k - mean_0| / SE_k, and the
-    two endpoint references.
+    Requires a bundle with dBperp stored (to reconstruct dW).  Each path's
+    g_0 is taken at its own V_0, so mean J_0 matches ``value``, the mean over
+    paths of the analytic value at each path's V_0.  Returns a dict with the
+    time grid, mean J, the paired standard error of J_t - J_0, the flatness
+    statistic max_k |mean_k - mean_0| / SE_k, and the two endpoint
+    references.
     """
     params, util = bundle.params, sol.spec.util
     d = params.d
@@ -238,12 +240,14 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     del run
 
     g = util.gamma
-    expo = np.zeros((n + 1, P))
+    # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
+    s_nodes = (T - sol.times)[::-1]
+    rvs = np.stack([np.interp(times, s_nodes, sol.rhs_values[i][::-1]) for i in range(d)])
+    # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
+    expo = _reverse_cumtrapz(rvs.T, dt) @ (bundle.v0 - params.x_inf[:, None])
     g0 = g0_curve(params, times)  # (d, n+1)
     for i in range(d):
-        # value integrand a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
-        s_nodes = (T - sol.times)[::-1]
-        rv = np.interp(times, s_nodes, sol.rhs_values[i][::-1])
+        rv = rvs[i]
         expo += _reverse_cumtrapz(rv * g0[i], dt)[:, None]
 
         # averaged-kernel weights: kbar[j] = (K1((j+1)D) - K1(j D)) / D
@@ -282,7 +286,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
         np.negative(J, out=J)
         J /= g
     del expo
-    value = value_function(sol, x0=params.x0)
+    value = value_function(sol, x0=params.x0, v0=bundle.v0)
 
     j_mean = J.mean(axis=1)
     J -= J[0].copy()  # J_t - J_0

@@ -209,7 +209,7 @@ class TestCommands:
         assert not os.path.exists(out)
 
     def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
-        calls = {"factor": 0, "solve": 0}
+        calls = {"factor": 0, "solve": 0, "bundle": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -220,12 +220,30 @@ class TestCommands:
 
         monkeypatch.setattr(simulate, "integral_factor", counted("factor", simulate.integral_factor))
         monkeypatch.setattr(cli, "solve_riccati", counted("solve", cli.solve_riccati))
+        monkeypatch.setattr(cli, "simulate_variance", counted("bundle", cli.simulate_variance))
         cfg = write_config(tmp_path, self.shrink)
         out = str(tmp_path / "out")
         run_cli(["verify", "--config", cfg, "--out", out])
         assert os.path.isfile(os.path.join(out, "verify_report.json"))
-        # two assets shared by both bundles; two gammas
-        assert calls == {"factor": 2, "solve": 2}
+        # one bundle serves every gate: one factor per asset; two gammas
+        assert calls == {"factor": 2, "solve": 2, "bundle": 1}
+
+    def test_verify_rerun_bit_identical_and_stationarity_of_simulate(self, tmp_path):
+        cfg = write_config(tmp_path, self.shrink)
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        run_cli(["verify", "--config", cfg, "--out", out1])
+        run_cli(["verify", "--config", cfg, "--out", out2])
+        for name in ("verify_report.json", "verify_profile.csv"):
+            assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name), shallow=False), name
+        # the verify bundle is the simulate bundle of the same config and seed
+        run_cli(["simulate", "--config", cfg, "--out", out1])
+        report = read_json(os.path.join(out1, "verify_report.json"))
+        simulated = read_json(os.path.join(out1, "simulate_report.json"))
+        assert report["stationarity"]["report"] == simulated["stationarity"]
+        assert report["stationarity"]["passed"] == simulated["passed"]
+        # target is the value at the drawn V_0s, analytic the value at V_0 = x_inf
+        for entry in report["value_agreement"].values():
+            assert entry["target"] != entry["analytic"]
 
     @pytest.mark.parametrize(
         "value,reason", [("2", "threadpoolctl is not installed"), ("two", "not a thread count")]

@@ -19,7 +19,6 @@ from roughmerton.simulate import (
     _gl_nodes,
     _lag_entry_00,
     integral_factor,
-    integral_factors,
     lag_covariance_matrix,
     simulate_variance,
 )
@@ -451,18 +450,6 @@ class TestSimulate:
             b.dW(0)
         with pytest.raises(ValueError):
             simulate_variance(params4, stab4, grid, n_paths=5, seed=2, v0_mode="median")
-
-    def test_precomputed_factors(self, params4, stab4, small_bundle):
-        grid = SimGrid(T=1.0, n_steps=50)
-        factors = integral_factors(params4, grid)
-        again = simulate_variance(
-            params4, stab4, grid, n_paths=4000, seed=11, store_integrals=True, factors=factors
-        )
-        assert np.array_equal(again.V, small_bundle.V)
-        assert np.array_equal(again.dB, small_bundle.dB)
-        for bad in (factors[:1], [factors[0], factors[1][:-1]], [factors[0], factors[1][0]]):
-            with pytest.raises(ValueError):
-                simulate_variance(params4, stab4, grid, n_paths=5, seed=2, factors=bad)
 
     def test_helper_thread_ends_with_the_call(self, params4, stab4):
         before = threading.active_count()

@@ -6,7 +6,8 @@ import pytest
 
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
-from roughmerton.strategy import UtilitySpec
+from roughmerton.stabilizer import build_stabilizer
+from roughmerton.strategy import UtilitySpec, value_function
 from roughmerton.verify import (
     PerturbationSpec,
     martingale_profile,
@@ -152,6 +153,23 @@ class TestMartingaleProfile:
         # J_T = U(X_T) exactly: the exponent integral vanishes at t = T
         assert prof["j_mean"][-1] == pytest.approx(prof["terminal_mean_utility"], rel=1e-12)
         assert prof["flat_stat"] < 3.5
+
+    def test_j0_is_the_value_at_each_paths_v0(self, params4):
+        # Var(V_0) raised so that the value's V_0 factor shows: it departs
+        # from 1 by up to 2e-3 on single paths and by 2e-5 in the mean
+        p = make_params(params4, c=[2.0, 6.0])
+        stab = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0.0, 1.0, 201)) for i in range(p.d)]
+        sol = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p, stab, n=200))
+        b = simulate_variance(p, stab, SimGrid(T=1.0, n_steps=60), n_paths=5000, seed=21)
+        at_mean = value_function(sol)
+        per_path = np.array([value_function(sol, v0=v) for v in b.v0.T])
+        assert np.max(np.abs(per_path / at_mean - 1.0)) > 1e-3
+        target = float(np.mean(per_path))
+        assert abs(target / at_mean - 1.0) > 1e-5
+        prof = martingale_profile(b, sol)
+        assert prof["value"] == pytest.approx(target, rel=1e-13)
+        assert prof["j_mean"][0] == pytest.approx(target, rel=1e-6)
+        assert value_function(sol, v0=p.x_inf) == at_mean
 
     def test_profile_not_flat_under_wrong_psi(self, bundle, params4, stab4, sol_power):
         # feeding the profile psi solved under a mismatched theta should break flatness
