@@ -86,6 +86,8 @@ class RunConfig:
                 self.utility(g)
         except ValueError as exc:
             raise ConfigError(f"utility: {exc}") from exc
+        if self.utility_kind == "power" and self.params.x0 <= 0.0:
+            raise ConfigError(f"model.x0 must be > 0 under power utility, got {self.params.x0}")
 
     def utility(self, gamma: float) -> UtilitySpec:
         return UtilitySpec(kind=self.utility_kind, gamma=gamma)

@@ -232,7 +232,7 @@ def solve_riccati(spec: RiccatiSpec) -> RiccatiSolution:
     rhs_values = np.empty((params.d, n + 1))
     t_max = math.inf
     for i in range(params.d):
-        sig_rev = np.asarray(spec.stabilizers[i](T - times))
+        sig_rev = _sig_reversed(spec, i, T, n)
         p_i, f_i, blow = _solve_single(
             params.alpha[i], params.lam[i], a[i], lin[i], quad[i], sig_rev, dt, n
         )

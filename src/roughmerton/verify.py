@@ -1,14 +1,22 @@
 """Monte Carlo verification harness: wealth simulation, value agreement, optimality.
 
-Wealth under a candidate rule pi (multiplier of sqrt(V)) evolves, on the
-bundle's grid and with the SAME Brownian increments dB that drove V:
+Wealth under a candidate rule pi (multiplier of sqrt(V), deterministic in t)
+evolves on the bundle's grid with the SAME Brownian increments dB that drove
+V.  With a_i = theta_i V_i D + sqrt(V_i) dB_i on the left grid points and
+"." the sum over grid steps:
 
-  power (fractions of wealth, alpha_i = pi_i sqrt(V_i)):
-      log X advanced by (r + alpha' lambda - |alpha|^2/2) D + alpha' dB,
-      lambda_i = theta_i sqrt(V_i)   (exact in log, so X > 0 pathwise);
-  exponential (amounts): discounted Euler
-      Xd_{k+1} = Xd_k + e^{-int_0^{t_k} r} (alpha' lambda D + alpha' dB),
-      X_T = e^{int_0^T r} Xd_n.
+  power (fractions of wealth; exact in log, so X > 0 pathwise):
+      log X_T = log x0 + sum_k r_k D + sum_i [pi_i . a_i - (D/2) pi_i^2 . V_i];
+  exponential (amounts; discounted Euler, disc = e^{-int_0^t r}):
+      X_T = e^{int_0^T r} (x0 + sum_i (disc pi_i) . a_i).
+
+Per asset these are two products along the grid, against sqrt(V_i) dB_i and
+against V_i D, whose weights depend on the rule but not on the path: pi_i and
+theta_i pi_i - pi_i^2/2 for power, disc pi_i and theta_i disc pi_i for
+exponential, so the discounting lives in the weights.  One pass per asset
+forms sqrt(V_i) dB_i once and reduces it and V_i for a whole stack of rules
+by matrix products; the wealth path of one rule is the running sum of the
+same step terms.
 
 The martingale optimality principle is probed two ways: paired common-random-
 number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
@@ -62,7 +70,6 @@ class WealthRun:
     u_T: np.ndarray
     mean: float
     se: float
-    X_path: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -82,16 +89,6 @@ class PerturbationSpec:
             raise ValueError("epsilon must be >= 0")
 
 
-def _rule_matrix(rule, times: np.ndarray, d: int) -> np.ndarray:
-    """Evaluate a time->d-vector rule at left endpoints; returns (d, n)."""
-    out = np.asarray(rule(times), dtype=float)
-    if out.shape != (d, times.size):
-        raise ValueError(f"rule must return shape {(d, times.size)}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("rule produced non-finite values")
-    return out
-
-
 def _increments(v_prev: np.ndarray, drift, vol, dX: np.ndarray, dt: float) -> np.ndarray:
     """drift * v_prev * dt + vol * sqrt(v_prev) * dX, as a new array.
 
@@ -108,72 +105,94 @@ def _increments(v_prev: np.ndarray, drift, vol, dX: np.ndarray, dt: float) -> np
     return out
 
 
-def simulate_wealth(bundle: PathBundle, util: UtilitySpec, rule, store_path: bool = False) -> WealthRun:
+def _wealth_steps(bundle: PathBundle, util: UtilitySpec, rules: list):
+    """The wealth recursion of each rule, evaluated at the left grid points, as weights.
+
+    Its state (log X for power, the discounted X for exponential) starts at
+    ``start``, and step k adds ``rate_steps[k] + sum_i B[:, i, k] sqrt(V^i_k) dB^i_k
+    + C[:, i, k] V^i_k``.  Returns (start, rate_steps, B, C), B and C of shape
+    (len(rules), d, n).
+    """
+    params, times = bundle.params, bundle.times[:-1]
+    shape = (params.d, times.size)
+    R = np.empty((len(rules),) + shape)
+    for k, rule in enumerate(rules):
+        out = np.asarray(rule(times), dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"rule must return shape {shape}, got {out.shape}")
+        R[k] = out
+    if not np.all(np.isfinite(R)):
+        raise ValueError("rule produced non-finite values")
+    dt, theta = bundle.times[1] - bundle.times[0], params.theta[:, None]
+    if util.kind == "power":
+        return math.log(params.x0), params.rate(times) * dt, R, dt * (theta * R - 0.5 * R**2)
+    B = R * np.exp(-params.rate.primitive(times))
+    return params.x0, np.zeros(times.size), B, dt * theta * B
+
+
+def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.ndarray:
+    """Terminal wealth (len(rules), P) of each rule.
+
+    One pass per asset: sqrt(V) dB is formed once, and it and V are reduced
+    along the grid for every rule at once by one matrix product each.
+    """
+    params = bundle.params
+    start, rate_steps, B, C = _wealth_steps(bundle, util, rules)
+    x_T = np.full((len(rules), bundle.n_paths), start + float(np.sum(rate_steps)))
+    for i in range(params.d):
+        V = bundle.V[i, :-1]
+        noise = np.sqrt(V)
+        noise *= bundle.dB[i]
+        x_T += B[:, i] @ noise
+        del noise
+        x_T += C[:, i] @ V
+    if util.kind == "power":
+        np.exp(x_T, out=x_T)
+    else:
+        x_T *= np.exp(params.rate.primitive(params.T))
+    bad = np.flatnonzero(~np.all(np.isfinite(x_T), axis=0))
+    if bad.size:
+        raise FloatingPointError(f"non-finite terminal wealth at path index {bad[0]}")
+    return x_T
+
+
+def _wealth_path(bundle: PathBundle, util: UtilitySpec, rule) -> np.ndarray:
+    """Wealth (n+1, P) at every grid time under ``rule``: the running sum of
+    the step terms that ``_terminal_wealth`` reduces."""
+    params, times = bundle.params, bundle.times
+    start, rate_steps, B, C = _wealth_steps(bundle, util, [rule])
+    X = np.empty((times.size, bundle.n_paths))
+    X[0] = start
+    X[1:] = rate_steps[:, None]
+    for i in range(params.d):
+        V = bundle.V[i, :-1]
+        term = np.sqrt(V)
+        term *= bundle.dB[i]
+        term *= B[0, i][:, None]
+        X[1:] += term
+        np.multiply(V, C[0, i][:, None], out=term)
+        X[1:] += term
+        del term
+    np.cumsum(X, axis=0, out=X)
+    if util.kind == "power":
+        return np.exp(X, out=X)
+    X *= np.exp(params.rate.primitive(times))[:, None]
+    return X
+
+
+def _mean_se(u: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(u)), float(np.std(u, ddof=1) / math.sqrt(u.size))
+
+
+def simulate_wealth(bundle: PathBundle, util: UtilitySpec, rule) -> WealthRun:
     """Terminal wealth/utility under ``rule`` on the bundle's paths and market.
 
     ``rule(t)`` returns the per-asset multiplier of sqrt(V) for a time array
     t, shape (d, len(t)); it is evaluated at the left endpoint of each step.
     """
-    params = bundle.params
-    d = params.d
-    times = bundle.times
-    n = times.size - 1
-    dt = times[1] - times[0]
-    P = bundle.n_paths
-    R = _rule_matrix(rule, times[:-1], d)
-    theta = params.theta
-    r_left = params.rate(times[:-1]) * np.ones(n)
-
-    if util.kind == "power":
-        inc_sum = np.full(P, math.log(params.x0) + float(np.sum(r_left)) * dt)
-        incs = np.zeros((n, P)) if store_path else None
-        for i in range(d):
-            drift = (R[i] * theta[i] - 0.5 * R[i] ** 2)[:, None]
-            step = _increments(bundle.V[i, :-1, :], drift, R[i][:, None], bundle.dB[i], dt)
-            inc_sum += step.sum(axis=0)
-            if store_path:
-                incs += step
-            del step
-        x_T = np.exp(inc_sum)
-        if store_path:
-            incs += (r_left * dt)[:, None]
-            X_path = np.empty((n + 1, P))
-            X_path[0] = math.log(params.x0)
-            np.cumsum(incs, axis=0, out=X_path[1:])
-            del incs
-            X_path[1:] += math.log(params.x0)
-            np.exp(X_path, out=X_path)
-        else:
-            X_path = None
-    else:
-        disc = np.exp(-params.rate.primitive(times[:-1]))
-        grow = math.exp(params.rate.integral(0.0, params.T))
-        xd = np.full(P, params.x0)
-        incs = np.zeros((n, P))
-        for i in range(d):
-            drift = R[i][:, None] * theta[i]
-            step = _increments(bundle.V[i, :-1, :], drift, R[i][:, None], bundle.dB[i], dt)
-            incs += step
-            del step
-        incs *= disc[:, None]
-        x_T = grow * (xd + incs.sum(axis=0))
-        if store_path:
-            X_path = np.empty((n + 1, P))
-            X_path[0] = params.x0
-            np.cumsum(incs, axis=0, out=X_path[1:])
-            X_path[1:] += params.x0
-            # undiscount at each grid time
-            X_path *= np.exp(params.rate.primitive(times))[:, None]
-        else:
-            X_path = None
-
-    bad = np.flatnonzero(~np.isfinite(x_T))
-    if bad.size:
-        raise FloatingPointError(f"non-finite terminal wealth at path index {bad[0]}")
+    x_T = _terminal_wealth(bundle, util, [rule])[0]
     u = util.u(x_T)
-    mean = float(np.mean(u))
-    se = float(np.std(u, ddof=1) / math.sqrt(P))
-    return WealthRun(x_T=x_T, u_T=u, mean=mean, se=se, X_path=X_path)
+    return WealthRun(x_T, u, *_mean_se(u))
 
 
 def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: list) -> dict:
@@ -181,20 +200,21 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
 
     For each PerturbationSpec, Delta = E[U(X^{pi*})] - E[U(X^{pi* + eps h})]
     with the paired-sample standard error; Delta should be >= 0 and scale
-    like eps^2.  Returns the base run statistics and one entry per
+    like eps^2.  The optimal rule and every perturbation share one terminal-
+    wealth pass.  Returns the base run statistics and one entry per
     perturbation with keys 'label', 'epsilon', 'delta', 'se', 'z',
     'delta_over_eps2'.
     """
     util = sol.spec.util
-    base = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t))
+    rules = [lambda t: optimal_rule(sol, t)] + [
+        lambda t, eps=p.epsilon, h=p.h: optimal_rule(sol, t) + eps * np.asarray(h(t)) for p in perturbations
+    ]
+    u = util.u(_terminal_wealth(bundle, util, rules))
+    base_mean, base_se = _mean_se(u[0])
     entries = []
-    for pert in perturbations:
-        eps, h = pert.epsilon, pert.h
-        rule = lambda t, eps=eps, h=h: optimal_rule(sol, t) + eps * np.asarray(h(t))
-        run = simulate_wealth(bundle, util, rule)
-        diff = base.u_T - run.u_T
-        delta = float(np.mean(diff))
-        se = float(np.std(diff, ddof=1) / math.sqrt(diff.size))
+    for pert, u_pert in zip(perturbations, u[1:]):
+        eps = pert.epsilon
+        delta, se = _mean_se(u[0] - u_pert)
         entries.append(
             {
                 "label": pert.label,
@@ -205,7 +225,7 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
                 "delta_over_eps2": delta / eps**2 if eps > 0.0 else 0.0,
             }
         )
-    return {"base_mean": base.mean, "base_se": base.se, "perturbations": entries}
+    return {"base_mean": base_mean, "base_se": base_se, "perturbations": entries}
 
 
 def _reverse_cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
@@ -234,10 +254,9 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     P = bundle.n_paths
     T = params.T
 
-    run = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t), store_path=True)
-    X = run.X_path  # (n+1, P)
-    terminal_mean = float(np.mean(run.u_T))
-    del run
+    rule = lambda t: optimal_rule(sol, t)
+    terminal_mean = simulate_wealth(bundle, util, rule).mean
+    X = _wealth_path(bundle, util, rule)  # (n+1, P)
 
     g = util.gamma
     # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid

@@ -208,6 +208,19 @@ class TestCommands:
         assert payload["error"] == "ConfigError" and field in payload["message"]
         assert not os.path.exists(out)
 
+    def test_power_utility_needs_positive_x0(self, tmp_path, capsys):
+        zero_x0 = lambda raw: raw["model"].update(x0=0.0)
+        with pytest.raises(ConfigError, match="model.x0"):
+            load_config(write_config(tmp_path, zero_x0))
+        expo = write_config(tmp_path, lambda raw: (zero_x0(raw), raw["utility"].update(kind="exponential")))
+        assert load_config(expo).params.x0 == 0.0
+        # the --utility override is checked again, before any bundle is simulated
+        out = str(tmp_path / "out")
+        assert run_cli(["verify", "--config", expo, "--out", out, "--utility", "power"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError" and "model.x0" in payload["message"]
+        assert not os.path.exists(out)
+
     def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
         calls = {"factor": 0, "solve": 0, "bundle": 0}
 

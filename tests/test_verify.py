@@ -7,9 +7,11 @@ import pytest
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
 from roughmerton.stabilizer import build_stabilizer
-from roughmerton.strategy import UtilitySpec, value_function
+from roughmerton.strategy import UtilitySpec, optimal_rule, value_function
 from roughmerton.verify import (
     PerturbationSpec,
+    _terminal_wealth,
+    _wealth_path,
     martingale_profile,
     optimality_test,
     simulate_wealth,
@@ -46,6 +48,34 @@ def zero_rule(d):
     return lambda t: np.zeros((d, np.asarray(t).size))
 
 
+def march_wealth(bundle, util, rule):
+    """Wealth path (n+1, P) under ``rule``, marched one rule and one step at a
+    time: power in log, exponential as a discounted Euler sum."""
+    params, times = bundle.params, bundle.times
+    n, dt = times.size - 1, times[1] - times[0]
+    R = np.asarray(rule(times[:-1]), dtype=float)
+    incs = np.zeros((n, bundle.n_paths))
+    for i in range(params.d):
+        V = bundle.V[i, :-1, :]
+        if util.kind == "power":
+            drift = (R[i] * params.theta[i] - 0.5 * R[i] ** 2)[:, None]
+        else:
+            drift = R[i][:, None] * params.theta[i]
+        incs += drift * V * dt + R[i][:, None] * np.sqrt(V) * bundle.dB[i]
+    X = np.empty((n + 1, bundle.n_paths))
+    if util.kind == "power":
+        incs += (params.rate(times[:-1]) * np.ones(n) * dt)[:, None]
+        X[0] = math.log(params.x0)
+        np.cumsum(incs, axis=0, out=X[1:])
+        X[1:] += math.log(params.x0)
+        return np.exp(X)
+    incs *= np.exp(-params.rate.primitive(times[:-1]))[:, None]
+    X[0] = params.x0
+    np.cumsum(incs, axis=0, out=X[1:])
+    X[1:] += params.x0
+    return X * np.exp(params.rate.primitive(times))[:, None]
+
+
 class TestSimulateWealth:
     def test_zero_rule_gives_bank_account(self, bundle, params4):
         # with nothing invested, X_T = x0 e^{int r} exactly for both utilities
@@ -71,17 +101,21 @@ class TestSimulateWealth:
         rate = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
         p = make_params(params4, rate=rate)
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
-        run = simulate_wealth(b, UtilitySpec("exponential", 0.5), zero_rule(2), store_path=True)
+        util = UtilitySpec("exponential", 0.5)
+        X = _wealth_path(b, util, zero_rule(2))
         bank = np.array([math.exp(rate.integral(0.0, t)) for t in b.times])
-        assert np.allclose(run.X_path, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
+        assert np.allclose(X, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
+        run = simulate_wealth(b, util, zero_rule(2))
+        assert np.allclose(run.x_T, p.x0 * bank[-1], rtol=1e-15, atol=0.0)
 
     def test_power_wealth_positive_and_stats(self, bundle, params4, sol_power):
         util = UtilitySpec("power", 0.2)
         rule = lambda t: np.ones((2, np.asarray(t).size))
-        run = simulate_wealth(bundle, util, rule, store_path=True)
+        run = simulate_wealth(bundle, util, rule)
+        X = _wealth_path(bundle, util, rule)
         assert np.all(run.x_T > 0.0)
-        assert np.all(run.X_path > 0.0)
-        assert np.allclose(run.X_path[-1], run.x_T, rtol=1e-12)
+        assert np.all(X > 0.0)
+        assert np.allclose(X[-1], run.x_T, rtol=1e-12)
         assert run.mean == pytest.approx(np.mean(run.u_T), rel=1e-15)
         assert run.se == pytest.approx(np.std(run.u_T, ddof=1) / math.sqrt(5000), rel=1e-12)
 
@@ -102,12 +136,68 @@ class TestSimulateWealth:
         assert abs(logx.mean() - mu) < 4 * math.sqrt(var / 100_000)
         assert logx.var() == pytest.approx(var, rel=0.02)
 
-    def test_rule_validation(self, bundle):
+    def test_rule_validation(self, bundle, sol_power):
         util = UtilitySpec("power", 0.2)
         with pytest.raises(ValueError):
             simulate_wealth(bundle, util, lambda t: np.zeros((3, np.asarray(t).size)))
         with pytest.raises(ValueError):
             simulate_wealth(bundle, util, lambda t: np.full((2, np.asarray(t).size), np.nan))
+        # every perturbed rule of the stacked optimality pass is checked too
+        bad_h = lambda t: np.ones((3, np.asarray(t).size))
+        with pytest.raises(ValueError):
+            optimality_test(bundle, sol_power, [PerturbationSpec(0.1, bad_h, "bad")])
+
+    def test_non_finite_wealth_raises(self, bundle):
+        # sums of steps near the float maximum overflow on some paths
+        huge = lambda t: np.full((2, np.asarray(t).size), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            simulate_wealth(bundle, UtilitySpec("exponential", 0.5), huge)
+
+
+class TestProductPass:
+    """The stacked product pass and the wealth path against the step-by-step march."""
+
+    RULES = (
+        lambda t: np.vstack([0.5 + t, 1.0 - t**2]),
+        lambda t: np.vstack([np.sin(3.0 * t), -0.4 * np.ones_like(t)]),
+        lambda t: np.vstack([2.0 * np.exp(-t), np.cos(5.0 * t)]),
+    )
+
+    @pytest.fixture(scope="class")
+    def rate_bundle(self, params4, stab4):
+        p = make_params(params4, rate=RateCurve(knots=[0.0, 0.4], values=[0.03, 0.01]))
+        # 700 paths in blocks of 250: three path blocks
+        return simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=40), n_paths=700, seed=5, block_size=250)
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_matches_march(self, rate_bundle, kind):
+        b, util = rate_bundle, UtilitySpec(kind, 0.5)
+
+        def close(x, ref):
+            if kind == "power":
+                return np.allclose(x, ref, rtol=1e-13, atol=0.0)
+            return bool(np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))))
+
+        x_T = _terminal_wealth(b, util, list(self.RULES))
+        assert x_T.shape == (3, 700)
+        for k, rule in enumerate(self.RULES):
+            ref = march_wealth(b, util, rule)
+            assert close(x_T[k], ref[-1])
+            assert close(simulate_wealth(b, util, rule).x_T, ref[-1])
+            assert close(_wealth_path(b, util, rule), ref)
+
+    def test_stacked_optimality_matches_single_runs(self, bundle, sol_power):
+        util = sol_power.spec.util
+        h = lambda t: np.vstack([np.ones_like(t), -t])
+        perts = [PerturbationSpec(e, h, "tilt") for e in (0.1, 0.3)]
+        report = optimality_test(bundle, sol_power, perts)
+        base = simulate_wealth(bundle, util, lambda t: optimal_rule(sol_power, t))
+        assert report["base_mean"] == pytest.approx(base.mean, rel=1e-14)
+        assert report["base_se"] == pytest.approx(base.se, rel=1e-12)
+        for pert, entry in zip(perts, report["perturbations"]):
+            rule = lambda t, eps=pert.epsilon: optimal_rule(sol_power, t) + eps * h(t)
+            diff = base.u_T - simulate_wealth(bundle, util, rule).u_T
+            assert entry["delta"] == pytest.approx(np.mean(diff), rel=1e-10)
 
 
 class TestOptimality:
