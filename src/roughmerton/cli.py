@@ -335,11 +335,16 @@ def _cmd_verify(config: RunConfig) -> int:
     d = config.params.d
     checks, ok = {}, True
 
-    # value agreement per gamma, against the value at each path's V_0
-    values, sols = {}, {}
-    for g in config.gammas:
-        sol = sols[g] = _solve(config, tabs, g)
-        run = simulate_wealth(bundle, sol.spec.util, lambda t: optimal_rule(sol, t))
+    # value agreement per gamma, against the value at each path's V_0; every
+    # gamma's optimal rule shares one wealth pass
+    sols = {g: _solve(config, tabs, g) for g in config.gammas}
+    runs = simulate_wealth(
+        bundle,
+        [sol.spec.util for sol in sols.values()],
+        [lambda t, sol=sol: optimal_rule(sol, t) for sol in sols.values()],
+    )
+    values = {}
+    for (g, sol), run in zip(sols.items(), runs):
         target = value_function(sol, v0=bundle.v0)
         tol = 2.0 * run.se + config.tolerances["value_rel_allowance"] * abs(target)
         passed = abs(run.mean - target) <= tol

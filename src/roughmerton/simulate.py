@@ -37,7 +37,12 @@ sum_{l<=k} A[k-l+1] @ eta_l.  ``simulate_variance`` evaluates it in time
 blocks of a few dozen steps.  Each step adds the terms of its own block, and
 each finished block adds its terms to all later steps with one matrix
 product against a Toeplitz gather of A.  That is O(n^2 q P) flops per asset
-and block of P paths, spent in BLAS-3 products, and O(n P) memory.
+and block of P paths, spent in BLAS-3 products, and O(n P) memory.  The
+push runs in row panels of at most ``_PANEL_BYTES`` of product rows, so
+its temporary stays a few MB instead of (n, P).  The panels of one push
+have equal heights (within one row), so none is a sliver that BLAS would
+send to another kernel (gemv for one row) summing in another order; at the
+packaged sizes the paths are those of the unpanelled push bit for bit.
 
 The standard normals are drawn one time block ahead: while the calling
 thread runs a block's products, one helper thread (a pool scoped to the
@@ -88,6 +93,8 @@ _EIG_CUT = 1e-13
 _QUAD_NODES = 64
 # Steps per time block of the Volterra convolution in simulate_variance.
 _TIME_BLOCK = 32
+# Bytes of the product rows that one panel of a block push holds.
+_PANEL_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -534,6 +541,7 @@ def simulate_variance(
         normals = _normals_ahead(pool, draws(), max_shape)
         for subs, (lo, hi) in zip(streams, spans):
             P = hi - lo
+            panel = max(1, _PANEL_BYTES // (8 * P))
             if v0_mode == "gaussian":
                 v0_rng = np.random.default_rng(subs[d])
                 v0 = np.maximum(
@@ -570,8 +578,13 @@ def simulate_variance(
                         own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
                         h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
                         Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
-                    if start + m < n:
-                        Vi[start + m + 1 :] += K[m : n - start] @ eta.reshape(m * q, P)
+                    # the push to later steps, in panels of equal height (see the module docstring)
+                    rows = n - start - m
+                    cuts = -(-rows // panel)
+                    pushed = eta.reshape(m * q, P)
+                    for c in range(cuts):
+                        a, b = m + rows * c // cuts, m + rows * (c + 1) // cuts
+                        Vi[start + 1 + a : start + 1 + b] += K[a:b] @ pushed
 
     return PathBundle(
         times=times,

@@ -35,6 +35,25 @@ Gamma(alpha + 1) -- the exact average of K over the increment interval, which
 avoids the K(0) singularity at grid points.  J should be flat in t for the
 optimal rule, with J_0 = value function and J_T = U(X_T).
 
+The path-dependent part of the exponent is (M dZ)_k = int_{t_k}^T rv(s)
+sum_{l <= k} Kbar_l(s) dZ_l ds by the trapezoid rule, rv = a + F on the
+grid: a strictly lower-triangular (n+1) x n matrix M applied to the
+increments.  It is never built.  With trapezoid weights w_j = D for j < n
+and D/2 at j = n, A_j = w_j rv_j, H_m = sum_{j >= m} A_j kbar_{j-m} and the
+causal convolution conv_k = sum_{l <= k} kbar_{k-l} dZ_l,
+
+  (M dZ)_k = E_k - (D/2) rv_k conv_k,
+  E_k = sum_{m <= k} H_m dZ_m - sum_{m < k} A_m conv_m   (one cumsum),
+
+exactly, for 0 < k < n; rows 0 and n are 0, so J_T = U(X_T) holds exactly.
+conv runs in time blocks as BLAS-3 products against the Toeplitz gather of
+[0, kbar] that ``simulate`` uses for its own convolution: n^2 P flops per
+asset, half of the dense product's.  The profile works over chunks of
+paths (about ``_PROFILE_CHUNK_BYTES`` per (n+1)-row array): per chunk it
+forms the wealth path, dW, dZ, the exponent and J, so J is the only
+(n+1, P) array it holds, and J's row means and paired SEs, like
+``moment_curves``, are reduced over blocks of grid rows.
+
 The market (theta, rates, x0, kernels) is read from the bundle's
 ``params``; the utility and the exponent curves from the Riccati solution.
 """
@@ -42,13 +61,13 @@ The market (theta, rates, x0, kernels) is read from the bundle's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
-from .simulate import PathBundle
+from .simulate import PathBundle, _toeplitz_gather
 from .strategy import UtilitySpec, g0_curve, optimal_rule, value_function
 
 __all__ = [
@@ -60,6 +79,13 @@ __all__ = [
     "moment_curves",
     "stationarity_report",
 ]
+
+# Bytes of one (n+1)-row array of a path chunk of the martingale profile.
+_PROFILE_CHUNK_BYTES = 1 << 20
+# Steps per time block of the profile's causal convolution.
+_CONV_BLOCK = 128
+# Bytes of one row block of the profile's statistics and of the moment curves.
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,11 +182,12 @@ def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.n
     return x_T
 
 
-def _wealth_path(bundle: PathBundle, util: UtilitySpec, rule) -> np.ndarray:
-    """Wealth (n+1, P) at every grid time under ``rule``: the running sum of
-    the step terms that ``_terminal_wealth`` reduces."""
+def _wealth_path(bundle: PathBundle, util: UtilitySpec, steps) -> np.ndarray:
+    """Wealth (n+1, P) at every grid time: the running sum of the step terms
+    ``steps = _wealth_steps(bundle, util, [rule])`` that ``_terminal_wealth``
+    reduces."""
     params, times = bundle.params, bundle.times
-    start, rate_steps, B, C = _wealth_steps(bundle, util, [rule])
+    start, rate_steps, B, C = steps
     X = np.empty((times.size, bundle.n_paths))
     X[0] = start
     X[1:] = rate_steps[:, None]
@@ -184,15 +211,26 @@ def _mean_se(u: np.ndarray) -> tuple[float, float]:
     return float(np.mean(u)), float(np.std(u, ddof=1) / math.sqrt(u.size))
 
 
-def simulate_wealth(bundle: PathBundle, util: UtilitySpec, rule) -> WealthRun:
+def simulate_wealth(bundle: PathBundle, util, rule):
     """Terminal wealth/utility under ``rule`` on the bundle's paths and market.
 
     ``rule(t)`` returns the per-asset multiplier of sqrt(V) for a time array
     t, shape (d, len(t)); it is evaluated at the left endpoint of each step.
+
+    Stacked form: with ``util`` a list of UtilitySpecs of one kind and
+    ``rule`` a list of as many rules, every rule shares one terminal-wealth
+    pass (the weights depend on the rule, the utility kind and the rate, not
+    on gamma) and a list of WealthRuns comes back, the k-th under util[k].
     """
-    x_T = _terminal_wealth(bundle, util, [rule])[0]
-    u = util.u(x_T)
-    return WealthRun(x_T, u, *_mean_se(u))
+    stacked = isinstance(rule, (list, tuple))
+    utils, rules = (list(util), list(rule)) if stacked else ([util], [rule])
+    if len(utils) != len(rules) or len({u.kind for u in utils}) != 1:
+        raise ValueError("stacked wealth runs need one utility per rule, all of one kind")
+    runs = []
+    for spec, x_T in zip(utils, _terminal_wealth(bundle, utils[0], rules)):
+        u = spec.u(x_T)
+        runs.append(WealthRun(x_T, u, *_mean_se(u)))
+    return runs if stacked else runs[0]
 
 
 def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: list) -> dict:
@@ -236,6 +274,68 @@ def _reverse_cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _path_chunks(bundle: PathBundle, paths: int):
+    """(columns, sub-bundle) over consecutive slices of at most ``paths`` paths.
+
+    Each sub-bundle holds views of the bundle's arrays, so it costs no copy.
+    """
+    for lo in range(0, bundle.n_paths, paths):
+        cols = slice(lo, min(lo + paths, bundle.n_paths))
+        view = lambda a: None if a is None else a[..., cols]
+        yield cols, replace(
+            bundle, V=view(bundle.V), dB=view(bundle.dB), dBperp=view(bundle.dBperp),
+            integrals=view(bundle.integrals), v0=view(bundle.v0),
+        )
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices of an (n_rows, n_cols) array of about ``_ROW_BLOCK_BYTES`` each."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * n_cols))
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
+def _kernel_coefficients(alpha: float, rv: np.ndarray, dt: float, block: int):
+    """The recursion's coefficients for one asset: (gather, A, H).
+
+    ``gather`` is the Toeplitz gather of [0, kbar] for time blocks of
+    ``block`` steps, kbar[j] = (K1((j+1) D) - K1(j D)) / D for j < n;
+    A_j = w_j rv_j with the trapezoid weights w (D, and D/2 at j = n); and
+    H_m = sum_{j >= m} A_j kbar_{j-m}, of which H[0] is not used.
+    """
+    n = rv.size - 1
+    k1 = (dt * np.arange(n + 1)) ** alpha / sp_gamma(alpha + 1.0)
+    kbar = (k1[1:] - k1[:-1]) / dt
+    A = dt * rv
+    A[-1] *= 0.5
+    # sum_s A_{m+s} kbar_s is entry n - m of the full convolution of A reversed with kbar
+    H = np.empty(n + 1)
+    H[1:] = np.convolve(A[::-1], kbar)[:n][::-1]
+    return _toeplitz_gather(np.concatenate(([0.0], kbar))[:, None], n, block), A, H
+
+
+def _kernel_term(dZ: np.ndarray, gather: np.ndarray, A: np.ndarray, H: np.ndarray, rv: np.ndarray, dt: float):
+    """Rows 1..n-1 of M dZ by the exact recursion; M dZ is 0 in rows 0 and n.
+
+    dZ holds dZ_1..dZ_n in rows 0..n-1.  conv_k = sum_{l <= k} kbar_{k-l} dZ_l
+    is a causal convolution, run in time blocks against ``gather`` (the
+    Toeplitz gather of [0, kbar]), and then (M dZ)_k = E_k - (D/2) rv_k conv_k
+    with E_k = sum_{m <= k} H_m dZ_m - sum_{m < k} A_m conv_m, one cumsum.
+    dZ is overwritten.
+    """
+    n, b = dZ.shape[0], gather.shape[1]
+    conv = np.zeros_like(dZ)
+    for start in range(0, n, b):
+        m = min(b, n - start)
+        conv[start:] += gather[: n - start, :m] @ dZ[start : start + m]
+    E = dZ
+    E *= H[1:, None]
+    E[1:] -= A[1:n, None] * conv[:-1]
+    np.cumsum(E, axis=0, out=E)
+    out = E[:-1]
+    out -= (0.5 * dt * rv[1:n])[:, None] * conv[:-1]
+    return out
+
+
 def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
@@ -244,7 +344,10 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     paths of the analytic value at each path's V_0.  Returns a dict with the
     time grid, mean J, the paired standard error of J_t - J_0, the flatness
     statistic max_k |mean_k - mean_0| / SE_k, and the two endpoint
-    references.
+    references; ``terminal_mean_utility`` is the mean of J_T = U(X_T).
+
+    J is built over chunks of paths, and its statistics over blocks of grid
+    rows, so that J is the only (n+1, P) array the profile holds.
     """
     params, util = bundle.params, sol.spec.util
     d = params.d
@@ -254,62 +357,57 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     P = bundle.n_paths
     T = params.T
 
-    rule = lambda t: optimal_rule(sol, t)
-    terminal_mean = simulate_wealth(bundle, util, rule).mean
-    X = _wealth_path(bundle, util, rule)  # (n+1, P)
-
+    steps = _wealth_steps(bundle, util, [lambda t: optimal_rule(sol, t)])
     g = util.gamma
     # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
     s_nodes = (T - sol.times)[::-1]
     rvs = np.stack([np.interp(times, s_nodes, sol.rhs_values[i][::-1]) for i in range(d)])
-    # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
-    expo = _reverse_cumtrapz(rvs.T, dt) @ (bundle.v0 - params.x_inf[:, None])
+    v0_weights = _reverse_cumtrapz(rvs.T, dt)
     g0 = g0_curve(params, times)  # (d, n+1)
+    assets = []
     for i in range(d):
         rv = rvs[i]
-        expo += _reverse_cumtrapz(rv * g0[i], dt)[:, None]
-
-        # averaged-kernel weights: kbar[j] = (K1((j+1)D) - K1(j D)) / D
-        alpha_i = params.alpha[i]
-        k1 = (dt * np.arange(n + 1)) ** alpha_i / sp_gamma(alpha_i + 1.0)
-        kbar = (k1[1:] - k1[:-1]) / dt
-        M = np.zeros((n + 1, n))
-        for ell in range(1, n + 1):
-            y = np.zeros(n + 1)
-            y[ell:] = rv[ell:] * kbar[: n - ell + 1]
-            col = _reverse_cumtrapz(y, dt)
-            col[:ell] = 0.0  # increment l not yet observed before t_l
-            M[:, ell - 1] = col
-
+        gather, A, H = _kernel_coefficients(params.alpha[i], rv, dt, min(_CONV_BLOCK, n))
         sig = np.asarray(sol.spec.stabilizers[i](times))
-        dW = bundle.dW(i)
-        dZ = _increments(bundle.V[i, :-1, :], -params.lam[i], params.nu[i] * sig[1:, None], dW, dt)
-        del dW
-        expo += M @ dZ
-        del dZ
-
+        assets.append((_reverse_cumtrapz(rv * g0[i], dt), gather, A, H, params.nu[i] * sig[1:, None]))
     r_tail = params.rate.primitive(T) - params.rate.primitive(times)
-    # J is built in place of X, with the operations of X**g / g * exp(g r_tail + expo)
-    # and of -exp(-g e^{r_tail} X + expo) / g in their order
-    J = X
-    if util.kind == "power":
-        expo += g * r_tail[:, None]
-        np.exp(expo, out=expo)
-        J **= g
-        J /= g
-        J *= expo
-    else:
-        J *= -g * np.exp(r_tail)[:, None]
-        J += expo
-        np.exp(J, out=J)
-        np.negative(J, out=J)
-        J /= g
-    del expo
+
+    J = np.empty((n + 1, P))
+    for cols, chunk in _path_chunks(bundle, max(1, _PROFILE_CHUNK_BYTES // (8 * (n + 1)))):
+        # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
+        expo = v0_weights @ (chunk.v0 - params.x_inf[:, None])
+        for i, (tail, gather, A, H, vol) in enumerate(assets):
+            expo += tail[:, None]
+            dW = chunk.dW(i)
+            dZ = _increments(chunk.V[i, :-1], -params.lam[i], vol, dW, dt)
+            del dW
+            expo[1:n] += _kernel_term(dZ, gather, A, H, rvs[i], dt)
+            del dZ
+        # J is built in place of X, with the operations of X**g / g * exp(g r_tail + expo)
+        # and of -exp(-g e^{r_tail} X + expo) / g in their order
+        Jc = _wealth_path(chunk, util, steps)
+        if util.kind == "power":
+            expo += g * r_tail[:, None]
+            np.exp(expo, out=expo)
+            Jc **= g
+            Jc /= g
+            Jc *= expo
+        else:
+            Jc *= -g * np.exp(r_tail)[:, None]
+            Jc += expo
+            np.exp(Jc, out=Jc)
+            np.negative(Jc, out=Jc)
+            Jc /= g
+        del expo
+        J[:, cols] = Jc
+        del Jc
     value = value_function(sol, x0=params.x0, v0=bundle.v0)
 
-    j_mean = J.mean(axis=1)
-    J -= J[0].copy()  # J_t - J_0
-    se = np.std(J, axis=1, ddof=1) / math.sqrt(P)
+    j_mean, se = np.empty(n + 1), np.empty(n + 1)
+    for rows in _row_blocks(n + 1, P):
+        j_mean[rows] = J[rows].mean(axis=1)
+        # SE of the paired differences J_t - J_0
+        se[rows] = np.std(J[rows] - J[0], axis=1, ddof=1) / math.sqrt(P)
     with np.errstate(invalid="ignore", divide="ignore"):
         stats = np.abs(j_mean - j_mean[0]) / se
     stats[0] = 0.0
@@ -320,7 +418,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
         "se_paired": se,
         "flat_stat": flat,
         "value": value,
-        "terminal_mean_utility": terminal_mean,
+        "terminal_mean_utility": float(j_mean[-1]),
     }
 
 
@@ -329,19 +427,22 @@ def moment_curves(bundle: PathBundle) -> np.ndarray:
 
     Returns (mean, var, se_mean, se_var) stacked, each of shape (d, n+1):
     var = sd^2 with the unbiased sd, se_mean = sd/sqrt(M) and SE(var) from
-    the fourth central moment over M paths.
+    the fourth central moment over M paths.  Each block of grid rows is
+    reduced on its own, so the temporaries are a block's size.
     """
     P = bundle.n_paths
     out = np.empty((4,) + bundle.V.shape[:2])
     for i, Vi in enumerate(bundle.V):
-        mean_k = Vi.mean(axis=1)
-        sd_k = Vi.std(axis=1, ddof=1)
-        var_k = sd_k**2
-        dev = Vi - mean_k[:, None]
-        dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
-        dev *= dev
-        m4 = dev.mean(axis=1)
-        out[:, i] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
+        for rows in _row_blocks(Vi.shape[0], P):
+            block = Vi[rows]
+            mean_k = block.mean(axis=1)
+            sd_k = block.std(axis=1, ddof=1)
+            var_k = sd_k**2
+            dev = block - mean_k[:, None]
+            dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
+            dev *= dev
+            m4 = dev.mean(axis=1)
+            out[:, i, rows] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
     return out
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -330,3 +331,15 @@ class TestCommands:
         for name, ncols in (("fig1", 3), ("fig2", 5), ("fig3", 5), ("fig4", 5)):
             data = np.loadtxt(os.path.join(out, f"{name}.csv"), delimiter=",", comments="#")
             assert data.shape[1] == ncols
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # import time is part of every invocation's setup; none of these is needed
+    heavy = {"scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.ndimage"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, roughmerton.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = {".".join(name.split(".")[:2]) for name in out.stdout.split()}
+    assert "roughmerton.cli" in loaded
+    assert not loaded & heavy

@@ -498,6 +498,21 @@ class TestSimulate:
                 assert np.array_equal(b.dB[i, :, lo:hi], rho[i] * dW + rho_c[i] * what)
                 assert np.array_equal(b.dBperp[i, :, lo:hi], rho_c[i] * dW - rho[i] * what)
 
+    @pytest.mark.parametrize("rows", [5, 40])
+    def test_panelled_push_equals_one_product(self, params4, stab4, monkeypatch, rows):
+        # five time blocks, so pushes of 98, 66, 34 and 2 rows.  Equality holds
+        # while every panel is a full matrix product: at 2000 paths even the
+        # smallest panels (3 rows) stay out of BLAS's small-matrix kernels
+        grid, n_paths = SimGrid(T=1.0, n_steps=130), 2000
+        run = lambda: simulate_variance(params4, stab4, grid, n_paths, seed=4)
+        monkeypatch.setattr(simulate, "_PANEL_BYTES", 1 << 62)  # one panel per push
+        whole = run()
+        monkeypatch.setattr(simulate, "_PANEL_BYTES", 8 * n_paths * rows)
+        panelled = run()
+        assert np.array_equal(panelled.V, whole.V)
+        assert np.array_equal(panelled.dB, whole.dB)
+        assert np.array_equal(panelled.dBperp, whole.dBperp)
+
     def test_stabilizer_coverage_checked(self, params4):
         short = [
             build_stabilizer(params4.kernel_spec(i), params4.c[i], np.linspace(0, 0.5, 11))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,19 @@ import pytest
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
 from roughmerton.stabilizer import build_stabilizer
-from roughmerton.strategy import UtilitySpec, optimal_rule, value_function
+from roughmerton import verify
+from roughmerton.strategy import UtilitySpec, g0_curve, optimal_rule, value_function
 from roughmerton.verify import (
     PerturbationSpec,
+    _increments,
+    _kernel_coefficients,
+    _kernel_term,
+    _reverse_cumtrapz,
     _terminal_wealth,
     _wealth_path,
+    _wealth_steps,
     martingale_profile,
+    moment_curves,
     optimality_test,
     simulate_wealth,
     stationarity_report,
@@ -42,6 +50,10 @@ def sol_power(params4, stab4):
 @pytest.fixture(scope="module")
 def sol_exp(params4, stab4):
     return solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), params4, stab4, n=200))
+
+
+def wealth_path(bundle, util, rule):
+    return _wealth_path(bundle, util, _wealth_steps(bundle, util, [rule]))
 
 
 def zero_rule(d):
@@ -76,6 +88,57 @@ def march_wealth(bundle, util, rule):
     return X * np.exp(params.rate.primitive(times))[:, None]
 
 
+def dense_kernel_matrix(rv, alpha, dt):
+    """The (n+1, n) matrix M of the profile's kernel term, built column by column.
+
+    (M dZ)_k = int_{t_k}^T rv(s) sum_{l <= k} Kbar_l(s) dZ_l ds by the
+    trapezoid rule: column l - 1 is the reverse cumulative trapezoid of
+    rv_j kbar_{j-l} (j >= l), zero before t_l.
+    """
+    n = rv.size - 1
+    k1 = (dt * np.arange(n + 1)) ** alpha / math.gamma(alpha + 1.0)
+    kbar = (k1[1:] - k1[:-1]) / dt
+    M = np.zeros((n + 1, n))
+    for ell in range(1, n + 1):
+        y = np.zeros(n + 1)
+        y[ell:] = rv[ell:] * kbar[: n - ell + 1]
+        col = _reverse_cumtrapz(y, dt)
+        col[:ell] = 0.0  # increment l not yet observed before t_l
+        M[:, ell - 1] = col
+    return M
+
+
+def profile_integrands(bundle, sol):
+    """a_i + F_i(s, psi(T - s)) on the bundle grid, (d, n+1)."""
+    s_nodes = (bundle.params.T - sol.times)[::-1]
+    return np.stack([np.interp(bundle.times, s_nodes, r[::-1]) for r in sol.rhs_values])
+
+
+def dense_profile(bundle, sol):
+    """J (n+1, P) of the martingale profile on all paths at once, with the
+    kernel term as the dense product M dZ; returns J and max |M dZ|."""
+    params, util = bundle.params, sol.spec.util
+    times = bundle.times
+    dt = times[1] - times[0]
+    rvs = profile_integrands(bundle, sol)
+    g0 = g0_curve(params, times)
+    expo = _reverse_cumtrapz(rvs.T, dt) @ (bundle.v0 - params.x_inf[:, None])
+    scale = 0.0
+    for i in range(params.d):
+        expo += _reverse_cumtrapz(rvs[i] * g0[i], dt)[:, None]
+        sig = np.asarray(sol.spec.stabilizers[i](times))
+        dZ = _increments(bundle.V[i, :-1], -params.lam[i], params.nu[i] * sig[1:, None], bundle.dW(i), dt)
+        MdZ = dense_kernel_matrix(rvs[i], params.alpha[i], dt) @ dZ
+        scale = max(scale, float(np.max(np.abs(MdZ))))
+        expo += MdZ
+    X = wealth_path(bundle, util, lambda t: optimal_rule(sol, t))
+    r_tail = (params.rate.primitive(params.T) - params.rate.primitive(times))[:, None]
+    g = util.gamma
+    if util.kind == "power":
+        return X**g / g * np.exp(g * r_tail + expo), scale
+    return -np.exp(-g * np.exp(r_tail) * X + expo) / g, scale
+
+
 class TestSimulateWealth:
     def test_zero_rule_gives_bank_account(self, bundle, params4):
         # with nothing invested, X_T = x0 e^{int r} exactly for both utilities
@@ -102,7 +165,7 @@ class TestSimulateWealth:
         p = make_params(params4, rate=rate)
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
         util = UtilitySpec("exponential", 0.5)
-        X = _wealth_path(b, util, zero_rule(2))
+        X = wealth_path(b, util, zero_rule(2))
         bank = np.array([math.exp(rate.integral(0.0, t)) for t in b.times])
         assert np.allclose(X, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
         run = simulate_wealth(b, util, zero_rule(2))
@@ -112,7 +175,7 @@ class TestSimulateWealth:
         util = UtilitySpec("power", 0.2)
         rule = lambda t: np.ones((2, np.asarray(t).size))
         run = simulate_wealth(bundle, util, rule)
-        X = _wealth_path(bundle, util, rule)
+        X = wealth_path(bundle, util, rule)
         assert np.all(run.x_T > 0.0)
         assert np.all(X > 0.0)
         assert np.allclose(X[-1], run.x_T, rtol=1e-12)
@@ -184,7 +247,23 @@ class TestProductPass:
             ref = march_wealth(b, util, rule)
             assert close(x_T[k], ref[-1])
             assert close(simulate_wealth(b, util, rule).x_T, ref[-1])
-            assert close(_wealth_path(b, util, rule), ref)
+            assert close(wealth_path(b, util, rule), ref)
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_stacked_runs_match_single_runs(self, rate_bundle, kind):
+        utils = [UtilitySpec(kind, g) for g in (0.2, 0.5, 0.8)]
+        runs = simulate_wealth(rate_bundle, utils, list(self.RULES))
+        assert len(runs) == 3
+        for util, rule, run in zip(utils, self.RULES, runs):
+            single = simulate_wealth(rate_bundle, util, rule)
+            assert np.allclose(run.x_T, single.x_T, rtol=1e-14, atol=1e-14)
+            assert run.mean == pytest.approx(single.mean, rel=1e-14)
+            assert run.se == pytest.approx(single.se, rel=1e-12)
+        mixed = [UtilitySpec("power", 0.2), UtilitySpec("exponential", 0.2)]
+        with pytest.raises(ValueError, match="one kind"):
+            simulate_wealth(rate_bundle, mixed, list(self.RULES[:2]))
+        with pytest.raises(ValueError, match="one utility per rule"):
+            simulate_wealth(rate_bundle, utils[:2], list(self.RULES))
 
     def test_stacked_optimality_matches_single_runs(self, bundle, sol_power):
         util = sol_power.spec.util
@@ -240,8 +319,10 @@ class TestMartingaleProfile:
         # J_0 is deterministic (V_0 pinned at its mean) and equals the value
         assert prof["se_paired"][0] == 0.0
         assert prof["j_mean"][0] == pytest.approx(prof["value"], rel=1e-6)
-        # J_T = U(X_T) exactly: the exponent integral vanishes at t = T
-        assert prof["j_mean"][-1] == pytest.approx(prof["terminal_mean_utility"], rel=1e-12)
+        # J_T = U(X_T): the exponent integral vanishes at t = T
+        assert prof["terminal_mean_utility"] == prof["j_mean"][-1]
+        run = simulate_wealth(bundle, sol.spec.util, lambda t: optimal_rule(sol, t))
+        assert prof["terminal_mean_utility"] == pytest.approx(run.mean, rel=1e-12)
         assert prof["flat_stat"] < 3.5
 
     def test_j0_is_the_value_at_each_paths_v0(self, params4):
@@ -269,6 +350,42 @@ class TestMartingaleProfile:
         prof = martingale_profile(bundle, wrong_psi)
         assert prof["flat_stat"] > 5.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 60])
+    def test_kernel_term_matches_dense_product(self, params4, stab4, sol_power, n):
+        b = simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=n), n_paths=300, seed=n)
+        dt = b.times[1]
+        rvs = profile_integrands(b, sol_power)
+        for i in range(params4.d):
+            sig = np.asarray(stab4[i](b.times))
+            dZ = _increments(b.V[i, :-1], -params4.lam[i], params4.nu[i] * sig[1:, None], b.dW(i), dt)
+            MdZ = dense_kernel_matrix(rvs[i], params4.alpha[i], dt) @ dZ
+            # the two rows the recursion leaves out are 0 in the dense form too
+            assert np.all(MdZ[0] == 0.0) and np.all(MdZ[n] == 0.0)
+            # time blocks of 2 steps: more than one block from n = 3 on
+            gather, A, H = _kernel_coefficients(params4.alpha[i], rvs[i], dt, min(2, n))
+            rows = _kernel_term(dZ.copy(), gather, A, H, rvs[i], dt)
+            scale = np.max(np.abs(MdZ))
+            assert np.all(np.abs(rows - MdZ[1:n]) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60])
+    @pytest.mark.parametrize("v0_mode", ["mean", "gaussian"])
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_profile_matches_dense_oracle(self, params4, stab4, sol_power, sol_exp, monkeypatch, n, v0_mode, kind):
+        sol = sol_power if kind == "power" else sol_exp
+        P = 300
+        b = simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=n), n_paths=P, seed=7 + n, v0_mode=v0_mode)
+        J, scale = dense_profile(b, sol)
+        # chunks of 64 paths (the last one 44) and row blocks of 7 grid rows
+        monkeypatch.setattr(verify, "_PROFILE_CHUNK_BYTES", 8 * (n + 1) * 64)
+        monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * P * 7)
+        prof = martingale_profile(b, sol)
+        # the exponent may move by 1e-13 max |M dZ| plus rounding; J moves by as much relative
+        tol = (1e-13 * scale + 1e-15) * np.max(np.abs(J))
+        assert np.all(np.abs(prof["j_mean"] - J.mean(axis=1)) <= tol)
+        se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(P)
+        assert np.all(np.abs(prof["se_paired"] - se) <= 2.0 * tol)
+        assert prof["terminal_mean_utility"] == pytest.approx(float(np.mean(J[-1])), rel=1e-14)
+
     def test_requires_dbperp(self, params4, stab4, sol_power):
         grid = SimGrid(T=1.0, n_steps=20)
         b = simulate_variance(params4, stab4, grid, n_paths=10, seed=1, store_bperp=False)
@@ -277,6 +394,23 @@ class TestMartingaleProfile:
 
 
 class TestStationarity:
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_row_blocked_moment_curves_equal_full_array(self, bundle, monkeypatch, rows):
+        P = bundle.n_paths
+        if rows is not None:
+            monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * P * rows)
+        curves = moment_curves(bundle)
+        for i, Vi in enumerate(bundle.V):
+            mean_k = Vi.mean(axis=1)
+            sd_k = Vi.std(axis=1, ddof=1)
+            var_k = sd_k**2
+            dev = Vi - mean_k[:, None]
+            dev *= dev
+            dev *= dev
+            m4 = dev.mean(axis=1)
+            se_var = np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
+            assert np.array_equal(curves[:, i], np.stack([mean_k, var_k, sd_k / math.sqrt(P), se_var]))
+
     def test_gaussian_initial_condition_is_stationary(self, params4, stab4):
         grid = SimGrid(T=1.0, n_steps=60)
         b = simulate_variance(params4, stab4, grid, n_paths=20_000, seed=33)
@@ -298,3 +432,33 @@ class TestStationarity:
             assert rep["mean_stat"] < 0.1 and rep["var_stat"] < 0.1
             assert rep["mean_level"] == pytest.approx(p.x_inf[i])
             assert rep["var_level"] == 0.0
+
+
+class TestMemory:
+    """Each verify stage holds at most about one (n+1, P) array beyond the bundle."""
+
+    N, P = 200, 4000
+
+    @pytest.fixture(scope="class")
+    def big_bundle(self, params4, stab4):
+        return simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=self.N), n_paths=self.P, seed=3)
+
+    @pytest.mark.parametrize("stage", ["simulate_wealth", "optimality_test", "martingale_profile", "stationarity_report"])
+    def test_stage_allocates_at_most_one_full_array(self, big_bundle, sol_power, monkeypatch, stage):
+        # path chunks of 64 paths, so that J is the profile's one full-size array
+        monkeypatch.setattr(verify, "_PROFILE_CHUNK_BYTES", 8 * (self.N + 1) * 64)
+        h = lambda t: np.ones((2, np.asarray(t).size))
+        calls = {
+            "simulate_wealth": lambda: simulate_wealth(big_bundle, sol_power.spec.util, lambda t: optimal_rule(sol_power, t)),
+            "optimality_test": lambda: optimality_test(big_bundle, sol_power, [PerturbationSpec(e, h) for e in (0.1, 0.2, 0.4)]),
+            "martingale_profile": lambda: martingale_profile(big_bundle, sol_power),
+            "stationarity_report": lambda: stationarity_report(big_bundle),
+        }
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            calls[stage]()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (self.N + 1) * self.P * 8
