@@ -4,7 +4,7 @@ Subcommands: ``stabilizer``, ``riccati``, ``simulate``, ``strategy``,
 ``value``, ``verify``, ``all``.  All outputs land in the configured directory
 as CSV (comma-separated, 17 significant digits, '#'-prefixed header block
 with config hash, seed and version) or JSON reports.  Exit code is 0 iff all
-requested invariant checks pass.  ``VM_THREADS`` caps the BLAS worker count.
+requested invariant checks pass.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ class RunConfig:
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {section!r}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {where}.{key}")
@@ -111,12 +113,23 @@ def _integer(section: dict, key: str, default: int, where: str) -> int:
     return int(val)
 
 
+def _finite(val, where: str, low: float = -np.inf) -> float:
+    """val as a float; a string, boolean or null, a NaN or infinity, or a
+    value below ``low`` is rejected rather than converted."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) < np.inf:
+        raise ConfigError(f"{where} must be a finite number, got {val!r}")
+    if val < low:
+        raise ConfigError(f"{where} must be >= {low:g}, got {val!r}")
+    return float(val)
+
+
 def load_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    Unknown keys are rejected; run sizes and the seed must be integers;
-    ModelParams invariants, the run-size floors and each gamma's utility
-    range are enforced; defaults:
+    Unknown keys are rejected; run sizes and the seed must be integers,
+    ``outputs`` a string, model.T, model.x0 and each gamma finite numbers
+    and each tolerance a finite number >= 0; ModelParams invariants, the
+    run-size floors and each gamma's utility range are enforced; defaults:
     r = 0, n_sim = 600, n_riccati = 200, paths = 10000, seed = 42.
     """
     try:
@@ -151,11 +164,14 @@ def load_config(path: str) -> RunConfig:
     _require_keys(grids, {"n_sim", "n_riccati"}, set(), "grids")
     mc = raw.get("mc", {})
     _require_keys(mc, {"paths", "seed", "block_size"}, set(), "mc")
+    tolerances = raw.get("tolerances", {})
+    _require_keys(tolerances, set(_DEFAULT_TOLERANCES), set(), "tolerances")
     tol = dict(_DEFAULT_TOLERANCES)
-    for key, val in raw.get("tolerances", {}).items():
-        if key not in _DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown key tolerances.{key}")
-        tol[key] = float(val)
+    for key, val in tolerances.items():
+        tol[key] = _finite(val, f"tolerances.{key}", low=0.0)
+    out_dir = raw.get("outputs", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"outputs must be a string, got {out_dir!r}")
 
     try:
         rate = RateCurve(knots=np.asarray(rate_raw["knots"], float), values=np.asarray(rate_raw["values"], float))
@@ -167,8 +183,8 @@ def load_config(path: str) -> RunConfig:
             rho=model["rho"],
             mu0=model["mu0"],
             c=model["c"],
-            T=float(model["T"]),
-            x0=float(model.get("x0", 1.0)),
+            T=_finite(model["T"], "model.T"),
+            x0=_finite(model.get("x0", 1.0), "model.x0"),
             rate=rate,
         )
     except ValueError as exc:
@@ -182,8 +198,8 @@ def load_config(path: str) -> RunConfig:
         seed=_integer(mc, "seed", 42, "mc"),
         block_size=_integer(mc, "block_size", 25000, "mc"),
         utility_kind=kind,
-        gammas=tuple(float(g) for g in gammas),
-        out_dir=raw.get("outputs", "out"),
+        gammas=tuple(_finite(g, "utility.gamma") for g in gammas),
+        out_dir=out_dir,
         tolerances=tol,
         sha256=hashlib.sha256(blob).hexdigest(),
     )
@@ -407,11 +423,11 @@ def _cmd_all(config: RunConfig) -> int:
     _write_stabilizer_curves(config, tabs, "fig1.csv")
 
     bundle = _simulate_bundle(config, tabs, store_bperp=False)
+    curves = moment_curves(bundle)
     cols, data = ["t"], [bundle.times]
     for i in range(d):
-        Vi = bundle.V[i]
         cols += [f"mean_V_{i+1}", f"var_V_{i+1}"]
-        data += [Vi.mean(axis=1), Vi.var(axis=1, ddof=1)]
+        data += list(curves[:2, i])
     _write_csv(config, "fig2.csv", cols, np.column_stack(data))
 
     sols = {g: _solve(config, tabs, g) for g in config.gammas}
@@ -465,18 +481,6 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--utility", choices=("power", "exponential"), default=None)
     args = parser.parse_args(argv)
-
-    threads = os.environ.get("VM_THREADS")
-    if threads:
-        try:
-            limit = int(threads)
-            from threadpoolctl import threadpool_limits
-
-            threadpool_limits(limits=limit)
-        except ImportError:
-            print(f"warning: VM_THREADS={threads} ignored: threadpoolctl is not installed", file=sys.stderr)
-        except ValueError:
-            print(f"warning: VM_THREADS={threads} ignored: not a thread count", file=sys.stderr)
 
     try:
         overrides = {

@@ -14,7 +14,7 @@ stationary: with j = k1 - l, m = k2 - l,
     Cov(I^l_{k1}, I^l_{k2}) = int_0^D f(j D + u) f(m D + u) du,
     Cov(I^l_k, DW_l)        = R(j D) - R((j+1) D),      Var(DW_l) = D,
 
-so a single (n+1) x (n+1) covariance per asset (row 0 = the Brownian
+so a single (n+1) x (n+1) covariance C per asset (row 0 = the Brownian
 increment, rows 1..n = lags 0..n-1) gives, through one symmetric factor A
 of rank q, the joint draw (DW_l, I^l_l, ..., I^l_n) at every step l from
 fresh standard normals xi_l.  The stock drivers are B^i with
@@ -28,8 +28,9 @@ outside it.  So range(C) lies in span(e_0, e_1, C[:, 0], C[:, 1], G), of
 dimension at most _QUAD_NODES + 4 = 68 whatever n is.  ``integral_factor``
 takes an orthonormal basis Q of that span and eigensolves the small
 Q^T C Q (Rayleigh-Ritz, exact here because the span holds range(C)), with
-C Q formed from G and the two border columns, so C is never built.  Each
-column of A is signed so that its entry of largest magnitude is positive.
+C Q formed from G and the two border columns, so C is never built (the
+tests build it densely, as the factor's reference).  Each column of A is
+signed so that its entry of largest magnitude is positive.
 
 The Volterra sum is a causal convolution over steps: with
 eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs
@@ -56,8 +57,6 @@ not count it.
 
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
-  - ``lag_covariance_matrix``: the dense (n+1) x (n+1) covariance C, the
-    reference of the factor.
   - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
   - ``simulate_variance``: block-streamed, seed-deterministic path generation.
 """
@@ -78,7 +77,6 @@ __all__ = [
     "ModelParams",
     "SimGrid",
     "PathBundle",
-    "lag_covariance_matrix",
     "integral_factor",
     "simulate_variance",
 ]
@@ -293,7 +291,7 @@ def _lag_entry_00(spec: KernelSpec, dt: float) -> float:
 
 
 def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int):
-    """Border columns and Gram factor of ``lag_covariance_matrix`` (alpha < 1).
+    """Border columns and Gram factor of the lag covariance C (alpha < 1).
 
     Returns (c0, c1, G): c0 = C[:, 0] and c1 = C[:, 1], each of length n + 1,
     and G of shape (n + 1, _QUAD_NODES) with zero rows 0 and 1 and
@@ -324,34 +322,8 @@ def _lag_covariance_pieces(spec: KernelSpec, dt: float, n: int):
     return c0, c1, G
 
 
-def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
-    """Joint covariance of (DW_l, I^l_l, ..., I^l_{l+n-1}) on a uniform grid.
-
-    Returns the (n+1) x (n+1) matrix C with C[0,0] = dt,
-    C[0, 1+j] = R(j dt) - R((j+1) dt) and C[1+j, 1+m] the lag-(j,m) integral
-    covariance; the same matrix serves every step column by leading-submatrix
-    restriction.  ``integral_factor`` never forms it; it is the dense
-    reference of that factor.
-    """
-    alpha, lam = spec.alpha, spec.lam
-    if alpha == 1.0:
-        C = np.empty((n + 1, n + 1))
-        C[0, 0] = dt
-        rv = resolvent(spec, dt * np.arange(n + 1))
-        C[0, 1:] = rv[:-1] - rv[1:]
-        C[1:, 0] = C[0, 1:]
-        e = np.exp(-lam * dt * np.arange(n))
-        C[1:, 1:] = np.outer(e, e) * (lam * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0)
-        return C
-    c0, c1, G = _lag_covariance_pieces(spec, dt, n)
-    C = G @ G.T
-    C[:, 0] = C[0] = c0
-    C[:, 1] = C[1] = c1
-    return C
-
-
 def integral_factor(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
-    """Factor A with A A^T = lag_covariance_matrix, shape (n+1, q).
+    """Factor A with A A^T = C, the (n+1) x (n+1) lag covariance, shape (n+1, q).
 
     At step l the joint draw (DW_l, I^l_l, ..., I^l_n) is A[:n-l+2] @ xi with
     xi ~ N(0, I_q).  For alpha = 1 the integral rows are exactly proportional

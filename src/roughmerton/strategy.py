@@ -7,14 +7,14 @@ with deterministic multiplier
   exponential:  pi_i(t) = e^{-int_t^T r} (theta_i + rho_i nu_i s_i(t) psi^i(T-t)) / gamma
 
 (s = varsigma, psi the Riccati--Volterra exponent curve; the exponential rule
-is in currency units rather than fractions).  The value function has the
-exponential-affine form
+is in currency units rather than fractions).  For both utilities the value
+process is
 
-  power:        (x0^gamma/gamma) exp(gamma int_0^T r
-                    + sum_i int_0^T (a_i + F_i(s, psi^i(T-s))) g_0^i(s) ds)
-  exponential:  -(1/gamma) exp(-gamma e^{int_0^T r} x0) exp(sum_i int ... ds)
+  J_t = U(X_t e^{int_t^T r}) exp(expo_t),
+  expo_t = sum_i int_t^T (a_i + F_i(s, psi^i(T-s))) g_t^i(s) ds,
 
-with the adjusted forward curve g_0^i(s) = V_0^i + mu0_i s^alpha_i /
+with g_t^i the adjusted forward curve at time t (see ``verify``), and the
+value function is J_0, where g_0^i(s) = V_0^i + mu0_i s^alpha_i /
 Gamma(alpha_i + 1).  g_0 is affine in V_0 with slope 1, so the value at any
 initial variance is the value at the mean E[V_0] = x_inf times
 exp(sum_i beta_i (V_0^i - x_inf^i)), beta_i = int_0^T (a_i + F_i(s,
@@ -125,7 +125,8 @@ def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> fl
     P paths of the value at each path's V_0.  The degenerate power solution
     is rejected (the theorem's exponent uses the general-correlation
     forcing).  ``x0`` defaults to the model's and ``v0`` to x_inf, where the
-    V_0 factor is exactly 1.
+    V_0 factor is exactly 1.  The value is J_0 = U(x0 e^{int_0^T r})
+    exp(expo_0) (see the module docstring) times that factor.
     """
     util, params = sol.spec.util, sol.spec.params
     if sol.variant == "power_degenerate":
@@ -141,10 +142,6 @@ def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> fl
     beta = np.array([simpson(sol.rhs_values[i, ::-1], x=times) for i in range(params.d)])
     shift = beta @ (np.reshape(v0, (params.d, -1)) - params.x_inf[:, None])
     v0_factor = float(np.mean(np.exp(shift)))
-    r_int = params.rate.integral(0.0, T)
-    g = util.gamma
-    if util.kind == "power":
-        if x0 <= 0.0:
-            raise ValueError("power utility requires x0 > 0")
-        return x0**g / g * math.exp(g * r_int + expo) * v0_factor
-    return -1.0 / g * math.exp(-g * math.exp(r_int) * x0) * math.exp(expo) * v0_factor
+    if util.kind == "power" and x0 <= 0.0:
+        raise ValueError("power utility requires x0 > 0")
+    return float(util.u(x0 * math.exp(params.rate.integral(0.0, T)))) * math.exp(expo) * v0_factor

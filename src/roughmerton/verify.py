@@ -20,11 +20,11 @@ same step terms.
 
 The martingale optimality principle is probed two ways: paired common-random-
 number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
-(suboptimality gap ~ eps^2), and the pathwise profile of
+(suboptimality gap ~ eps^2), and the pathwise profile of the value process,
+one formula for both utilities (U = ``UtilitySpec.u``),
 
-  J_t = U-scaled Gamma_t,
-  Gamma_t = exp( [gamma int_t^T r]_power
-                 + sum_i int_t^T (a_i + F_i(s, psi^i(T-s))) g^i_t(s) ds ),
+  J_t = U(X_t e^{int_t^T r}) exp(expo_t),
+  expo_t = sum_i int_t^T (a_i + F_i(s, psi^i(T-s))) g^i_t(s) ds,
 
 with the pathwise adjusted forward curve discretized from the simulated path,
 g_0 taken at the path's own V_0:
@@ -358,7 +358,6 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     T = params.T
 
     steps = _wealth_steps(bundle, util, [lambda t: optimal_rule(sol, t)])
-    g = util.gamma
     # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
     s_nodes = (T - sol.times)[::-1]
     rvs = np.stack([np.interp(times, s_nodes, sol.rhs_values[i][::-1]) for i in range(d)])
@@ -370,7 +369,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
         gather, A, H = _kernel_coefficients(params.alpha[i], rv, dt, min(_CONV_BLOCK, n))
         sig = np.asarray(sol.spec.stabilizers[i](times))
         assets.append((_reverse_cumtrapz(rv * g0[i], dt), gather, A, H, params.nu[i] * sig[1:, None]))
-    r_tail = params.rate.primitive(T) - params.rate.primitive(times)
+    growth = np.exp(params.rate.primitive(T) - params.rate.primitive(times))[:, None]
 
     J = np.empty((n + 1, P))
     for cols, chunk in _path_chunks(bundle, max(1, _PROFILE_CHUNK_BYTES // (8 * (n + 1)))):
@@ -383,24 +382,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
             del dW
             expo[1:n] += _kernel_term(dZ, gather, A, H, rvs[i], dt)
             del dZ
-        # J is built in place of X, with the operations of X**g / g * exp(g r_tail + expo)
-        # and of -exp(-g e^{r_tail} X + expo) / g in their order
-        Jc = _wealth_path(chunk, util, steps)
-        if util.kind == "power":
-            expo += g * r_tail[:, None]
-            np.exp(expo, out=expo)
-            Jc **= g
-            Jc /= g
-            Jc *= expo
-        else:
-            Jc *= -g * np.exp(r_tail)[:, None]
-            Jc += expo
-            np.exp(Jc, out=Jc)
-            np.negative(Jc, out=Jc)
-            Jc /= g
-        del expo
-        J[:, cols] = Jc
-        del Jc
+        J[:, cols] = util.u(_wealth_path(chunk, util, steps) * growth) * np.exp(expo, out=expo)
     value = value_function(sol, x0=params.x0, v0=bundle.v0)
 
     j_mean, se = np.empty(n + 1), np.empty(n + 1)

@@ -102,6 +102,11 @@ def run_cli(args):
     return main(args)
 
 
+def tolerance(value):
+    """A config mutation setting tolerances.profile_z to ``value``."""
+    return lambda raw: raw.update(tolerances={"profile_z": value})
+
+
 class TestCommands:
     def shrink(self, raw):
         raw["grids"] = {"n_sim": 40, "n_riccati": 50}
@@ -196,6 +201,17 @@ class TestCommands:
             pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim="abc"), id="n_sim_string"),
             pytest.param("mc.paths", ["--paths", "0"], None, id="paths_override"),
             pytest.param("grids.n_sim", ["--steps", "0"], None, id="steps_override"),
+            # every other config field outside its domain exits the same way
+            pytest.param("outputs", [], lambda raw: raw.update(outputs=5), id="outputs_number"),
+            pytest.param("grids", [], lambda raw: raw.update(grids=5), id="grids_number"),
+            pytest.param("tolerances", [], lambda raw: raw.update(tolerances=[3.0]), id="tolerances_list"),
+            pytest.param("tolerances.profile_z", [], tolerance("3"), id="tolerance_string"),
+            pytest.param("tolerances.profile_z", [], tolerance(-1.0), id="tolerance_negative"),
+            pytest.param("tolerances.profile_z", [], tolerance(float("nan")), id="tolerance_nan"),
+            pytest.param("utility.gamma", [], lambda raw: raw["utility"].update(gamma=["abc"]), id="gamma_string"),
+            pytest.param("utility.gamma", [], lambda raw: raw["utility"].update(gamma=[True]), id="gamma_bool"),
+            pytest.param("model.x0", [], lambda raw: raw["model"].update(x0=float("nan")), id="x0_nan"),
+            pytest.param("model.T", [], lambda raw: raw["model"].update(T="1"), id="T_string"),
         ],
     )
     def test_out_of_range_run_size_is_named(self, tmp_path, capsys, field, args, mutate):
@@ -259,19 +275,6 @@ class TestCommands:
         for entry in report["value_agreement"].values():
             assert entry["target"] != entry["analytic"]
 
-    @pytest.mark.parametrize(
-        "value,reason", [("2", "threadpoolctl is not installed"), ("two", "not a thread count")]
-    )
-    def test_ignored_vm_threads_warns(self, tmp_path, capsys, monkeypatch, value, reason):
-        monkeypatch.setenv("VM_THREADS", value)
-        # a None entry makes the import raise ImportError
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        cfg = write_config(tmp_path, self.shrink)
-        assert run_cli(["value", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"VM_THREADS={value}" in err[0] and reason in err[0]
-        assert not err[0].startswith("{")
-
     @pytest.mark.parametrize("utility", ["power", "exponential"])
     def test_analytic_subcommands_make_no_quad_calls(self, tmp_path, monkeypatch, utility):
         # the analytic layer on the packaged config needs no adaptive quadrature
@@ -288,7 +291,10 @@ class TestCommands:
             assert run_cli([sub, "--utility", utility, "--out", out]) == 0
         assert len(calls) == 0
 
-    def test_packaged_config_runs_warning_free(self, tmp_path):
+    def test_packaged_config_runs_warning_free(self, tmp_path, capsys, monkeypatch):
+        # the thread settings of the benchmark's child processes
+        monkeypatch.setenv("VM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         runs = [["stabilizer"], ["riccati"], ["strategy"], ["value"], ["verify", "--paths", "200"]]
         for args in runs:
             out = str(tmp_path / args[0])
@@ -296,6 +302,7 @@ class TestCommands:
                 warnings.simplefilter("always")
                 code = run_cli(args + ["--out", out])
             assert [str(w.message) for w in caught] == [], args[0]
+            assert capsys.readouterr().err == "", args[0]
             if args[0] == "verify":
                 # 200 paths are too few for the optimality gate to pass
                 assert code in (0, 1) and os.path.isfile(os.path.join(out, "verify_report.json"))

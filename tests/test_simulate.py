@@ -17,9 +17,9 @@ from roughmerton.simulate import (
     RateCurve,
     SimGrid,
     _gl_nodes,
+    _lag_covariance_pieces,
     _lag_entry_00,
     integral_factor,
-    lag_covariance_matrix,
     simulate_variance,
 )
 from roughmerton.stabilizer import build_stabilizer
@@ -57,6 +57,32 @@ def gaussian_integral_covariance(spec, grid, ell, k1, k2):
 def signed_by_largest_entry(A):
     """True when each column's first entry of largest magnitude is positive."""
     return bool(np.all(A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])] > 0.0))
+
+
+def lag_covariance_matrix(spec: KernelSpec, dt: float, n: int) -> np.ndarray:
+    """Joint covariance of (DW_l, I^l_l, ..., I^l_{l+n-1}) on a uniform grid.
+
+    Returns the (n+1) x (n+1) matrix C with C[0,0] = dt,
+    C[0, 1+j] = R(j dt) - R((j+1) dt) and C[1+j, 1+m] the lag-(j,m) integral
+    covariance; the same matrix serves every step column by leading-submatrix
+    restriction.  ``integral_factor`` never forms it; it is the dense
+    reference of that factor.
+    """
+    alpha, lam = spec.alpha, spec.lam
+    if alpha == 1.0:
+        C = np.empty((n + 1, n + 1))
+        C[0, 0] = dt
+        rv = resolvent(spec, dt * np.arange(n + 1))
+        C[0, 1:] = rv[:-1] - rv[1:]
+        C[1:, 0] = C[0, 1:]
+        e = np.exp(-lam * dt * np.arange(n))
+        C[1:, 1:] = np.outer(e, e) * (lam * (1.0 - math.exp(-2.0 * lam * dt)) / 2.0)
+        return C
+    c0, c1, G = _lag_covariance_pieces(spec, dt, n)
+    C = G @ G.T
+    C[:, 0] = C[0] = c0
+    C[:, 1] = C[1] = c1
+    return C
 
 
 def dense_integral_factor(spec, dt, n):

@@ -52,6 +52,15 @@ def sol_exp(params4, stab4):
     return solve_riccati(RiccatiSpec(UtilitySpec("exponential", 0.2), params4, stab4, n=200))
 
 
+@pytest.fixture(scope="module")
+def piecewise_market(params4, stab4):
+    """A piecewise rate and x0 = 1.7, where J's growth factor e^{int_t^T r}
+    is not 1: the params and each utility's solution."""
+    p = make_params(params4, rate=RateCurve(knots=[0.0, 0.4], values=[0.03, 0.01]), x0=1.7)
+    sols = {k: solve_riccati(RiccatiSpec(UtilitySpec(k, 0.2), p, stab4, n=200)) for k in ("power", "exponential")}
+    return p, sols
+
+
 def wealth_path(bundle, util, rule):
     return _wealth_path(bundle, util, _wealth_steps(bundle, util, [rule]))
 
@@ -369,11 +378,24 @@ class TestMartingaleProfile:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60])
     @pytest.mark.parametrize("v0_mode", ["mean", "gaussian"])
-    @pytest.mark.parametrize("kind", ["power", "exponential"])
-    def test_profile_matches_dense_oracle(self, params4, stab4, sol_power, sol_exp, monkeypatch, n, v0_mode, kind):
-        sol = sol_power if kind == "power" else sol_exp
+    @pytest.mark.parametrize(
+        "kind,piecewise",
+        [
+            pytest.param("power", False, id="power"),
+            pytest.param("exponential", False, id="exponential"),
+            pytest.param("power", True, id="power-piecewise_rate"),
+            pytest.param("exponential", True, id="exponential-piecewise_rate"),
+        ],
+    )
+    def test_profile_matches_dense_oracle(
+        self, params4, stab4, sol_power, sol_exp, piecewise_market, monkeypatch, n, v0_mode, kind, piecewise
+    ):
+        if piecewise:
+            p, sol = piecewise_market[0], piecewise_market[1][kind]
+        else:
+            p, sol = params4, sol_power if kind == "power" else sol_exp
         P = 300
-        b = simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=n), n_paths=P, seed=7 + n, v0_mode=v0_mode)
+        b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=n), n_paths=P, seed=7 + n, v0_mode=v0_mode)
         J, scale = dense_profile(b, sol)
         # chunks of 64 paths (the last one 44) and row blocks of 7 grid rows
         monkeypatch.setattr(verify, "_PROFILE_CHUNK_BYTES", 8 * (n + 1) * 64)
