@@ -48,6 +48,9 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+# The model's per-asset fields, in ModelParams order.
+_PER_ASSET = ("alpha", "lam", "nu", "theta", "rho", "mu0", "c")
+
 # Smallest allowed run sizes: (config field, attribute, minimum).
 _SIZE_FLOORS = (
     ("grids.n_sim", "n_sim", 1),
@@ -123,12 +126,21 @@ def _finite(val, where: str, low: float = -np.inf) -> float:
     return float(val)
 
 
+def _finite_entries(val, where: str):
+    """A per-asset field as finite numbers, each entry named in the error
+    (``model.alpha[0]``); a single number stands for a one-entry list."""
+    if isinstance(val, list):
+        return [_finite(v, f"{where}[{j}]") for j, v in enumerate(val)]
+    return _finite(val, where)
+
+
 def load_config(path: str) -> RunConfig:
     """Load and validate a JSON run configuration.
 
     Unknown keys are rejected; run sizes and the seed must be integers,
-    ``outputs`` a string, model.T, model.x0 and each gamma finite numbers
-    and each tolerance a finite number >= 0; ModelParams invariants, the
+    ``outputs`` a string, each entry of the per-asset fields and of
+    model.rate, model.T, model.x0 and each gamma finite numbers and each
+    tolerance a finite number >= 0; ModelParams invariants, the
     run-size floors and each gamma's utility range are enforced; defaults:
     r = 0, n_sim = 600, n_riccati = 200, paths = 10000, seed = 42.
     """
@@ -144,12 +156,7 @@ def load_config(path: str) -> RunConfig:
 
     _require_keys(raw, {"model", "grids", "mc", "utility", "outputs", "tolerances"}, {"model", "utility"}, "")
     model = raw["model"]
-    _require_keys(
-        model,
-        {"alpha", "lam", "nu", "theta", "rho", "mu0", "c", "T", "x0", "rate"},
-        {"alpha", "lam", "nu", "theta", "rho", "mu0", "c", "T"},
-        "model",
-    )
+    _require_keys(model, {*_PER_ASSET, "T", "x0", "rate"}, {*_PER_ASSET, "T"}, "model")
     rate_raw = model.get("rate", {"knots": [0.0], "values": [0.0]})
     _require_keys(rate_raw, {"knots", "values"}, {"knots", "values"}, "model.rate")
 
@@ -173,16 +180,12 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(out_dir, str):
         raise ConfigError(f"outputs must be a string, got {out_dir!r}")
 
+    per_asset = {name: _finite_entries(model[name], f"model.{name}") for name in _PER_ASSET}
+    knots, values = (_finite_entries(rate_raw[key], f"model.rate.{key}") for key in ("knots", "values"))
     try:
-        rate = RateCurve(knots=np.asarray(rate_raw["knots"], float), values=np.asarray(rate_raw["values"], float))
+        rate = RateCurve(knots=np.asarray(knots, float), values=np.asarray(values, float))
         params = ModelParams(
-            alpha=model["alpha"],
-            lam=model["lam"],
-            nu=model["nu"],
-            theta=model["theta"],
-            rho=model["rho"],
-            mu0=model["mu0"],
-            c=model["c"],
+            **per_asset,
             T=_finite(model["T"], "model.T"),
             x0=_finite(model.get("x0", 1.0), "model.x0"),
             rate=rate,
@@ -216,9 +219,8 @@ def _header(config: RunConfig, columns: list) -> list:
 
 def _write_csv(config: RunConfig, name: str, columns: list, rows: np.ndarray):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    lines = _header(config, columns)
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    lines = _header(config, columns) + [fmt % tuple(row) for row in rows.tolist()]
     with open(os.path.join(config.out_dir, name), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

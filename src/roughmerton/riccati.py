@@ -22,7 +22,7 @@ weight tables give O(n^2) total cost.
 
 Provides ``RiccatiSpec`` (the utility, model and stabilizers solved for) /
 ``RiccatiSolution``, ``solve_riccati`` (with blowup detection and horizon
-bisection), ``psi_bound_check`` and ``assumption_gate``.
+bisection) and ``assumption_gate``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import gamma as sp_gamma
 
-from .kernels import mittag_leffler
+# not called here: the benchmark's trace points (perfbench/spans.py) still
+# name roughmerton.riccati.mittag_leffler
+from .kernels import mittag_leffler  # noqa: F401
 from .simulate import ModelParams
 from .stabilizer import StabilizerTable
 
@@ -46,7 +48,6 @@ __all__ = [
     "RiccatiSolution",
     "RiccatiBlowup",
     "solve_riccati",
-    "psi_bound_check",
     "assumption_gate",
 ]
 
@@ -190,26 +191,37 @@ def _solve_single(
 
     ``sig_rev[j]`` = varsigma(T - t_j).  Returns (psi, rhs, blow_step) where
     blow_step is the first index with |psi| > cap, or -1.
+
+    Step k + 1 predicts with sum_{j<=k} bw[k-j] f_j, then corrects with
+    a0[k] f_0 + acorr rhs(pred) + sum_{1<=j<=k} aw[k-j] f_j.  The per-step
+    arithmetic (rhs, a0[k] f_0, the blowup test) is in Python floats, and the
+    weights are reversed once into contiguous arrays, so each history sum is
+    one ``np.dot`` of two contiguous slices.  ``np.dot`` copies a reversed
+    view into such a slice before the same BLAS dot, so psi and the rhs
+    values are those of a march over reversed views, to the last bit.
     """
     bw, aw, a0, acorr = _adams_weights(alpha, dt, n)
+    bwr, awr = bw[::-1].copy(), aw[::-1].copy()
+    sig, a0 = sig_rev.tolist(), a0.tolist()
+    a_i, lin_i, lam, quad_i, acorr = float(a_i), float(lin_i), float(lam), float(quad_i), float(acorr)
 
     def rhs(j: int, x: float) -> float:
-        sx = sig_rev[j] * x
+        sx = sig[j] * x
         return a_i + lin_i * sx - lam * x + quad_i * sx * sx
 
-    psi = np.zeros(n + 1)
+    psi = [0.0] * (n + 1)
     fv = np.empty(n + 1)
-    fv[0] = rhs(0, 0.0)
+    f0 = fv[0] = rhs(0, 0.0)
     for k in range(n):
-        pred = float(np.dot(fv[: k + 1], bw[k::-1]))
-        corr = a0[k] * fv[0] + acorr * rhs(k + 1, pred)
+        pred = float(np.dot(fv[: k + 1], bwr[n - k :]))
+        corr = a0[k] * f0 + acorr * rhs(k + 1, pred)
         if k >= 1:
-            corr += float(np.dot(fv[1 : k + 1], aw[k - 1 :: -1]))
+            corr += float(np.dot(fv[1 : k + 1], awr[n - k + 1 :]))
         psi[k + 1] = corr
         fv[k + 1] = rhs(k + 1, corr)
-        if abs(psi[k + 1]) > _PSI_CAP:
-            return psi, fv, k + 1
-    return psi, fv, -1
+        if abs(corr) > _PSI_CAP:
+            return np.array(psi), fv, k + 1
+    return np.array(psi), fv, -1
 
 
 def _sig_reversed(spec: RiccatiSpec, i: int, T: float, n: int) -> np.ndarray:
@@ -266,36 +278,6 @@ def _refine_horizon(spec: RiccatiSpec, i: int, a_i, lin_i, quad_i, t_bad: float)
         else:
             lo = mid
     return lo
-
-
-def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
-    """Exponential-utility bound sup|psi^i| <= (theta_i^2/(2 lb_i))(1 - R_lb(T)).
-
-    lb_i = lam_i + nu_i rho_i theta_i ||varsigma^i||_inf when rho_i <= 0, else
-    lam_i.  Returns one report dict per asset with keys 'status'
-    ('pass'/'fail'/'skipped'), 'bound', 'sup_psi' and 'lam_bar'.
-    """
-    spec = sol.spec
-    if spec.util.kind != "exponential":
-        raise ValueError("psi_bound_check applies to exponential variants")
-    params = spec.params
-    reports = []
-    for i in range(params.d):
-        sig_sup = float(np.max(np.asarray(spec.stabilizers[i](sol.times))))
-        lam_bar = params.lam[i]
-        if params.rho[i] <= 0.0:
-            lam_bar += params.nu[i] * params.rho[i] * params.theta[i] * sig_sup
-        sup_psi = float(np.max(np.abs(sol.psi[i])))
-        if lam_bar <= 0.0:
-            reports.append(
-                {"status": "skipped", "bound": math.inf, "sup_psi": sup_psi, "lam_bar": lam_bar}
-            )
-            continue
-        r_T = mittag_leffler(params.alpha[i], -lam_bar * params.T ** params.alpha[i])
-        bound = params.theta[i] ** 2 / (2.0 * lam_bar) * (1.0 - r_T)
-        status = "pass" if sup_psi <= bound * (1.0 + 1e-10) + 1e-15 else "fail"
-        reports.append({"status": status, "bound": bound, "sup_psi": sup_psi, "lam_bar": lam_bar})
-    return reports
 
 
 def assumption_gate(sol: RiccatiSolution, p: float) -> dict:

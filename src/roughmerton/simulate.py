@@ -111,6 +111,8 @@ class RateCurve:
         values = np.asarray(self.values, dtype=float)
         if knots.shape != values.shape or knots.ndim != 1 or knots.size == 0:
             raise ValueError("knots and values must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("knots and values must be finite")
         if knots[0] != 0.0 or np.any(np.diff(knots) <= 0.0):
             raise ValueError("knots must start at 0 and be strictly increasing")
         if np.any(values < 0.0):
@@ -142,10 +144,10 @@ class RateCurve:
 class ModelParams:
     """Market and variance-process parameters for d assets.
 
-    Per-asset arrays (length d): kernel exponent ``alpha`` in (1/2, 1],
-    mean reversion ``lam`` > 0, vol-of-vol ``nu`` >= 0, market price of risk
-    ``theta`` >= 0, leverage ``rho`` in [-1, 1], mean-level drive ``mu0``,
-    and variance scale ``c`` >= 0 (so Var(V_0) = c nu^2 x_inf).
+    Per-asset arrays (length d, finite entries): kernel exponent ``alpha``
+    in (1/2, 1], mean reversion ``lam`` > 0, vol-of-vol ``nu`` >= 0, market
+    price of risk ``theta`` >= 0, leverage ``rho`` in [-1, 1], mean-level
+    drive ``mu0``, and variance scale ``c`` >= 0 (so Var(V_0) = c nu^2 x_inf).
 
     ``rate`` is the piecewise-constant short rate, ``T`` the horizon and
     ``x0`` the initial wealth.  Risk aversion belongs to the utility
@@ -173,6 +175,8 @@ class ModelParams:
         for name, arr in arrays.items():
             if arr.shape != (d,):
                 raise ValueError(f"parameter {name} must have length {d}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"parameter {name} must be finite, got {arr.tolist()}")
             object.__setattr__(self, name, arr)
         if np.any((arrays["alpha"] <= 0.5) | (arrays["alpha"] > 1.0)):
             raise ValueError("alpha must lie in (1/2, 1]")
@@ -186,8 +190,8 @@ class ModelParams:
             raise ValueError("c must be >= 0")
         if np.any(arrays["mu0"] < 0.0):
             raise ValueError("mu0 must be >= 0")
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be > 0")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("horizon T must be finite and > 0")
 
     @property
     def d(self) -> int:

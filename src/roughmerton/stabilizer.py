@@ -15,8 +15,19 @@ power-series form
 
 with coefficients c_k given by a Beta/Cauchy-product recurrence.
 
+A table keeps only the coefficients its horizon T needs.  In u = lam t^alpha
+(= tau^alpha) both series the table carries are power series: varsigma^2
+with terms c_k u^k and the f^2 of the residual check with terms (b*b)_k u^k.
+The recurrence stops at the first k where both have converged at
+u = lam T^alpha, and at most at ``_K_CAP`` = 200 terms.  The shorter series is
+the prefix of the 200-term one, and its dropped tail is about 1e-17 of the
+sum, below rounding, so the tabulated values and the residual come out as
+those of the 200-term series, bit for bit on the tables the tests check.
+The trust radius comes from the shorter series and lies beyond the horizon.
+
 Provides:
-  - ``stabilizer_coefficients``: the c_k recurrence (extended-range, via gammaln).
+  - ``stabilizer_coefficients``: the c_k recurrence (extended-range, via
+    gammaln), optionally stopped where the series has converged.
   - ``stabilizer_eval``: pointwise evaluation with trust-radius guard.
   - ``build_stabilizer``: grid tabulation as a ``StabilizerTable``.
   - ``functional_equation_residual``: singularity-aware residual check.
@@ -44,6 +55,10 @@ __all__ = [
 _K_CAP = 200
 # Relative size under which additional series terms are considered converged.
 _TERM_TOL = 1e-12
+# Relative size of the last coefficient's term at the table's horizon at which
+# the recurrence stops: far enough below rounding that the dropped tail does
+# not move a tabulated value.
+_SERIES_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -57,7 +72,8 @@ class StabilizerTable:
     c : float
         Variance scale c = v0 / (nu^2 x_inf) >= 0.
     coeffs : np.ndarray
-        Series coefficients c_0..c_K (empty when alpha = 1).
+        Series coefficients c_0..c_K, K set by the grid's horizon (see
+        ``build_stabilizer``); empty when alpha = 1.
     grid : np.ndarray
         Times, starting at 0.
     values : np.ndarray
@@ -65,8 +81,10 @@ class StabilizerTable:
     limit : float
         Long-time limit sqrt(c) lam / ||f||_L2.
     radius : float or None
-        Series trust radius in tau = lam^(1/alpha) t (see ``_trust_radius``);
-        None when the series is not used (c = 0 or alpha = 1).
+        Trust radius of those coefficients in tau = lam^(1/alpha) t (see
+        ``_trust_radius``), beyond the horizon's tau when the series
+        converged there; None when the series is not used (c = 0 or
+        alpha = 1).
     """
 
     spec: KernelSpec
@@ -84,8 +102,8 @@ class StabilizerTable:
         )
 
 
-def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
-    """Coefficients c_0..c_K of the stabilizer series, K = n_coeffs - 1.
+def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None) -> np.ndarray:
+    """Coefficients c_0..c_K of the stabilizer series, K <= n_coeffs - 1.
 
     c_0 = Gamma(alpha)^2 / (Gamma(2 alpha - 1) Gamma(2 - alpha)) and, for k >= 1,
 
@@ -96,38 +114,51 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int) -> np.ndarray:
 
     with a_k = 1/Gamma(alpha k + 1), b_k = 1/Gamma(alpha (k+1)) the series
     coefficients of E_{alpha,1} and E_{alpha,alpha} (``kernels._ml_coefficients``)
-    and (u*v) the Cauchy product.  Gamma ratios go through gammaln to survive
+    and (x*y) the Cauchy product.  Gamma ratios go through gammaln to survive
     large k.
+
+    Without ``u`` all n_coeffs coefficients are returned.  With ``u`` (the
+    series variable lam t^alpha at the largest time of interest) the
+    recurrence stops at the first k where both series a table carries have
+    converged at u: the stabilizer series sum_k (-1)^k c_k u^k and the f^2
+    series sum_k (-1)^k (b*b)_k u^k of ``_series_convolution``, each with its
+    k-th term below ``_SERIES_TOL`` of its partial sum.  Every coefficient
+    comes from the same operations whether or not the run stops early, so a
+    stopped run is the prefix c_0..c_k of the full one, bit for bit.
     """
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"coefficient recurrence requires alpha in (1/2, 1), got {alpha}")
     if n_coeffs < 1:
         raise ValueError("n_coeffs must be >= 1")
-    K = n_coeffs - 1
-    ks = np.arange(K + 1)
-    a, b = _ml_coefficients(alpha, K + 1, 0), _ml_coefficients(alpha, K + 1, 1)
-    ab, bb = _cauchy(a, b), _cauchy(b, b)
+    ks = np.arange(n_coeffs)
+    a, b = _ml_coefficients(alpha, n_coeffs, 0), _ml_coefficients(alpha, n_coeffs, 1)
 
     log_g2a1 = gammaln(2.0 * alpha - 1.0)
     log_ga = gammaln(alpha)
     log_pref = (
         2.0 * log_ga + gammaln(alpha * (ks + 1)) - log_g2a1 - gammaln(alpha * ks + 2.0 - alpha)
     )
-    # math.exp: np.exp can differ from it in the last bit, which would move every c_k
-    pref = [math.exp(v) for v in log_pref]
-    # weights[k, l] = B(alpha (l+2) - 1, alpha (k-l-1) + 2) (b*b)_l for 1 <= l <= k
-    k_idx, l_idx = np.tril_indices(K + 1, -1)
-    l_idx = l_idx + 1
-    weights = np.zeros((K + 1, K + 1))
-    weights[k_idx, l_idx] = (
-        np.exp(betaln(alpha * (l_idx + 2) - 1.0, alpha * (k_idx - l_idx - 1) + 2.0)) * bb[l_idx]
-    )
 
-    c = np.empty(K + 1)
+    c, bb = np.empty(n_coeffs), np.empty(n_coeffs)
     c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
-    for k in range(1, K + 1):
-        conv = np.sum(weights[k, 1 : k + 1] * c[k - 1 :: -1])
-        c[k] = pref[k] * (ab[k] - alpha * (k + 1) * conv)
+    bb[0] = b[0] * b[0]
+    # running partial sums of both series at u, and (-u)^k
+    sum_c, sum_f, u_k = c[0], bb[0], 1.0
+    for k in range(1, n_coeffs):
+        ab_k = np.sum(a[: k + 1] * b[k::-1])
+        bb[k] = np.sum(b[: k + 1] * b[k::-1])
+        ls = ks[1 : k + 1]
+        # B(alpha (l+2) - 1, alpha (k-l-1) + 2) (b*b)_l for 1 <= l <= k
+        weights = np.exp(betaln(alpha * (ls + 2) - 1.0, alpha * (k - ls - 1) + 2.0)) * bb[1 : k + 1]
+        conv = np.sum(weights * c[k - 1 :: -1])
+        # math.exp: np.exp can differ from it in the last bit, which would move every c_k
+        c[k] = math.exp(log_pref[k]) * (ab_k - alpha * (k + 1) * conv)
+        if u is not None:
+            u_k *= -u
+            sum_c += c[k] * u_k
+            sum_f += bb[k] * u_k
+            if abs(c[k] * u_k) < _SERIES_TOL * abs(sum_c) and abs(bb[k] * u_k) < _SERIES_TOL * abs(sum_f):
+                return c[: k + 1].copy()
     return c
 
 
@@ -230,7 +261,12 @@ def stabilizer_eval(
 
 
 def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
-    """Tabulate the stabilizer on ``grid`` (starting at 0), with ``_K_CAP`` series coefficients."""
+    """Tabulate the stabilizer on ``grid`` (starting at 0).
+
+    The series keeps the coefficients its horizon T = grid[-1] needs: the
+    recurrence stops where both series have converged at u = lam T^alpha
+    (see ``stabilizer_coefficients``), with at most ``_K_CAP`` terms.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must start at 0 and be strictly increasing")
@@ -240,7 +276,7 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
     coeffs = (
         np.empty(0)
         if spec.alpha == 1.0
-        else stabilizer_coefficients(spec.alpha, _K_CAP)
+        else stabilizer_coefficients(spec.alpha, _K_CAP, u=spec.lam * grid[-1] ** spec.alpha)
     )
     # the series, and so its trust radius, is used only when c > 0 and alpha < 1
     radius = _trust_radius(spec.alpha, coeffs) if c > 0.0 and spec.alpha < 1.0 else None

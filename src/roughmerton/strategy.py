@@ -55,8 +55,8 @@ class UtilitySpec:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.kind == "power" and not (0.0 < self.gamma < 1.0):
             raise ValueError("power utility requires 0 < gamma < 1")
-        if self.kind == "exponential" and self.gamma <= 0.0:
-            raise ValueError("exponential utility requires gamma > 0")
+        if self.kind == "exponential" and not 0.0 < self.gamma < math.inf:
+            raise ValueError("exponential utility requires a finite gamma > 0")
 
     def u(self, x):
         """Utility of terminal wealth."""

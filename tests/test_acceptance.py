@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from test_riccati import psi_bound_check
 
 from roughmerton.cli import _default_config_path, load_config, main as cli_main
 from roughmerton.kernels import KernelSpec, resolvent_residual
-from roughmerton.riccati import RiccatiSpec, _variant_coefficients, psi_bound_check, solve_riccati
+from roughmerton.riccati import RiccatiSpec, _variant_coefficients, solve_riccati
 from roughmerton.simulate import ModelParams, SimGrid, simulate_variance
 from roughmerton.stabilizer import build_stabilizer, functional_equation_residual
 from roughmerton.strategy import UtilitySpec, optimal_rule, value_function

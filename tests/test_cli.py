@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -225,6 +226,24 @@ class TestCommands:
         assert payload["error"] == "ConfigError" and field in payload["message"]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("bad", ["a", float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "lam", "nu", "theta", "rho", "mu0", "c", "rate.knots", "rate.values"]
+    )
+    def test_bad_model_entry_is_named(self, tmp_path, capsys, field, bad):
+        def mutate(raw):
+            section = raw["model"]["rate"] if field.startswith("rate.") else raw["model"]
+            section[field.split(".")[-1]][0] = bad
+
+        cfg = write_config(tmp_path, mutate)
+        out = str(tmp_path / "out")
+        assert run_cli(["value", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert f"model.{field}[0] must be a finite number" in payload["message"]
+        assert not os.path.exists(out)
+
     def test_power_utility_needs_positive_x0(self, tmp_path, capsys):
         zero_x0 = lambda raw: raw["model"].update(x0=0.0)
         with pytest.raises(ConfigError, match="model.x0"):
@@ -338,6 +357,28 @@ class TestCommands:
         for name, ncols in (("fig1", 3), ("fig2", 5), ("fig3", 5), ("fig4", 5)):
             data = np.loadtxt(os.path.join(out, f"{name}.csv"), delimiter=",", comments="#")
             assert data.shape[1] == ncols
+
+
+def test_csv_rows_match_per_value_format(tmp_path):
+    # one format string per row writes what formatting each value alone did
+    cfg = dataclasses.replace(load_config(_default_config_path()), out_dir=str(tmp_path))
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+    rows[0] = [-0.0, 0.0, np.inf, -np.inf]
+    rows[1] = [np.nan, 1e-320, 5e-324, np.finfo(float).max]
+    rows[2] = [0.1, 1.0 / 3.0, 2.0**0.5, -1.0]
+
+    def body(data):
+        cli._write_csv(cfg, "t.csv", ["c"] * np.atleast_2d(data).shape[1], data)
+        with open(tmp_path / "t.csv") as fh:
+            return [line for line in fh.read().splitlines() if not line.startswith("#")]
+
+    for data in (rows, rows[:, :1], rows[3]):
+        assert body(data) == [",".join("%.17g" % v for v in row) for row in np.atleast_2d(data)]
+    assert body(rows[:2]) == [
+        "-0,0,inf,-inf",
+        "nan,9.9998886718268301e-321,4.9406564584124654e-324,1.7976931348623157e+308",
+    ]
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from roughmerton.kernels import mittag_leffler
 from roughmerton.riccati import (
+    _PSI_CAP,
     RiccatiBlowup,
+    RiccatiSolution,
     RiccatiSpec,
+    _adams_weights,
+    _sig_reversed,
+    _solve_single,
     _variant_coefficients,
     assumption_gate,
-    psi_bound_check,
     solve_riccati,
 )
 from roughmerton.simulate import ModelParams
@@ -45,6 +50,60 @@ def riccati_rhs(spec, i, s, psi):
     return float(a[i] + lin[i] * sx - spec.params.lam[i] * x + quad[i] * sx * sx)
 
 
+def adams_march_reference(alpha, lam, a_i, lin_i, quad_i, sig_rev, dt, n):
+    """The fractional Adams march step by step on numpy scalars, with each
+    history sum a dot against a reversed view of the weights."""
+    bw, aw, a0, acorr = _adams_weights(alpha, dt, n)
+
+    def rhs(j: int, x: float) -> float:
+        sx = sig_rev[j] * x
+        return a_i + lin_i * sx - lam * x + quad_i * sx * sx
+
+    psi = np.zeros(n + 1)
+    fv = np.empty(n + 1)
+    fv[0] = rhs(0, 0.0)
+    for k in range(n):
+        pred = float(np.dot(fv[: k + 1], bw[k::-1]))
+        corr = a0[k] * fv[0] + acorr * rhs(k + 1, pred)
+        if k >= 1:
+            corr += float(np.dot(fv[1 : k + 1], aw[k - 1 :: -1]))
+        psi[k + 1] = corr
+        fv[k + 1] = rhs(k + 1, corr)
+        if abs(psi[k + 1]) > _PSI_CAP:
+            return psi, fv, k + 1
+    return psi, fv, -1
+
+
+def psi_bound_check(sol: RiccatiSolution) -> list[dict]:
+    """Exponential-utility bound sup|psi^i| <= (theta_i^2/(2 lb_i))(1 - R_lb(T)).
+
+    lb_i = lam_i + nu_i rho_i theta_i ||varsigma^i||_inf when rho_i <= 0, else
+    lam_i.  Returns one report dict per asset with keys 'status'
+    ('pass'/'fail'/'skipped'), 'bound', 'sup_psi' and 'lam_bar'.
+    """
+    spec = sol.spec
+    if spec.util.kind != "exponential":
+        raise ValueError("psi_bound_check applies to exponential variants")
+    params = spec.params
+    reports = []
+    for i in range(params.d):
+        sig_sup = float(np.max(np.asarray(spec.stabilizers[i](sol.times))))
+        lam_bar = params.lam[i]
+        if params.rho[i] <= 0.0:
+            lam_bar += params.nu[i] * params.rho[i] * params.theta[i] * sig_sup
+        sup_psi = float(np.max(np.abs(sol.psi[i])))
+        if lam_bar <= 0.0:
+            reports.append(
+                {"status": "skipped", "bound": math.inf, "sup_psi": sup_psi, "lam_bar": lam_bar}
+            )
+            continue
+        r_T = mittag_leffler(params.alpha[i], -lam_bar * params.T ** params.alpha[i])
+        bound = params.theta[i] ** 2 / (2.0 * lam_bar) * (1.0 - r_T)
+        status = "pass" if sup_psi <= bound * (1.0 + 1e-10) + 1e-15 else "fail"
+        reports.append({"status": status, "bound": bound, "sup_psi": sup_psi, "lam_bar": lam_bar})
+    return reports
+
+
 @pytest.fixture(scope="module")
 def sol_power(params4, stab4):
     return solve_riccati(RiccatiSpec(POWER, params4, stab4, n=200))
@@ -73,7 +132,7 @@ class TestSpecValidation:
         # the utility rejects a power gamma outside (0, 1) before any spec is built
         with pytest.raises(ValueError):
             UtilitySpec("power", 1.5)
-        # exponential utility allows any gamma > 0
+        # exponential utility allows any finite gamma > 0
         RiccatiSpec(UtilitySpec("exponential", 1.5), params4, stab4, n=100)
 
     def test_degenerate_requires_equal_rho(self, params4, stab4):
@@ -182,6 +241,43 @@ class TestBlowup:
         # the refined horizon is usable
         ok = RiccatiSpec(util, dataclasses.replace(p, T=exc.value.t_max), stabs, n=400)
         solve_riccati(ok)
+
+
+class TestAdamsMarch:
+    """The float march against the step-by-step reference, bit for bit."""
+
+    @staticmethod
+    def march_args(spec, i, n):
+        """The arguments ``solve_riccati`` passes for asset i."""
+        p = spec.params
+        a, lin, quad = _variant_coefficients(spec)
+        sig_rev = _sig_reversed(spec, i, p.T, n)
+        return (p.alpha[i], p.lam[i], a[i], lin[i], quad[i], sig_rev, p.T / n, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 1600])
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9, 0.95])
+    def test_matches_reference(self, params4, alpha, n):
+        p = make_params(params4, alpha=[alpha, alpha])
+        stabs = make_stabs(p, grid_pts=n + 1)
+        for util in (POWER, EXP):
+            spec = RiccatiSpec(util, p, stabs, n=n)
+            for i in range(p.d):
+                args = self.march_args(spec, i, n)
+                psi, fv, blow = _solve_single(*args)
+                psi_ref, fv_ref, blow_ref = adams_march_reference(*args)
+                assert blow == blow_ref == -1
+                assert np.array_equal(psi, psi_ref) and np.array_equal(fv, fv_ref)
+
+    def test_blowup_matches_reference(self, params4):
+        # the power quadratic turns supercritical after 121 and 40 steps
+        p = make_params(params4, rho=[0.9, 0.9], nu=[1.0, 1.0], theta=[0.5, 0.5], c=[1.0, 1.0], T=2.0)
+        spec = RiccatiSpec(UtilitySpec("power", 0.9), p, make_stabs(p, grid_pts=401), n=400)
+        for i in range(p.d):
+            args = self.march_args(spec, i, 400)
+            psi, fv, blow = _solve_single(*args)
+            psi_ref, fv_ref, blow_ref = adams_march_reference(*args)
+            assert blow == blow_ref > 10
+            assert np.array_equal(psi, psi_ref) and np.array_equal(fv[: blow + 1], fv_ref[: blow + 1])
 
 
 class TestBoundsAndGates:

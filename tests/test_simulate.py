@@ -197,6 +197,10 @@ class TestRateCurve:
             RateCurve(knots=[0.0, 0.0], values=[0.0, 0.0])
         with pytest.raises(ValueError):
             RateCurve(knots=[0.0], values=[-0.01])
+        with pytest.raises(ValueError):
+            RateCurve(knots=[0.0], values=[math.nan])
+        with pytest.raises(ValueError):
+            RateCurve(knots=[0.0, math.inf], values=[0.0, 0.01])
 
 
 class TestModelParams:
@@ -236,6 +240,22 @@ class TestModelParams:
             ModelParams(**{**kw, "T": 0.0})
         with pytest.raises(ValueError):
             ModelParams(**{**kw, "lam": [0.2]})
+        for T in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ModelParams(**{**kw, "T": T})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "lam", "nu", "theta", "rho", "mu0", "c"])
+    def test_rejects_non_finite_entries(self, params4, field, bad):
+        # a NaN passes every range comparison, so finiteness is checked first
+        kw = dict(
+            alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
+        )
+        value = list(kw[field])
+        value[1] = bad
+        with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
+            ModelParams(**{**kw, field: value})
 
 
 class TestCovariance:

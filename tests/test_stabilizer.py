@@ -12,6 +12,7 @@ from test_kernels import f_l2_sq_unit_quadrature
 
 from roughmerton.kernels import KernelSpec, f_l2_norm, resolvent, resolvent_density
 from roughmerton.stabilizer import (
+    _K_CAP,
     StabilizerTable,
     _series_convolution,
     _series_sq_scaled,
@@ -80,6 +81,17 @@ def trust_radius_scan(alpha: float, coeffs: np.ndarray) -> float:
     return trusted
 
 
+def full_series_table(spec: KernelSpec, c: float, grid: np.ndarray) -> StabilizerTable:
+    """The table of a build that always keeps all 200 series coefficients."""
+    coeffs = stabilizer_coefficients(spec.alpha, 200)
+    limit = math.sqrt(c) * spec.lam / f_l2_norm(spec)
+    radius = _trust_radius(spec.alpha, coeffs)
+    values = stabilizer_eval(spec, c, coeffs, grid, limit=limit, radius=radius)
+    return StabilizerTable(
+        spec=spec, c=c, coeffs=coeffs, grid=grid, values=values, limit=limit, radius=radius
+    )
+
+
 def c0_ref(alpha: float) -> float:
     return float(mp.gamma(alpha) ** 2 / (mp.gamma(2 * alpha - 1) * mp.gamma(2 - alpha)))
 
@@ -120,6 +132,16 @@ class TestCoefficients:
     def test_hoisted_prefactors_match_loop(self, alpha):
         got = stabilizer_coefficients(alpha, 200)
         assert np.allclose(got, coefficients_loop_reference(alpha, 200), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9, 0.95])
+    def test_stopped_recurrence_is_a_prefix(self, alpha):
+        full = stabilizer_coefficients(alpha, 200)
+        for u in (0.01, 0.2, 1.0, 3.0):
+            short = stabilizer_coefficients(alpha, 200, u=u)
+            assert short.size < 200
+            assert np.array_equal(short, full[: short.size])
+        sizes = [stabilizer_coefficients(alpha, 200, u=u).size for u in (0.2, 3.0)]
+        assert sizes[0] < sizes[1]
 
 
 class TestStabilizerValues:
@@ -264,6 +286,35 @@ class TestStabilizerValues:
                 t_sim = np.linspace(0.0, 1.0, 601)
                 ref = stabilizer_eval(spec, c, coeffs, t_sim, limit=limit)
                 assert np.allclose(tab(t_sim), ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alphas", [(0.9, 0.6), (0.75, 0.55), (0.95, 0.7)])
+    def test_horizon_series_is_the_full_series_on_sweep_grids(self, alphas):
+        # the benchmark's analytic sweep: the series stops where the horizon has
+        # converged, and every tabulated value, every value at the 601
+        # simulation times and the residual are the 200-term build's, bit for bit
+        t_sim = np.linspace(0.0, 1.0, 601)
+        for alpha, lam, c in zip(alphas, (0.2, 0.6), (0.01, 0.03)):
+            spec = KernelSpec(alpha, lam)
+            for n in (200, 800, 1600):
+                grid = np.linspace(0.0, 1.0, n + 1)
+                tab, ref = build_stabilizer(spec, c, grid), full_series_table(spec, c, grid)
+                assert tab.coeffs.size < _K_CAP
+                assert np.array_equal(tab.coeffs, ref.coeffs[: tab.coeffs.size])
+                assert np.array_equal(tab.values, ref.values)
+                assert np.array_equal(tab(t_sim), ref(t_sim))
+                assert functional_equation_residual(tab) == functional_equation_residual(ref)
+                # the shorter series' radius still covers the horizon
+                assert lam ** (1.0 / alpha) * grid[-1] < tab.radius <= ref.radius
+
+    def test_unconverged_horizon_keeps_the_cap(self):
+        # at tau_T = 35 the 200-term series has not converged: the table keeps
+        # every coefficient and the full series' trust radius
+        spec, grid = KernelSpec(0.55, 2.0), np.linspace(0.0, 10.0, 201)
+        tab, ref = build_stabilizer(spec, 0.03, grid), full_series_table(spec, 0.03, grid)
+        assert tab.coeffs.size == _K_CAP
+        assert np.array_equal(tab.coeffs, ref.coeffs)
+        assert tab.radius == ref.radius < spec.lam ** (1.0 / spec.alpha) * grid[-1]
+        assert np.array_equal(tab.values, ref.values)
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -54,6 +54,12 @@ class TestUtilitySpec:
         with pytest.raises(ValueError):
             UtilitySpec("exponential", 0.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_non_finite_gamma_rejected(self, kind, gamma):
+        with pytest.raises(ValueError):
+            UtilitySpec(kind, gamma)
+
 
 class TestG0Curve:
     def test_values_and_guard(self, params4):
