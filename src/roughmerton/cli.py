@@ -89,6 +89,15 @@ class RunConfig:
                 self.utility(g)
         except ValueError as exc:
             raise ConfigError(f"utility: {exc}") from exc
+        # reports key each gamma by gamma_{g:g}; equal labels would overwrite
+        labels = [f"{g:g}" for g in self.gammas]
+        for j, label in enumerate(labels):
+            k = labels.index(label)
+            if k < j:
+                raise ConfigError(
+                    f"utility.gamma[{k}] = {self.gammas[k]!r} and utility.gamma[{j}] = {self.gammas[j]!r}"
+                    f" share the report label gamma_{label}"
+                )
         if self.utility_kind == "power" and self.params.x0 <= 0.0:
             raise ConfigError(f"model.x0 must be > 0 under power utility, got {self.params.x0}")
 
@@ -141,7 +150,8 @@ def load_config(path: str) -> RunConfig:
     ``outputs`` a string, each entry of the per-asset fields and of
     model.rate, model.T, model.x0 and each gamma finite numbers and each
     tolerance a finite number >= 0; ModelParams invariants, the
-    run-size floors and each gamma's utility range are enforced; defaults:
+    run-size floors, each gamma's utility range and distinct gamma report
+    labels (``gamma_{g:g}``, six significant digits) are enforced; defaults:
     r = 0, n_sim = 600, n_riccati = 200, paths = 10000, seed = 42.
     """
     try:

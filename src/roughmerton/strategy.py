@@ -15,12 +15,11 @@ process is
 
 with g_t^i the adjusted forward curve at time t (see ``verify``), and the
 value function is J_0, where g_0^i(s) = V_0^i + mu0_i s^alpha_i /
-Gamma(alpha_i + 1).  g_0 is affine in V_0 with slope 1, so the value at any
-initial variance is the value at the mean E[V_0] = x_inf times
-exp(sum_i beta_i (V_0^i - x_inf^i)), beta_i = int_0^T (a_i + F_i(s,
-psi^i(T-s))) ds.  Rules and values take the utility, gamma and model from
-the Riccati solution's spec, so they always match the equation that was
-solved.
+Gamma(alpha_i + 1), affine in V_0 with slope 1: the g_0 part of expo_t is
+level_t + sum_i slope^i_t (V_0^i - x_inf^i), both from ``value_exponent``,
+the one source for ``value_function`` and the martingale profile.  Rules and
+values take the utility, gamma and model from the Riccati solution's spec,
+so they always match the equation that was solved.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson
 from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
@@ -39,6 +38,7 @@ __all__ = [
     "UtilitySpec",
     "g0_curve",
     "optimal_rule",
+    "value_exponent",
     "value_function",
 ]
 
@@ -113,35 +113,39 @@ def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
-def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> float:
-    """Analytic value function at initial wealth x0 and initial variance v0.
+def value_exponent(sol: RiccatiSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent's tail integrals on ``sol.times``, (slope, level), each (d, n+1):
+    int_{t_k}^T (a_i + F_i) ds and int_{t_k}^T (a_i + F_i) g_0^i ds at V_0 = x_inf,
+    a + F being ``sol.rhs_values`` reversed in time.  One composite-Simpson running
+    integral gives both as total minus running value, so both are 0 at T exactly."""
+    rv = sol.rhs_values[:, ::-1]
+    run = cumulative_simpson(np.stack([rv, rv * g0_curve(sol.spec.params, sol.times)]), x=sol.times, initial=0.0)
+    slope, level = run[..., -1:] - run
+    return slope, level
 
-    The exponent integral uses the solver's stored right-hand-side values:
-    a_i + F_i(s, psi^i(T-s)) on the grid is the time reversal of
-    ``sol.rhs_values[i]``; composite Simpson integrates it against g_0^i at
-    V_0 = x_inf, and on its own for the slope beta_i of the exponent in V_0^i.
-    ``v0`` is one initial variance per asset, shape (d,), or one per asset
-    and path, shape (d, P); for the latter the result is the mean over the
-    P paths of the value at each path's V_0.  The degenerate power solution
-    is rejected (the theorem's exponent uses the general-correlation
-    forcing).  ``x0`` defaults to the model's and ``v0`` to x_inf, where the
-    V_0 factor is exactly 1.  The value is J_0 = U(x0 e^{int_0^T r})
-    exp(expo_0) (see the module docstring) times that factor.
+
+def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> float:
+    """Analytic value function J_0 at initial wealth x0 and initial variance v0.
+
+    expo_0 is read from ``value_exponent`` at t = 0.  ``v0`` is one initial
+    variance per asset, shape (d,), or one per asset and path, shape (d, P),
+    for which the result is the mean over paths of the value at each path's
+    V_0; ``x0`` defaults to the model's and ``v0`` to x_inf.  The degenerate
+    power solution is rejected (the theorem's exponent uses the
+    general-correlation forcing).
     """
     util, params = sol.spec.util, sol.spec.params
     if sol.variant == "power_degenerate":
         raise ValueError("value_function requires the general-correlation power solution")
     if x0 is None:
         x0 = params.x0
-    if v0 is None:
-        v0 = params.x_inf
-    T, times = params.T, sol.times
-    g0 = g0_curve(params, times)  # (d, n+1)
-    integrand = sol.rhs_values[:, ::-1] * g0
-    expo = float(sum(simpson(integrand[i], x=times) for i in range(params.d)))
-    beta = np.array([simpson(sol.rhs_values[i, ::-1], x=times) for i in range(params.d)])
-    shift = beta @ (np.reshape(v0, (params.d, -1)) - params.x_inf[:, None])
+    v0 = np.asarray(params.x_inf if v0 is None else v0, dtype=float)
+    if v0.ndim not in (1, 2) or v0.shape[0] != params.d or v0.size == 0:
+        raise ValueError(f"v0 must have shape ({params.d},) or ({params.d}, P) with P >= 1, got {v0.shape}")
+    slope, level = value_exponent(sol)
+    expo = float(np.sum(level[:, 0]))
+    shift = slope[:, 0] @ (np.reshape(v0, (params.d, -1)) - params.x_inf[:, None])
     v0_factor = float(np.mean(np.exp(shift)))
     if util.kind == "power" and x0 <= 0.0:
         raise ValueError("power utility requires x0 > 0")
-    return float(util.u(x0 * math.exp(params.rate.integral(0.0, T)))) * math.exp(expo) * v0_factor
+    return float(util.u(x0 * math.exp(params.rate.integral(0.0, params.T)))) * math.exp(expo) * v0_factor

@@ -32,8 +32,10 @@ g_t(s) = g_0(s) + sum_{l <= k} Kbar_l(s) DZ_l, where DZ_l = -lam V_{l-1} D
 + nu varsigma(t_l) sqrt(V_{l-1}) DW_l and Kbar_l is the increment-averaged
 fractional kernel (K1(s - t_{l-1}) - K1(s - t_l))/D, K1(t) = t^alpha /
 Gamma(alpha + 1) -- the exact average of K over the increment interval, which
-avoids the K(0) singularity at grid points.  J should be flat in t for the
-optimal rule, with J_0 = value function and J_T = U(X_T).
+avoids the K(0) singularity at grid points.  The g_0 part of expo_t is read
+from ``strategy.value_exponent`` (interpolated to the bundle grid), so mean
+J_0 equals the value function to rounding, and J_T = U(X_T).  J should be
+flat in t for the optimal rule.
 
 The path-dependent part of the exponent is (M dZ)_k = int_{t_k}^T rv(s)
 sum_{l <= k} Kbar_l(s) dZ_l ds by the trapezoid rule, rv = a + F on the
@@ -68,7 +70,8 @@ from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
 from .simulate import PathBundle, _toeplitz_gather
-from .strategy import UtilitySpec, g0_curve, optimal_rule, value_function
+# g0_curve is not called here; perfbench/spans.py traces it under this name
+from .strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function  # noqa: F401
 
 __all__ = [
     "WealthRun",
@@ -266,14 +269,6 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
     return {"base_mean": base_mean, "base_se": base_se, "perturbations": entries}
 
 
-def _reverse_cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    """I[k] = int_{t_k}^{t_n} y via trapezoid; y has n+1 points along axis 0."""
-    seg = dt * 0.5 * (y[:-1] + y[1:])
-    out = np.zeros_like(y)
-    out[:-1] = np.cumsum(seg[::-1], axis=0)[::-1]
-    return out
-
-
 def _path_chunks(bundle: PathBundle, paths: int):
     """(columns, sub-bundle) over consecutive slices of at most ``paths`` paths.
 
@@ -361,22 +356,23 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
     s_nodes = (T - sol.times)[::-1]
     rvs = np.stack([np.interp(times, s_nodes, sol.rhs_values[i][::-1]) for i in range(d)])
-    v0_weights = _reverse_cumtrapz(rvs.T, dt)
-    g0 = g0_curve(params, times)  # (d, n+1)
+    # the g_0 part of the exponent at the bundle times; exact at t = 0 and T
+    slope, level = value_exponent(sol)
+    slope = np.stack([np.interp(times, sol.times, c) for c in slope])
+    level = np.interp(times, sol.times, np.sum(level, axis=0))
     assets = []
     for i in range(d):
-        rv = rvs[i]
-        gather, A, H = _kernel_coefficients(params.alpha[i], rv, dt, min(_CONV_BLOCK, n))
+        gather, A, H = _kernel_coefficients(params.alpha[i], rvs[i], dt, min(_CONV_BLOCK, n))
         sig = np.asarray(sol.spec.stabilizers[i](times))
-        assets.append((_reverse_cumtrapz(rv * g0[i], dt), gather, A, H, params.nu[i] * sig[1:, None]))
+        assets.append((gather, A, H, params.nu[i] * sig[1:, None]))
     growth = np.exp(params.rate.primitive(T) - params.rate.primitive(times))[:, None]
 
     J = np.empty((n + 1, P))
     for cols, chunk in _path_chunks(bundle, max(1, _PROFILE_CHUNK_BYTES // (8 * (n + 1)))):
         # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
-        expo = v0_weights @ (chunk.v0 - params.x_inf[:, None])
-        for i, (tail, gather, A, H, vol) in enumerate(assets):
-            expo += tail[:, None]
+        expo = slope.T @ (chunk.v0 - params.x_inf[:, None])
+        expo += level[:, None]
+        for i, (gather, A, H, vol) in enumerate(assets):
             dW = chunk.dW(i)
             dZ = _increments(chunk.V[i, :-1], -params.lam[i], vol, dW, dt)
             del dW

@@ -216,7 +216,7 @@ def test_criterion_10_martingale_profile(params4, stab4):
     sol = solution(params4, stab4, UtilitySpec("power", 0.2))
     prof = martingale_profile(bundle, sol)
     flat_ok = prof["flat_stat"] <= 3.0
-    start_ok = abs(prof["j_mean"][0] - prof["value"]) <= 1e-6 * abs(prof["value"])
+    start_ok = abs(prof["j_mean"][0] - prof["value"]) <= 1e-12 * abs(prof["value"])
     end_ok = abs(prof["j_mean"][-1] - prof["terminal_mean_utility"]) <= 1e-12 * abs(
         prof["terminal_mean_utility"]
     )

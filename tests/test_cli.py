@@ -211,6 +211,15 @@ class TestCommands:
             pytest.param("tolerances.profile_z", [], tolerance(float("nan")), id="tolerance_nan"),
             pytest.param("utility.gamma", [], lambda raw: raw["utility"].update(gamma=["abc"]), id="gamma_string"),
             pytest.param("utility.gamma", [], lambda raw: raw["utility"].update(gamma=[True]), id="gamma_bool"),
+            # two gammas with one report label gamma_{g:g} would overwrite each other's outputs
+            pytest.param(
+                "utility.gamma[0] = 0.2 and utility.gamma[2] = 0.2 share the report label gamma_0.2", [],
+                lambda raw: raw["utility"].update(gamma=[0.2, 0.5, 0.2]), id="gamma_duplicate",
+            ),
+            pytest.param(
+                "utility.gamma[0] = 0.2 and utility.gamma[1] = 0.2000001 share the report label gamma_0.2", [],
+                lambda raw: raw["utility"].update(gamma=[0.2, 0.2000001, 0.5]), id="gamma_same_label",
+            ),
             pytest.param("model.x0", [], lambda raw: raw["model"].update(x0=float("nan")), id="x0_nan"),
             pytest.param("model.T", [], lambda raw: raw["model"].update(T="1"), id="T_string"),
         ],

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.special import gamma as sp_gamma
 
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve
-from roughmerton.strategy import UtilitySpec, g0_curve, optimal_rule, value_function
+from roughmerton.strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function
 
 
 def make_params(params4, **overrides):
@@ -171,6 +173,12 @@ class TestValueFunction:
         # optimal investment beats holding the bank account alone
         assert value_function(sol_power, x0=1.0) > sol_power.spec.util.u(1.0)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2), (5, 2), (2, 0), (2, 2, 1)])
+    def test_v0_shape_checked(self, sol_power, shape):
+        # (P, d) with P != d used to be reshaped silently into (d, P)
+        with pytest.raises(ValueError, match="v0 must have shape"):
+            value_function(sol_power, v0=np.full(shape, 0.1))
+
     def test_errors(self, params4, stab4, sol_power):
         with pytest.raises(ValueError):
             value_function(sol_power, x0=0.0)
@@ -179,3 +187,29 @@ class TestValueFunction:
         with pytest.raises(ValueError):
             value_function(sol_d)
 
+
+class TestValueExponent:
+    @pytest.mark.parametrize("n", [200, 201, 800, 1600])
+    @pytest.mark.parametrize("kind,gamma", [("power", 0.2), ("power", 0.8), ("exponential", 0.5)])
+    def test_ends_match_simpson_and_zero(self, params4, stab4, kind, gamma, n):
+        sol = solve(kind, gamma, params4, stab4, n=n)
+        slope, level = value_exponent(sol)
+        assert slope.shape == level.shape == sol.psi.shape
+        rv = sol.rhs_values[:, ::-1]
+        g0 = g0_curve(params4, sol.times)
+        for i in range(params4.d):
+            assert slope[i, 0] == pytest.approx(simpson(rv[i], x=sol.times), rel=1e-14)
+            assert level[i, 0] == pytest.approx(simpson(rv[i] * g0[i], x=sol.times), rel=1e-14)
+        # the tail integrals vanish at T exactly, so J_T = U(X_T)
+        assert np.all(slope[:, -1] == 0.0) and np.all(level[:, -1] == 0.0)
+
+    def test_tail_integrals_of_a_known_integrand(self, params4, stab4, sol_power):
+        # a + F = 1 gives slope T - t, and level the integral of g_0 itself
+        sol = dataclasses.replace(sol_power, rhs_values=np.ones_like(sol_power.rhs_values))
+        slope, level = value_exponent(sol)
+        t, T = sol.times, params4.T
+        assert np.allclose(slope, T - t, rtol=0.0, atol=1e-14)
+        a = params4.alpha[:, None]
+        exact = params4.x_inf[:, None] * (T - t) + params4.mu0[:, None] * (T**(a + 1) - t**(a + 1)) / sp_gamma(a + 2.0)
+        # s^alpha's kink at 0 holds Simpson to order 1 + alpha: 3.3e-6 here
+        assert np.allclose(level, exact, rtol=0.0, atol=1e-5)

@@ -9,13 +9,12 @@ from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
 from roughmerton.stabilizer import build_stabilizer
 from roughmerton import verify
-from roughmerton.strategy import UtilitySpec, g0_curve, optimal_rule, value_function
+from roughmerton.strategy import UtilitySpec, optimal_rule, value_exponent, value_function
 from roughmerton.verify import (
     PerturbationSpec,
     _increments,
     _kernel_coefficients,
     _kernel_term,
-    _reverse_cumtrapz,
     _terminal_wealth,
     _wealth_path,
     _wealth_steps,
@@ -97,6 +96,14 @@ def march_wealth(bundle, util, rule):
     return X * np.exp(params.rate.primitive(times))[:, None]
 
 
+def _reverse_cumtrapz(y, dt):
+    """I[k] = int_{t_k}^{t_n} y by the trapezoid rule; y has n+1 points along axis 0."""
+    seg = dt * 0.5 * (y[:-1] + y[1:])
+    out = np.zeros_like(y)
+    out[:-1] = np.cumsum(seg[::-1], axis=0)[::-1]
+    return out
+
+
 def dense_kernel_matrix(rv, alpha, dt):
     """The (n+1, n) matrix M of the profile's kernel term, built column by column.
 
@@ -130,11 +137,13 @@ def dense_profile(bundle, sol):
     times = bundle.times
     dt = times[1] - times[0]
     rvs = profile_integrands(bundle, sol)
-    g0 = g0_curve(params, times)
-    expo = _reverse_cumtrapz(rvs.T, dt) @ (bundle.v0 - params.x_inf[:, None])
+    # the g_0 part: value_exponent's curves, per asset, on the bundle grid
+    slope, level = value_exponent(sol)
+    expo = np.zeros((times.size, bundle.n_paths))
     scale = 0.0
     for i in range(params.d):
-        expo += _reverse_cumtrapz(rvs[i] * g0[i], dt)[:, None]
+        expo += np.interp(times, sol.times, slope[i])[:, None] * (bundle.v0[i] - params.x_inf[i])
+        expo += np.interp(times, sol.times, level[i])[:, None]
         sig = np.asarray(sol.spec.stabilizers[i](times))
         dZ = _increments(bundle.V[i, :-1], -params.lam[i], params.nu[i] * sig[1:, None], bundle.dW(i), dt)
         MdZ = dense_kernel_matrix(rvs[i], params.alpha[i], dt) @ dZ
@@ -327,7 +336,7 @@ class TestMartingaleProfile:
         prof = martingale_profile(bundle, sol)
         # J_0 is deterministic (V_0 pinned at its mean) and equals the value
         assert prof["se_paired"][0] == 0.0
-        assert prof["j_mean"][0] == pytest.approx(prof["value"], rel=1e-6)
+        assert prof["j_mean"][0] == pytest.approx(prof["value"], rel=1e-12)
         # J_T = U(X_T): the exponent integral vanishes at t = T
         assert prof["terminal_mean_utility"] == prof["j_mean"][-1]
         run = simulate_wealth(bundle, sol.spec.util, lambda t: optimal_rule(sol, t))
@@ -348,8 +357,19 @@ class TestMartingaleProfile:
         assert abs(target / at_mean - 1.0) > 1e-5
         prof = martingale_profile(b, sol)
         assert prof["value"] == pytest.approx(target, rel=1e-13)
-        assert prof["j_mean"][0] == pytest.approx(target, rel=1e-6)
+        assert prof["j_mean"][0] == pytest.approx(target, rel=1e-12)
         assert value_function(sol, v0=p.x_inf) == at_mean
+
+    @pytest.mark.parametrize("n,gamma", [(60, 0.8), (600, 0.2)])
+    @pytest.mark.parametrize("v0_mode", ["mean", "gaussian"])
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_j0_equals_value_to_rounding(self, params4, stab4, kind, v0_mode, n, gamma):
+        # J_0 and the value read one exponent, so they agree to rounding
+        # whatever the two grids' resolutions
+        sol = solve_riccati(RiccatiSpec(UtilitySpec(kind, gamma), params4, stab4, n=200))
+        b = simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=n), n_paths=200, seed=n, v0_mode=v0_mode)
+        prof = martingale_profile(b, sol)
+        assert abs(prof["j_mean"][0] / prof["value"] - 1.0) <= 1e-12
 
     def test_profile_not_flat_under_wrong_psi(self, bundle, params4, stab4, sol_power):
         # feeding the profile psi solved under a mismatched theta should break flatness
