@@ -47,15 +47,22 @@ over (0, inf) at mu = 1/alpha, phi = alpha pi/2, which gives
                           / (alpha |sin(pi/alpha)| sin(alpha pi/2)),
 
 which tends to lam/2 (the exponential case) as alpha -> 1; see ``f_l2_norm``.
+
+``scipy.integrate`` (and the scipy.optimize, sparse and linalg packages it
+imports) is bound as the module attribute ``integrate`` but loads on the
+first ``integrate.quad`` call, so importing this module costs none of it; no
+packaged config reaches the spectral integral.  NaN arguments are refused
+before they reach ``quad``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as sp_gamma
 from scipy.special import gammaln, roots_jacobi
 
@@ -67,6 +74,22 @@ __all__ = [
     "f_l2_norm",
     "resolvent_residual",
 ]
+
+
+def _lazy_module(name: str):
+    """``name`` in ``sys.modules``, executed on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# loads on the first quad call (see the module docstring)
+integrate = _lazy_module("scipy.integrate")
 
 # Seam between the defining power series and the integral representation,
 # in terms of x = -z = lam * t^alpha.
@@ -134,8 +157,10 @@ def _ml_integral(alpha: float, x: float, m: int) -> float:
     u >= u0/2 is integrated in v, with breakpoints at v = +-h 10^j, and
     u < u0/2 in u: each variable is the one in which its nodes keep full
     relative precision.  The exponential reaches e^-60 at u = 60^a / x,
-    where the range is cut.
+    where the range is cut; at x = inf the value is its limit, 0.
     """
+    if x == math.inf:
+        return 0.0
     inv_a = 1.0 / alpha
     u0 = math.cos(math.pi * (1.0 - alpha))
     s = math.sin(math.pi * (1.0 - alpha))
@@ -184,6 +209,8 @@ def mittag_leffler(alpha: float, z):
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     z_arr = np.asarray(z, dtype=float)
+    if np.any(np.isnan(z_arr)):
+        raise ValueError("mittag_leffler requires z to be a number, got NaN")
     if np.any(z_arr > 0.0):
         raise ValueError("mittag_leffler requires z <= 0")
     out = _ml(alpha, np.atleast_1d(z_arr), 0)
@@ -193,6 +220,8 @@ def mittag_leffler(alpha: float, z):
 def resolvent(spec: KernelSpec, t):
     """R(t) = E_alpha(-lam t^alpha); R(0) = 1, completely monotone."""
     t = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t)):
+        raise ValueError("resolvent requires t to be a number, got NaN")
     if np.any(t < 0.0):
         raise ValueError("resolvent requires t >= 0")
     return mittag_leffler(spec.alpha, -spec.lam * t**spec.alpha)
@@ -206,6 +235,8 @@ def _f_smooth(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
 def resolvent_density(spec: KernelSpec, t):
     """f(t) = -R'(t) for t > 0; +inf at t = 0 when alpha < 1."""
     t = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t)):
+        raise ValueError("resolvent_density requires t to be a number, got NaN")
     if np.any(t < 0.0):
         raise ValueError("resolvent_density requires t >= 0")
     scalar = t.ndim == 0

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
@@ -72,8 +71,8 @@ def g0_curve(params: ModelParams, s) -> np.ndarray:
     Returns shape (d,) + shape(s).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("g0_curve requires s >= 0")
+    if not np.all(s >= 0.0):
+        raise ValueError("g0_curve requires s >= 0 (not NaN)")
     alpha = params.alpha
     return (
         params.x_inf[(...,) + (None,) * s.ndim]
@@ -95,8 +94,8 @@ def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     T = params.T
-    if np.any((t < 0.0) | (t > T + 1e-12)):
-        raise ValueError("t must lie in [0, T]")
+    if not np.all((t >= 0.0) & (t <= T + 1e-12)):
+        raise ValueError("t must lie in [0, T] (not NaN)")
     psi_rev = sol.psi_at(T - t)  # (d, len(t))
     sig = np.stack([np.asarray(sol.spec.stabilizers[i](t)) for i in range(params.d)])
     hedge = params.rho[:, None] * params.nu[:, None] * sig * psi_rev
@@ -113,13 +112,41 @@ def optimal_rule(sol: RiccatiSolution, t) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
+def _running_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_k} y along the last axis, k = 0..n: composite Simpson on an
+    increasing grid x (n >= 2 intervals), reproducing
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)`` operation for
+    operation.  Each interval's integral comes from the parabola through it and
+    its right neighbour (even intervals) or its left neighbour (odd intervals
+    and the last one), and the running sum adds them in order."""
+
+    def first_interval(f, h):
+        # integral over [x_j, x_{j+1}] of the parabola through x_j, x_{j+1}, x_{j+2}
+        r1 = h[:-1] / (h[:-1] + h[1:])
+        r2 = r1 * (h[:-1] / h[1:])
+        return h[:-1] / 6 * ((3 - r1) * f[..., :-2] + (3 + r2 + r1) * f[..., 1:-1] - r2 * f[..., 2:])
+
+    h = np.diff(x)
+    right = first_interval(y, h)
+    left = first_interval(y[..., ::-1], h[::-1])[..., ::-1]
+    pieces = np.empty(y.shape[:-1] + h.shape)
+    pieces[..., :-1:2] = right[..., ::2]
+    pieces[..., 1::2] = left[..., ::2]
+    pieces[..., -1] = left[..., -1]
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(pieces, axis=-1)
+    return out
+
+
 def value_exponent(sol: RiccatiSolution) -> tuple[np.ndarray, np.ndarray]:
     """The exponent's tail integrals on ``sol.times``, (slope, level), each (d, n+1):
     int_{t_k}^T (a_i + F_i) ds and int_{t_k}^T (a_i + F_i) g_0^i ds at V_0 = x_inf,
     a + F being ``sol.rhs_values`` reversed in time.  One composite-Simpson running
-    integral gives both as total minus running value, so both are 0 at T exactly."""
+    integral (scipy's ``cumulative_simpson`` formula for a non-uniform grid,
+    reproduced bit for bit by ``_running_simpson``) gives both as total minus
+    running value, so both are 0 at T exactly."""
     rv = sol.rhs_values[:, ::-1]
-    run = cumulative_simpson(np.stack([rv, rv * g0_curve(sol.spec.params, sol.times)]), x=sol.times, initial=0.0)
+    run = _running_simpson(np.stack([rv, rv * g0_curve(sol.spec.params, sol.times)]), sol.times)
     slope, level = run[..., -1:] - run
     return slope, level
 
@@ -139,9 +166,13 @@ def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> fl
         raise ValueError("value_function requires the general-correlation power solution")
     if x0 is None:
         x0 = params.x0
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     v0 = np.asarray(params.x_inf if v0 is None else v0, dtype=float)
     if v0.ndim not in (1, 2) or v0.shape[0] != params.d or v0.size == 0:
         raise ValueError(f"v0 must have shape ({params.d},) or ({params.d}, P) with P >= 1, got {v0.shape}")
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("v0 must be finite")
     slope, level = value_exponent(sol)
     expo = float(np.sum(level[:, 0]))
     shift = slope[:, 0] @ (np.reshape(v0, (params.d, -1)) - params.x_inf[:, None])

@@ -390,13 +390,46 @@ def test_csv_rows_match_per_value_format(tmp_path):
     ]
 
 
+def run_fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this roughmerton."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackage():
     # import time is part of every invocation's setup; none of these is needed
     heavy = {"scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.ndimage"}
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, roughmerton.cli; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    loaded = {".".join(name.split(".")[:2]) for name in out.stdout.split()}
+    out = run_fresh_python("import sys, roughmerton.cli; print(' '.join(sys.modules))")
+    loaded = {".".join(name.split(".")[:2]) for name in out.split()}
     assert "roughmerton.cli" in loaded
     assert not loaded & heavy
+
+
+def test_runs_load_no_quadrature_until_quad_is_called(tmp_path):
+    # scipy.integrate is in sys.modules from the start, but unexecuted: its
+    # submodules and the packages it imports show whether it has loaded.
+    # The stabilizer report's Gauss-Jacobi nodes (scipy.special.roots_jacobi)
+    # import scipy.linalg themselves, so that command runs last.
+    code = f"""
+import json, sys
+import roughmerton.cli as cli
+from roughmerton.kernels import mittag_leffler
+deferred = ("scipy.integrate._quadpack", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+loaded = {{}}
+cli.load_config(cli._default_config_path())
+loaded["load_config"] = [m for m in deferred if m in sys.modules]
+for args in (["riccati"], ["strategy"], ["value"], ["verify", "--paths", "200"], ["stabilizer"]):
+    rc = cli.main(args + ["--out", {str(tmp_path)!r} + "/" + args[0]])
+    loaded[args[0]] = [m for m in deferred if m in sys.modules] + ([] if rc in (0, 1) else [rc])
+ml = mittag_leffler(0.6, -50.0)
+print(json.dumps([loaded, ml.hex(), "scipy.integrate._quadpack" in sys.modules]))
+"""
+    loaded, ml, quadpack = json.loads(run_fresh_python(code).splitlines()[-1])
+    assert loaded == {
+        **dict.fromkeys(["load_config", "riccati", "strategy", "value", "verify"], []),
+        "stabilizer": ["scipy.linalg"],
+    }
+    # the first quad call loads the quadrature and gives the eager import's value
+    assert quadpack and float.fromhex(ml) == 0.009083744773103457

@@ -140,6 +140,21 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(0.7, 0.5)
 
+    @pytest.mark.parametrize("z", [math.nan, np.array([-1.0, math.nan]), np.array([-50.0, math.nan])])
+    def test_rejects_nan_before_quadrature(self, z):
+        # NaN used to pass the z > 0 check and reach quad, with three IntegrationWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z to be a number"):
+                mittag_leffler(0.6, z)
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 1.0])
+    def test_limit_at_minus_infinity(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mittag_leffler(alpha, -math.inf) == 0.0
+            assert np.array_equal(mittag_leffler(alpha, np.array([-math.inf, 0.0])), [0.0, 1.0])
+
     @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.999999, 1 - 1e-8, 1 - 1e-10])
     @pytest.mark.parametrize("x", [2.001, 5.0, 20.0, 40.0])
     def test_integral_branch_near_alpha_one(self, alpha, x):
@@ -181,6 +196,23 @@ class TestKernelAndResolvent:
         assert np.all((r > 0.0) & (r <= 1.0))
         if alpha == 1.0:
             assert np.allclose(r, np.exp(-lam * t), atol=1e-12)
+
+    @pytest.mark.parametrize("fn", [resolvent, resolvent_density])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_t_rejected(self, fn, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t to be a number"):
+                fn(KernelSpec(alpha=0.6, lam=1.0), t)
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 1.0])
+    def test_limits_at_infinity(self, alpha):
+        # f(inf) used to be inf * 0 = nan, with a RuntimeWarning
+        spec = KernelSpec(alpha=alpha, lam=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolvent(spec, math.inf) == 0.0
+            assert resolvent_density(spec, math.inf) == 0.0
 
     @pytest.mark.parametrize("alpha,lam", [(0.9, 0.2), (0.6, 0.6)])
     def test_density_integrates_to_resolvent_drop(self, alpha, lam):

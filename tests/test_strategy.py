@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 from scipy.special import gamma as sp_gamma
 
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve
-from roughmerton.strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function
+from roughmerton.strategy import (
+    UtilitySpec,
+    _running_simpson,
+    g0_curve,
+    optimal_rule,
+    value_exponent,
+    value_function,
+)
 
 
 def make_params(params4, **overrides):
@@ -76,6 +83,8 @@ class TestG0Curve:
             assert np.allclose(g0[i], ref, rtol=1e-14)
         with pytest.raises(ValueError):
             g0_curve(params4, -0.1)
+        with pytest.raises(ValueError, match="s >= 0"):
+            g0_curve(params4, np.array([0.1, np.nan]))
 
 
 class TestOptimalRule:
@@ -140,6 +149,8 @@ class TestOptimalRule:
             optimal_rule(sol_power, -0.1)
         with pytest.raises(ValueError):
             optimal_rule(sol_power, 1.5)
+        with pytest.raises(ValueError, match="t must lie in"):
+            optimal_rule(sol_power, np.array([0.5, np.nan]))
         # the divisor 1 - gamma is the solved utility's
         sol = solve("power", 0.5, params4, stab4, n=50)
         assert np.allclose(optimal_rule(sol, 1.0), params4.theta / 0.5)
@@ -186,6 +197,33 @@ class TestValueFunction:
         sol_d = solve("power", 0.2, p, stab4, n=100, degenerate=True)
         with pytest.raises(ValueError):
             value_function(sol_d)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fixture", ["sol_power", "sol_exp"])
+    def test_non_finite_x0_rejected(self, request, fixture, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            value_function(request.getfixturevalue(fixture), x0=x0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fixture", ["sol_power", "sol_exp"])
+    def test_non_finite_v0_rejected(self, request, params4, fixture, bad):
+        sol = request.getfixturevalue(fixture)
+        for v0 in (np.array([params4.x_inf[0], bad]), np.array([[0.1, 0.2, 0.3], [0.1, bad, 0.3]])):
+            with pytest.raises(ValueError, match="v0 must be finite"):
+                value_function(sol, v0=v0)
+
+
+class TestRunningSimpson:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 200, 201, 1600])
+    @pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+    def test_equals_scipy_bit_for_bit(self, n, grid):
+        rng = np.random.default_rng(n)
+        if grid == "uniform":
+            x = np.linspace(0.0, 1.0, n + 1)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 1.0, n + 1))
+        y = rng.standard_normal((2, 3, n + 1))
+        assert np.array_equal(_running_simpson(y, x), cumulative_simpson(y, x=x, initial=0.0))
 
 
 class TestValueExponent:
