@@ -3,8 +3,9 @@
 Subcommands: ``stabilizer``, ``riccati``, ``simulate``, ``strategy``,
 ``value``, ``verify``, ``all``.  All outputs land in the configured directory
 as CSV (comma-separated, 17 significant digits, '#'-prefixed header block
-with config hash, seed and version) or JSON reports.  Exit code is 0 iff all
-requested invariant checks pass.
+with config hash, seed and version) or JSON reports.  Each subcommand returns
+the gate records (``verify.Gate``) of its checks and writes their verdicts;
+the exit code is 0 iff every gate passed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .kernels import resolvent_residual
 from .riccati import RiccatiSpec, assumption_gate, solve_riccati
 from .simulate import ModelParams, RateCurve, SimGrid, simulate_variance
@@ -38,24 +39,15 @@ __all__ = ["RunConfig", "load_config", "dispatch", "main"]
 
 SUBCOMMANDS = ("stabilizer", "riccati", "simulate", "strategy", "value", "verify", "all")
 
-_DEFAULT_TOLERANCES = {
-    "resolvent_residual": 1e-7,
-    "stabilizer_residual": 5e-4,
-    "stationarity_z": 3.0,
-    "value_rel_allowance": 0.005,
-    "profile_z": 3.0,
-    "optimality_z": 3.0,
-}
-
-
 # The model's per-asset fields, in ModelParams order.
 _PER_ASSET = ("alpha", "lam", "nu", "theta", "rho", "mu0", "c")
 
-# Smallest allowed run sizes: (config field, attribute, minimum).
+# Smallest allowed run sizes and seed: (config field, attribute, minimum).
 _SIZE_FLOORS = (
     ("grids.n_sim", "n_sim", 1),
     ("grids.n_riccati", "n_riccati", 2),
     ("mc.paths", "paths", 2),
+    ("mc.seed", "seed", 0),
     ("mc.block_size", "block_size", 1),
 )
 
@@ -182,8 +174,8 @@ def load_config(path: str) -> RunConfig:
     mc = raw.get("mc", {})
     _require_keys(mc, {"paths", "seed", "block_size"}, set(), "mc")
     tolerances = raw.get("tolerances", {})
-    _require_keys(tolerances, set(_DEFAULT_TOLERANCES), set(), "tolerances")
-    tol = dict(_DEFAULT_TOLERANCES)
+    _require_keys(tolerances, set(verify.TOLERANCES), set(), "tolerances")
+    tol = dict(verify.TOLERANCES)
     for key, val in tolerances.items():
         tol[key] = _finite(val, f"tolerances.{key}", low=0.0)
     out_dir = raw.get("outputs", "out")
@@ -269,28 +261,28 @@ def _solve(config: RunConfig, tabs, g: float):
     return solve_riccati(RiccatiSpec(config.utility(g), config.params, tabs, config.n_riccati))
 
 
-def _cmd_stabilizer(config: RunConfig) -> int:
+def _cmd_stabilizer(config: RunConfig) -> list:
     params = config.params
     tabs = _stab_tables(config)
     _write_stabilizer_curves(config, tabs, "stabilizer.csv")
-    report, ok = {}, True
+    report, gates = {}, []
     for i, tab in enumerate(tabs):
         res = functional_equation_residual(tab)
         sample = np.linspace(params.T / 50.0, params.T, 50)
         rres = float(np.max(resolvent_residual(params.kernel_spec(i), sample)))
-        passed = res <= config.tolerances["stabilizer_residual"] and rres <= config.tolerances["resolvent_residual"]
-        ok &= passed
+        asset = verify.residual_gates(f"asset_{i+1}", res, rres, config.tolerances)
+        gates += asset
         report[f"asset_{i+1}"] = {
             "functional_residual": res,
             "resolvent_residual": rres,
             "limit": tab.limit,
-            "passed": passed,
+            "passed": all(g.passed for g in asset),
         }
     _write_json(config, "stabilizer_report.json", report)
-    return 0 if ok else 1
+    return gates
 
 
-def _cmd_riccati(config: RunConfig) -> int:
+def _cmd_riccati(config: RunConfig) -> list:
     sol = _solve(config, _stab_tables(config), config.gammas[0])
     cols = ["t"] + [f"psi_{i+1}" for i in range(config.params.d)]
     _write_csv(config, "riccati.csv", cols, np.column_stack([sol.times, sol.psi.T]))
@@ -300,7 +292,7 @@ def _cmd_riccati(config: RunConfig) -> int:
         "riccati_report.json",
         {"variant": sol.variant, "gamma": sol.spec.util.gamma, "assumption_gate": gate},
     )
-    return 0
+    return []
 
 
 def _simulate_bundle(config: RunConfig, tabs, store_bperp: bool):
@@ -316,13 +308,7 @@ def _simulate_bundle(config: RunConfig, tabs, store_bperp: bool):
     )
 
 
-def _stationary(config: RunConfig, report: list) -> bool:
-    """The stationarity gate: every asset's mean and variance statistics within tolerance."""
-    z = config.tolerances["stationarity_z"]
-    return all(r["mean_stat"] <= z and r["var_stat"] <= z for r in report)
-
-
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: RunConfig) -> list:
     bundle = _simulate_bundle(config, _stab_tables(config), store_bperp=False)
     curves = moment_curves(bundle)
     cols, data = ["t"], [bundle.times]
@@ -331,12 +317,12 @@ def _cmd_simulate(config: RunConfig) -> int:
         data += list(curves[:, i])
     _write_csv(config, "simulate.csv", cols, np.column_stack(data))
     report = stationarity_report(bundle)
-    ok = _stationary(config, report)
-    _write_json(config, "simulate_report.json", {"stationarity": report, "passed": ok})
-    return 0 if ok else 1
+    gates = verify.stationarity_gates(report, config.tolerances)
+    _write_json(config, "simulate_report.json", {"stationarity": report, "passed": all(g.passed for g in gates)})
+    return gates
 
 
-def _cmd_strategy(config: RunConfig) -> int:
+def _cmd_strategy(config: RunConfig) -> list:
     tabs = _stab_tables(config)
     cols = ["t"] + [f"rule_{i+1}" for i in range(config.params.d)]
     for g in config.gammas:
@@ -344,24 +330,29 @@ def _cmd_strategy(config: RunConfig) -> int:
         rules = optimal_rule(sol, sol.times)
         name = f"strategy_{config.utility_kind}_gamma{g:g}.csv"
         _write_csv(config, name, cols, np.column_stack([sol.times, rules.T]))
-    return 0
+    return []
 
 
-def _cmd_value(config: RunConfig) -> int:
+def _cmd_value(config: RunConfig) -> list:
     tabs = _stab_tables(config)
     report = {f"gamma_{g:g}": value_function(_solve(config, tabs, g)) for g in config.gammas}
     payload = {"utility": config.utility_kind, "x0": config.params.x0, "values": report}
     _write_json(config, "value.json", payload)
     print(json.dumps(payload, sort_keys=True, default=_jsonable))
-    return 0
+    return []
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _verify_gates(config: RunConfig):
+    """Every verify gate on one bundle, writing nothing.
+
+    Returns the report (each check's figures, and its ``passed``, the AND of
+    its gates), the gate records and the profile curve's columns
+    (t, mean J, paired SE).
+    """
     tabs = _stab_tables(config)
     # one bundle serves every gate; its dBperp rebuilds dW for the profile
     bundle = _simulate_bundle(config, tabs, store_bperp=True)
     d = config.params.d
-    checks, ok = {}, True
 
     # value agreement per gamma, against the value at each path's V_0; every
     # gamma's optimal rule shares one wealth pass
@@ -371,63 +362,55 @@ def _cmd_verify(config: RunConfig) -> int:
         [sol.spec.util for sol in sols.values()],
         [lambda t, sol=sol: optimal_rule(sol, t) for sol in sols.values()],
     )
-    values = {}
+    values, gates = {}, []
     for (g, sol), run in zip(sols.items(), runs):
         target = value_function(sol, v0=bundle.v0)
-        tol = 2.0 * run.se + config.tolerances["value_rel_allowance"] * abs(target)
-        passed = abs(run.mean - target) <= tol
-        ok &= passed
+        gate = verify.value_gate(f"value_agreement.gamma_{g:g}", run, target, config.tolerances)
+        gates.append(gate)
         values[f"gamma_{g:g}"] = {
             "mc_mean": run.mean,
             "mc_se": run.se,
             "analytic": value_function(sol),
             "target": target,
-            "tolerance": tol,
-            "passed": passed,
+            "tolerance": gate.threshold,
+            "passed": gate.passed,
         }
-    checks["value_agreement"] = values
 
-    # optimality for the first gamma
+    # optimality and the martingale profile for the first gamma
     sol = sols[config.gammas[0]]
     ones = lambda t: np.ones((d, np.atleast_1d(t).size))
     perts = [PerturbationSpec(eps, ones, "uniform") for eps in (0.1, 0.2, 0.4)]
     opt = optimality_test(bundle, sol, perts)
-    # every gap non-negative within noise; the largest perturbation clearly positive
-    zs = [e["z"] for e in opt["perturbations"]]
-    opt_ok = all(z >= -config.tolerances["optimality_z"] for z in zs) and zs[-1] >= config.tolerances[
-        "optimality_z"
-    ]
-    ok &= opt_ok
-    checks["optimality"] = {"report": opt, "passed": opt_ok}
-
-    # martingale profile for the first gamma
+    opt_gates = verify.optimality_gates(opt, config.tolerances)
     prof = martingale_profile(bundle, sol)
-    prof_ok = prof["flat_stat"] <= config.tolerances["profile_z"]
-    ok &= prof_ok
-    checks["martingale_profile"] = {
-        "flat_stat": prof["flat_stat"],
-        "value": prof["value"],
-        "terminal_mean_utility": prof["terminal_mean_utility"],
-        "passed": prof_ok,
-    }
-    _write_csv(
-        config,
-        "verify_profile.csv",
-        ["t", "mean_J", "se_paired"],
-        np.column_stack([prof["times"], prof["j_mean"], prof["se_paired"]]),
-    )
-
+    prof_gate = verify.profile_gate(prof, config.tolerances)
     stat = stationarity_report(bundle)
-    stat_ok = _stationary(config, stat)
-    ok &= stat_ok
-    checks["stationarity"] = {"report": stat, "passed": stat_ok}
+    stat_gates = verify.stationarity_gates(stat, config.tolerances)
+    gates += opt_gates + [prof_gate] + stat_gates
 
-    checks["passed"] = ok
-    _write_json(config, "verify_report.json", checks)
-    return 0 if ok else 1
+    report = {
+        "value_agreement": values,
+        "optimality": {"report": opt, "passed": all(g.passed for g in opt_gates)},
+        "martingale_profile": {
+            "flat_stat": prof["flat_stat"],
+            "value": prof["value"],
+            "terminal_mean_utility": prof["terminal_mean_utility"],
+            "passed": prof_gate.passed,
+        },
+        "stationarity": {"report": stat, "passed": all(g.passed for g in stat_gates)},
+        "passed": all(g.passed for g in gates),
+    }
+    return report, gates, np.column_stack([prof["times"], prof["j_mean"], prof["se_paired"]])
 
 
-def _cmd_all(config: RunConfig) -> int:
+def _cmd_verify(config: RunConfig) -> list:
+    report, gates, profile = _verify_gates(config)
+    _write_csv(config, "verify_profile.csv", ["t", "mean_J", "se_paired"], profile)
+    _write_json(config, "verify_report.json", report)
+    return gates
+
+
+def _cmd_all(config: RunConfig) -> list:
     """Full pipeline: fig1 = stabilizers, fig2 = stationarity curves,
     fig3 = exponent curves per gamma, fig4 = rule curves per gamma."""
     d = config.params.d
@@ -456,7 +439,7 @@ def _cmd_all(config: RunConfig) -> int:
         cols += [f"rule_{i+1}_gamma{g:g}" for i in range(d)]
         data += [rules[i] for i in range(d)]
     _write_csv(config, "fig4.csv", cols, np.column_stack(data))
-    return 0
+    return []
 
 
 _COMMANDS = {
@@ -471,11 +454,12 @@ _COMMANDS = {
 
 
 def dispatch(subcommand: str, config: RunConfig) -> int:
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand; returns the process exit code, 0 iff every gate passed."""
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     os.makedirs(config.out_dir, exist_ok=True)
-    return _COMMANDS[subcommand](config)
+    gates = _COMMANDS[subcommand](config)
+    return 0 if all(g.passed for g in gates) else 1
 
 
 def _default_config_path() -> str:

@@ -219,8 +219,8 @@ class SimGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.n_steps < 1:
-            raise ValueError("SimGrid requires T > 0 and n_steps >= 1")
+        if not 0.0 < self.T < math.inf or self.n_steps < 1:
+            raise ValueError(f"SimGrid requires a finite T > 0 and n_steps >= 1, got {self}")
 
     @property
     def dt(self) -> float:

@@ -58,6 +58,12 @@ forms the wealth path, dW, dZ, the exponent and J, so J is the only
 
 The market (theta, rates, x0, kernels) is read from the bundle's
 ``params``; the utility and the exponent curves from the Riccati solution.
+
+Every verdict is a ``Gate`` record: one statistic against one threshold,
+passing iff statistic <= threshold, so a NaN statistic fails.  Each gate
+family has one constructor next to the statistic it judges, which reads its
+threshold from a ``tolerances`` mapping (keys and defaults in
+``TOLERANCES``); a report's ``passed`` is the AND of its records.
 """
 
 from __future__ import annotations
@@ -74,6 +80,13 @@ from .simulate import PathBundle, _toeplitz_gather
 from .strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function  # noqa: F401
 
 __all__ = [
+    "TOLERANCES",
+    "Gate",
+    "value_gate",
+    "optimality_gates",
+    "profile_gate",
+    "stationarity_gates",
+    "residual_gates",
     "WealthRun",
     "PerturbationSpec",
     "simulate_wealth",
@@ -83,12 +96,46 @@ __all__ = [
     "stationarity_report",
 ]
 
+# Each gate family's threshold: ``tolerances`` key and default.
+TOLERANCES = {
+    "resolvent_residual": 1e-7,
+    "stabilizer_residual": 5e-4,
+    "stationarity_z": 3.0,
+    "value_rel_allowance": 0.005,
+    "profile_z": 3.0,
+    "optimality_z": 3.0,
+}
+
 # Bytes of one (n+1)-row array of a path chunk of the martingale profile.
 _PROFILE_CHUNK_BYTES = 1 << 20
 # Steps per time block of the profile's causal convolution.
 _CONV_BLOCK = 128
 # Bytes of one row block of the profile's statistics and of the moment curves.
 _ROW_BLOCK_BYTES = 1 << 18
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One verdict: ``stat`` against ``threshold``, named ``family.part``."""
+
+    name: str
+    stat: float
+    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        # a NaN statistic compares False, so it fails
+        return bool(self.stat <= self.threshold)
+
+
+def residual_gates(asset: str, functional: float, resolvent: float, tol) -> list[Gate]:
+    """The stabilizer's two residual checks for one asset: the functional
+    equation within ``stabilizer_residual``, the resolvent identity within
+    ``resolvent_residual``."""
+    return [
+        Gate(f"stabilizer.{asset}.functional_residual", functional, tol["stabilizer_residual"]),
+        Gate(f"stabilizer.{asset}.resolvent_residual", resolvent, tol["resolvent_residual"]),
+    ]
 
 
 @dataclass(frozen=True)
@@ -114,8 +161,8 @@ class PerturbationSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
 def _increments(v_prev: np.ndarray, drift, vol, dX: np.ndarray, dt: float) -> np.ndarray:
@@ -236,6 +283,12 @@ def simulate_wealth(bundle: PathBundle, util, rule):
     return runs if stacked else runs[0]
 
 
+def value_gate(name: str, run: WealthRun, target: float, tol) -> Gate:
+    """Value agreement: |MC mean - target| within two SEs plus
+    ``value_rel_allowance`` of |target|."""
+    return Gate(name, abs(run.mean - target), 2.0 * run.se + tol["value_rel_allowance"] * abs(target))
+
+
 def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: list) -> dict:
     """Paired common-random-number comparison of the optimal rule vs perturbed rules.
 
@@ -267,6 +320,21 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
             }
         )
     return {"base_mean": base_mean, "base_se": base_se, "perturbations": entries}
+
+
+def optimality_gates(report: dict, tol) -> list[Gate]:
+    """The verdicts on an ``optimality_test`` report, perturbations in increasing epsilon.
+
+    With z_tol = ``optimality_z``: ``no_gain``, no perturbation gains, every
+    z >= -z_tol (statistic max(-z)); ``detects``, the largest perturbation
+    loses clearly, z >= z_tol (statistic -z against -z_tol).
+    """
+    neg_z = -np.array([e["z"] for e in report["perturbations"]])
+    z_tol = tol["optimality_z"]
+    return [
+        Gate("optimality.no_gain", float(np.max(neg_z)), z_tol),
+        Gate("optimality.detects", float(neg_z[-1]), -z_tol),
+    ]
 
 
 def _path_chunks(bundle: PathBundle, paths: int):
@@ -400,6 +468,11 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     }
 
 
+def profile_gate(profile: dict, tol) -> Gate:
+    """The mean of J is flat: the profile's ``flat_stat`` within ``profile_z``."""
+    return Gate("martingale_profile", profile["flat_stat"], tol["profile_z"])
+
+
 def moment_curves(bundle: PathBundle) -> np.ndarray:
     """Sample mean and variance of V per asset and grid time, with their SEs.
 
@@ -452,3 +525,13 @@ def stationarity_report(bundle: PathBundle) -> list[dict]:
             }
         )
     return out
+
+
+def stationarity_gates(report: list, tol) -> list[Gate]:
+    """Each asset's mean and variance statistics of a ``stationarity_report``
+    within ``stationarity_z``."""
+    return [
+        Gate(f"stationarity.asset_{r['asset'] + 1}.{moment}", r[f"{moment}_stat"], tol["stationarity_z"])
+        for r in report
+        for moment in ("mean", "var")
+    ]

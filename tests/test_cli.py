@@ -198,6 +198,8 @@ class TestCommands:
             pytest.param("grids.n_riccati", [], lambda raw: raw["grids"].update(n_riccati=1), id="n_riccati"),
             pytest.param("mc.paths", [], lambda raw: raw["mc"].update(paths=1), id="paths"),
             pytest.param("mc.block_size", [], lambda raw: raw["mc"].update(block_size=0), id="block_size"),
+            pytest.param("mc.seed", [], lambda raw: raw["mc"].update(seed=-1), id="seed_negative"),
+            pytest.param("mc.seed", ["--seed", "-1"], None, id="seed_override"),
             pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim=12.7), id="n_sim_fractional"),
             pytest.param("grids.n_sim", [], lambda raw: raw["grids"].update(n_sim="abc"), id="n_sim_string"),
             pytest.param("mc.paths", ["--paths", "0"], None, id="paths_override"),
@@ -252,6 +254,70 @@ class TestCommands:
         assert payload["error"] == "ConfigError"
         assert f"model.{field}[0] must be a finite number" in payload["message"]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("sub", ["value", "verify"])
+    def test_negative_seed_is_rejected_before_any_layer(self, tmp_path, capsys, monkeypatch, sub):
+        def no_layer(config):
+            raise AssertionError("a layer ran")
+
+        monkeypatch.setattr(cli, "_stab_tables", no_layer)
+        out = str(tmp_path / "out")
+        assert run_cli([sub, "--seed", "-1", "--out", out]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "ConfigError", "message": "mc.seed must be >= 0, got -1"}
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "sub,key,report,checks",
+        [
+            ("stabilizer", "stabilizer_residual", "stabilizer_report.json", ("asset_1", "asset_2")),
+            ("stabilizer", "resolvent_residual", "stabilizer_report.json", ("asset_1", "asset_2")),
+            ("simulate", "stationarity_z", "simulate_report.json", ()),
+        ],
+    )
+    def test_exit_code_is_the_and_of_the_gates(self, tmp_path, sub, key, report, checks):
+        # a zero threshold fails every gate it sets; the default passes here
+        for tol, code in ((None, 0), (0.0, 1)):
+            tols = {} if tol is None else {key: tol}
+            cfg = write_config(tmp_path, lambda raw: (self.shrink(raw), raw.update(tolerances=tols)))
+            out = str(tmp_path / f"out_{code}")
+            assert run_cli([sub, "--config", cfg, "--out", out]) == code
+            payload = read_json(os.path.join(out, report))
+            for entry in [payload[c] for c in checks] or [payload]:
+                assert entry["passed"] == (code == 0)
+
+    def test_verify_gates_replay_the_report(self, tmp_path):
+        path = write_config(tmp_path, self.shrink)
+        out = str(tmp_path / "out")
+        code = run_cli(["verify", "--config", path, "--out", out])
+        written = read_json(os.path.join(out, "verify_report.json"))
+        del written["_meta"]
+        # the replay writes nothing, not even its output directory
+        replay_dir = tmp_path / "replay"
+        report, gates, profile = cli._verify_gates(dataclasses.replace(load_config(path), out_dir=str(replay_dir)))
+        assert not replay_dir.exists()
+        assert json.loads(json.dumps(report, default=cli._jsonable)) == written
+        assert code == (0 if written["passed"] else 1) and written["passed"] == all(g.passed for g in gates)
+        # each verdict in the report is its gate's record
+        by_name = {g.name: g for g in gates}
+        for key, entry in written["value_agreement"].items():
+            gate = by_name.pop(f"value_agreement.{key}")
+            assert (gate.stat, gate.threshold, gate.passed) == (
+                abs(entry["mc_mean"] - entry["target"]), entry["tolerance"], entry["passed"]
+            )
+        zs = [e["z"] for e in written["optimality"]["report"]["perturbations"]]
+        no_gain, detects = by_name.pop("optimality.no_gain"), by_name.pop("optimality.detects")
+        assert (no_gain.stat, detects.stat) == (-min(zs), -zs[-1])
+        assert written["optimality"]["passed"] == (no_gain.passed and detects.passed)
+        gate = by_name.pop("martingale_profile")
+        prof = written["martingale_profile"]
+        assert (gate.stat, gate.passed) == (prof["flat_stat"], prof["passed"])
+        for entry in written["stationarity"]["report"]:
+            for moment in ("mean", "var"):
+                assert by_name.pop(f"stationarity.asset_{entry['asset'] + 1}.{moment}").stat == entry[f"{moment}_stat"]
+        assert by_name == {}
+        csv = np.loadtxt(os.path.join(out, "verify_profile.csv"), delimiter=",", comments="#")
+        assert np.array_equal(csv, profile)
 
     def test_power_utility_needs_positive_x0(self, tmp_path, capsys):
         zero_x0 = lambda raw: raw["model"].update(x0=0.0)

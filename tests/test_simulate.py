@@ -559,6 +559,11 @@ class TestSimulate:
         assert np.array_equal(panelled.dB, whole.dB)
         assert np.array_equal(panelled.dBperp, whole.dBperp)
 
+    @pytest.mark.parametrize("T,n_steps", [(float("nan"), 10), (float("inf"), 10), (0.0, 10), (1.0, 0)])
+    def test_grid_rejects_bad_horizon_and_steps(self, T, n_steps):
+        with pytest.raises(ValueError, match="SimGrid requires a finite T > 0"):
+            SimGrid(T, n_steps)
+
     def test_stabilizer_coverage_checked(self, params4):
         short = [
             build_stabilizer(params4.kernel_spec(i), params4.c[i], np.linspace(0, 0.5, 11))

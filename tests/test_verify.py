@@ -7,10 +7,13 @@ import pytest
 
 from roughmerton.riccati import RiccatiSpec, solve_riccati
 from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
-from roughmerton.stabilizer import build_stabilizer
-from roughmerton import verify
+from roughmerton.stabilizer import build_stabilizer, functional_equation_residual
+from roughmerton import kernels, verify
+from roughmerton.kernels import KernelSpec, resolvent_residual
 from roughmerton.strategy import UtilitySpec, optimal_rule, value_exponent, value_function
 from roughmerton.verify import (
+    TOLERANCES,
+    Gate,
     PerturbationSpec,
     _increments,
     _kernel_coefficients,
@@ -20,9 +23,14 @@ from roughmerton.verify import (
     _wealth_steps,
     martingale_profile,
     moment_curves,
+    optimality_gates,
     optimality_test,
+    profile_gate,
+    residual_gates,
     simulate_wealth,
+    stationarity_gates,
     stationarity_report,
+    value_gate,
 )
 
 
@@ -122,6 +130,13 @@ def dense_kernel_matrix(rv, alpha, dt):
         col[:ell] = 0.0  # increment l not yet observed before t_l
         M[:, ell - 1] = col
     return M
+
+
+def wrong_theta_psi(sol, params4, stab4, theta):
+    """``sol`` with psi and the value integrands solved under a mismatched theta."""
+    p_wrong = make_params(params4, theta=[theta, theta])
+    wrong = solve_riccati(RiccatiSpec(sol.spec.util, p_wrong, stab4, n=200))
+    return dataclasses.replace(sol, psi=wrong.psi, rhs_values=wrong.rhs_values)
 
 
 def profile_integrands(bundle, sol):
@@ -325,6 +340,9 @@ class TestOptimality:
     def test_perturbation_spec_guard(self):
         with pytest.raises(ValueError):
             PerturbationSpec(-0.1, lambda t: t, "bad")
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                PerturbationSpec(eps, lambda t: t, "bad")
 
 
 class TestMartingaleProfile:
@@ -373,11 +391,10 @@ class TestMartingaleProfile:
 
     def test_profile_not_flat_under_wrong_psi(self, bundle, params4, stab4, sol_power):
         # feeding the profile psi solved under a mismatched theta should break flatness
-        p_wrong = make_params(params4, theta=[0.3, 0.3])
-        sol_wrong = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p_wrong, stab4, n=200))
-        wrong_psi = dataclasses.replace(sol_power, psi=sol_wrong.psi, rhs_values=sol_wrong.rhs_values)
-        prof = martingale_profile(bundle, wrong_psi)
+        prof = martingale_profile(bundle, wrong_theta_psi(sol_power, params4, stab4, 0.3))
         assert prof["flat_stat"] > 5.0
+        gate = profile_gate(prof, TOLERANCES)
+        assert gate.stat == prof["flat_stat"] and not gate.passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60])
     def test_kernel_term_matches_dense_product(self, params4, stab4, sol_power, n):
@@ -504,3 +521,97 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (self.N + 1) * self.P * 8
+
+
+class TestGates:
+    """Each gate passes iff its statistic is within its threshold, and each
+    elementary gate's record fails under a named wrong model (5 000 paths x 60 steps)."""
+
+    UNIFORM = [PerturbationSpec(e, lambda t: np.ones((2, np.asarray(t).size)), "uniform") for e in (0.1, 0.2, 0.4)]
+
+    def test_verdict(self):
+        assert Gate("g", 3.0, 3.0).passed and not Gate("g", 3.0 + 1e-15, 3.0).passed
+        assert not Gate("g", float("nan"), 3.0).passed
+        # a NaN z fails both optimality gates
+        nan_z = {"perturbations": [{"z": 5.0}, {"z": float("nan")}]}
+        assert [g.passed for g in optimality_gates(nan_z, TOLERANCES)] == [False, False]
+
+    def test_each_family_reads_its_own_tolerance(self):
+        tol = {key: float(k + 1) for k, key in enumerate(TOLERANCES)}
+        run = verify.WealthRun(None, None, mean=1.0, se=0.25)
+        assert value_gate("v", run, -2.0, tol).threshold == 0.5 + 2.0 * tol["value_rel_allowance"]
+        opt = {"perturbations": [{"z": 1.0}, {"z": 2.0}]}
+        assert [g.threshold for g in optimality_gates(opt, tol)] == [tol["optimality_z"], -tol["optimality_z"]]
+        assert profile_gate({"flat_stat": 0.0}, tol).threshold == tol["profile_z"]
+        report = [{"asset": 0, "mean_stat": 0.0, "var_stat": 0.0}]
+        assert {g.threshold for g in stationarity_gates(report, tol)} == {tol["stationarity_z"]}
+        residual = residual_gates("asset_1", 0.0, 0.0, tol)
+        assert [g.threshold for g in residual] == [tol["stabilizer_residual"], tol["resolvent_residual"]]
+
+    def test_stationarity_fails_with_stabilizers_at_0_8_c(self, params4):
+        # varsigma^2 scales with c: tables built at 0.8 c let Var(V_t) drift
+        # below its stationary level
+        grid = np.linspace(0.0, params4.T, 201)
+        low = [build_stabilizer(params4.kernel_spec(i), 0.8 * params4.c[i], grid) for i in range(params4.d)]
+        b = simulate_variance(params4, low, SimGrid(T=1.0, n_steps=60), n_paths=5000, seed=0)
+        report = stationarity_report(b)
+        gates = stationarity_gates(report, TOLERANCES)
+        assert [g.name for g in gates] == [f"stationarity.asset_{i}.{m}" for i in (1, 2) for m in ("mean", "var")]
+        assert [g.stat for g in gates] == [r[f"{m}_stat"] for r in report for m in ("mean", "var")]
+        failed = {g.name for g in gates if not g.passed}
+        assert "stationarity.asset_2.var" in failed
+        assert max(g.stat for g in gates) > 6.0
+
+    def test_value_agreement_fails_under_wrong_psi(self, bundle, params4, stab4, sol_power):
+        wrong = wrong_theta_psi(sol_power, params4, stab4, 0.3)
+        gates = {}
+        for name, sol in (("right", sol_power), ("wrong", wrong)):
+            run = simulate_wealth(bundle, sol.spec.util, lambda t: optimal_rule(sol, t))
+            target = value_function(sol, v0=bundle.v0)
+            gates[name] = value_gate(name, run, target, TOLERANCES)
+            assert gates[name].threshold == 2.0 * run.se + 0.005 * abs(target)
+        assert gates["right"].passed
+        assert not gates["wrong"].passed and gates["wrong"].stat > 2.0 * gates["wrong"].threshold
+
+    def test_no_gain_fails_for_a_rule_that_ignores_the_risk_premium(self, bundle, params4, stab4):
+        # the rule solved at theta = 0 holds no risky asset; more of it gains
+        p0 = make_params(params4, theta=[0.0, 0.0])
+        sol0 = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p0, stab4, n=200))
+        gates = optimality_gates(optimality_test(bundle, sol0, self.UNIFORM), TOLERANCES)
+        assert [g.name for g in gates] == ["optimality.no_gain", "optimality.detects"]
+        assert not gates[0].passed and gates[0].stat > 3.0
+
+    def test_detects_fails_when_the_largest_perturbation_crosses_the_optimum(self, params4, stab4):
+        # at theta = 0.16 the optimal multiplier is 0.2: the rule solved at
+        # theta = 0 is 0.2 short, so eps = 0.4 lands as far past the optimum
+        # and loses nothing
+        p = make_params(params4, theta=[0.16, 0.16])
+        b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=60), n_paths=5000, seed=0)
+        p0 = make_params(params4, theta=[0.0, 0.0])
+        sol0 = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p0, stab4, n=200))
+        report = optimality_test(b, sol0, self.UNIFORM)
+        detects = optimality_gates(report, TOLERANCES)[1]
+        assert detects.stat == -report["perturbations"][-1]["z"] and detects.threshold == -3.0
+        assert not detects.passed
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_functional_residual_fails_for_a_series_solved_at_the_wrong_alpha(self, params4, i):
+        spec = params4.kernel_spec(i)
+        grid = np.linspace(0.0, params4.T, 201)
+        wrong = build_stabilizer(KernelSpec(spec.alpha - 0.05, spec.lam), params4.c[i], grid)
+        right = build_stabilizer(spec, params4.c[i], grid)
+        for table, ok in ((right, True), (dataclasses.replace(wrong, spec=spec), False)):
+            gate = residual_gates("asset", functional_equation_residual(table), 0.0, TOLERANCES)[0]
+            assert gate.name == "stabilizer.asset.functional_residual" and gate.passed == ok
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_resolvent_residual_fails_for_a_resolvent_at_the_wrong_rate(self, params4, monkeypatch, i):
+        spec = params4.kernel_spec(i)
+        sample = np.linspace(params4.T / 50.0, params4.T, 50)
+        right = float(np.max(resolvent_residual(spec, sample)))
+        real = kernels.resolvent
+        monkeypatch.setattr(kernels, "resolvent", lambda s, t: real(KernelSpec(s.alpha, 0.8 * s.lam), t))
+        wrong = float(np.max(resolvent_residual(spec, sample)))
+        gates = [residual_gates("asset", 0.0, r, TOLERANCES)[1] for r in (right, wrong)]
+        assert gates[0].name == "stabilizer.asset.resolvent_residual"
+        assert [g.passed for g in gates] == [True, False]
