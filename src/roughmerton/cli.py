@@ -296,7 +296,7 @@ def _cmd_riccati(config: RunConfig) -> list:
 
 
 def _simulate_bundle(config: RunConfig, tabs, store_bperp: bool):
-    """The run's Gaussian-V_0 bundle; dBperp is kept only where dW is needed."""
+    """The run's Gaussian-V_0 bundle; dBperp is kept only where the profile needs it."""
     return simulate_variance(
         config.params,
         tabs,
@@ -347,10 +347,10 @@ def _verify_gates(config: RunConfig):
 
     Returns the report (each check's figures, and its ``passed``, the AND of
     its gates), the gate records and the profile curve's columns
-    (t, mean J, paired SE).
+    (t, mean J, paired SE) at the profile's checkpoint rows.
     """
     tabs = _stab_tables(config)
-    # one bundle serves every gate; its dBperp rebuilds dW for the profile
+    # one bundle serves every gate; the profile reads its dBperp
     bundle = _simulate_bundle(config, tabs, store_bperp=True)
     d = config.params.d
 
@@ -378,8 +378,12 @@ def _verify_gates(config: RunConfig):
 
     # optimality and the martingale profile for the first gamma
     sol = sols[config.gammas[0]]
-    ones = lambda t: np.ones((d, np.atleast_1d(t).size))
-    perts = [PerturbationSpec(eps, ones, "uniform") for eps in (0.1, 0.2, 0.4)]
+    # a rule that holds too much, or too little, of every asset gains on one side
+    perts = [
+        PerturbationSpec(eps, lambda t, sign=sign: np.full((d, np.atleast_1d(t).size), sign), label)
+        for sign, label in ((1.0, "uniform"), (-1.0, "-uniform"))
+        for eps in (0.1, 0.2, 0.4)
+    ]
     opt = optimality_test(bundle, sol, perts)
     opt_gates = verify.optimality_gates(opt, config.tolerances)
     prof = martingale_profile(bundle, sol)

@@ -244,7 +244,7 @@ class PathBundle:
     dB : np.ndarray
         Stock-driver increments, shape (d, n, n_paths).
     dBperp : np.ndarray or None
-        Orthogonal increments; the variance driver is reconstructed as
+        Orthogonal increments; the variance driver is
         dW = rho dB + sqrt(1 - rho^2) dBperp.
     integrals : np.ndarray or None
         Lag-zero Gaussian integral draws I^{i,l}_l per step, shape (d, n, n_paths).
@@ -265,15 +265,6 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return self.V.shape[2]
-
-    def dW(self, i: int) -> np.ndarray:
-        """Variance-driver increments dW^i = rho_i dB^i + sqrt(1-rho_i^2) dBperp^i."""
-        if self.dBperp is None:
-            raise ValueError("bundle was built without dBperp storage")
-        r = self.params.rho[i]
-        dW = r * self.dB[i]
-        dW += math.sqrt(max(1.0 - r * r, 0.0)) * self.dBperp[i]
-        return dW
 
 
 def _gl_nodes(n: int, a: float, b: float):

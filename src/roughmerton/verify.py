@@ -15,8 +15,8 @@ against V_i D, whose weights depend on the rule but not on the path: pi_i and
 theta_i pi_i - pi_i^2/2 for power, disc pi_i and theta_i disc pi_i for
 exponential, so the discounting lives in the weights.  One pass per asset
 forms sqrt(V_i) dB_i once and reduces it and V_i for a whole stack of rules
-by matrix products; the wealth path of one rule is the running sum of the
-same step terms.
+by matrix products; the wealth state at grid row k is the same reduction
+with the weights of steps k, k+1, ... set to 0.
 
 The martingale optimality principle is probed two ways: paired common-random-
 number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
@@ -40,21 +40,14 @@ flat in t for the optimal rule.
 The path-dependent part of the exponent is (M dZ)_k = int_{t_k}^T rv(s)
 sum_{l <= k} Kbar_l(s) dZ_l ds by the trapezoid rule, rv = a + F on the
 grid: a strictly lower-triangular (n+1) x n matrix M applied to the
-increments.  It is never built.  With trapezoid weights w_j = D for j < n
-and D/2 at j = n, A_j = w_j rv_j, H_m = sum_{j >= m} A_j kbar_{j-m} and the
-causal convolution conv_k = sum_{l <= k} kbar_{k-l} dZ_l,
-
-  (M dZ)_k = E_k - (D/2) rv_k conv_k,
-  E_k = sum_{m <= k} H_m dZ_m - sum_{m < k} A_m conv_m   (one cumsum),
-
-exactly, for 0 < k < n; rows 0 and n are 0, so J_T = U(X_T) holds exactly.
-conv runs in time blocks as BLAS-3 products against the Toeplitz gather of
-[0, kbar] that ``simulate`` uses for its own convolution: n^2 P flops per
-asset, half of the dense product's.  The profile works over chunks of
-paths (about ``_PROFILE_CHUNK_BYTES`` per (n+1)-row array): per chunk it
-forms the wealth path, dW, dZ, the exponent and J, so J is the only
-(n+1, P) array it holds, and J's row means and paired SEs, like
-``moment_curves``, are reduced over blocks of grid rows.
+increments, whose rows 0 and n are 0, so J_T = U(X_T) holds exactly.  The
+profile evaluates J only at the checkpoint rows k_j = round(j n / K),
+j = 0..K.  There the wealth state and M dZ are linear in V, sqrt(V) dB and
+sqrt(V) dBperp, since dW = rho dB + sqrt(1 - rho^2) dBperp, with weights that
+do not depend on the path: the masked wealth weights and the K + 1 rows of M
+scaled by -lam D, nu varsigma rho and nu varsigma sqrt(1 - rho^2).  So J is a
+stack of (rows, n) @ (n, paths) products per asset, run over chunks of paths
+whose temporaries are about ``_ROW_BLOCK_BYTES`` each.
 
 The market (theta, rates, x0, kernels) is read from the bundle's
 ``params``; the utility and the exponent curves from the Riccati solution.
@@ -72,10 +65,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as sp_gamma
 
 from .riccati import RiccatiSolution
-from .simulate import PathBundle, _toeplitz_gather
+from .simulate import PathBundle
 # g0_curve is not called here; perfbench/spans.py traces it under this name
 from .strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function  # noqa: F401
 
@@ -106,12 +98,11 @@ TOLERANCES = {
     "optimality_z": 3.0,
 }
 
-# Bytes of one (n+1)-row array of a path chunk of the martingale profile.
-_PROFILE_CHUNK_BYTES = 1 << 20
-# Steps per time block of the profile's causal convolution.
-_CONV_BLOCK = 128
-# Bytes of one row block of the profile's statistics and of the moment curves.
-_ROW_BLOCK_BYTES = 1 << 18
+# K: grid intervals between the martingale profile's checkpoint rows.
+_CHECKPOINTS = 24
+# Bytes of one row block of the moment curves, and of one (n, paths) array
+# of a path chunk of the martingale profile.
+_ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,22 +156,6 @@ class PerturbationSpec:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
-def _increments(v_prev: np.ndarray, drift, vol, dX: np.ndarray, dt: float) -> np.ndarray:
-    """drift * v_prev * dt + vol * sqrt(v_prev) * dX, as a new array.
-
-    Built in place with the expression's operations in its order, so it is
-    bit-identical to the expression while holding one full-size temporary
-    besides the result.
-    """
-    out = drift * v_prev
-    out *= dt
-    noise = np.sqrt(v_prev)
-    noise *= vol
-    noise *= dX
-    out += noise
-    return out
-
-
 def _wealth_steps(bundle: PathBundle, util: UtilitySpec, rules: list):
     """The wealth recursion of each rule, evaluated at the left grid points, as weights.
 
@@ -230,31 +205,6 @@ def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.n
     if bad.size:
         raise FloatingPointError(f"non-finite terminal wealth at path index {bad[0]}")
     return x_T
-
-
-def _wealth_path(bundle: PathBundle, util: UtilitySpec, steps) -> np.ndarray:
-    """Wealth (n+1, P) at every grid time: the running sum of the step terms
-    ``steps = _wealth_steps(bundle, util, [rule])`` that ``_terminal_wealth``
-    reduces."""
-    params, times = bundle.params, bundle.times
-    start, rate_steps, B, C = steps
-    X = np.empty((times.size, bundle.n_paths))
-    X[0] = start
-    X[1:] = rate_steps[:, None]
-    for i in range(params.d):
-        V = bundle.V[i, :-1]
-        term = np.sqrt(V)
-        term *= bundle.dB[i]
-        term *= B[0, i][:, None]
-        X[1:] += term
-        np.multiply(V, C[0, i][:, None], out=term)
-        X[1:] += term
-        del term
-    np.cumsum(X, axis=0, out=X)
-    if util.kind == "power":
-        return np.exp(X, out=X)
-    X *= np.exp(params.rate.primitive(times))[:, None]
-    return X
 
 
 def _mean_se(u: np.ndarray) -> tuple[float, float]:
@@ -323,17 +273,20 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
 
 
 def optimality_gates(report: dict, tol) -> list[Gate]:
-    """The verdicts on an ``optimality_test`` report, perturbations in increasing epsilon.
+    """The verdicts on an ``optimality_test`` report.
 
     With z_tol = ``optimality_z``: ``no_gain``, no perturbation gains, every
-    z >= -z_tol (statistic max(-z)); ``detects``, the largest perturbation
-    loses clearly, z >= z_tol (statistic -z against -z_tol).
+    z >= -z_tol (statistic max(-z)); ``detects``, every perturbation at the
+    largest epsilon (one per direction) loses clearly, z >= z_tol (statistic
+    the largest of their -z, against -z_tol).
     """
-    neg_z = -np.array([e["z"] for e in report["perturbations"]])
+    entries = report["perturbations"]
+    neg_z = -np.array([e["z"] for e in entries])
+    eps = np.array([e["epsilon"] for e in entries])
     z_tol = tol["optimality_z"]
     return [
         Gate("optimality.no_gain", float(np.max(neg_z)), z_tol),
-        Gate("optimality.detects", float(neg_z[-1]), -z_tol),
+        Gate("optimality.detects", float(np.max(neg_z[eps == eps.max()])), -z_tol),
     ]
 
 
@@ -357,109 +310,111 @@ def _row_blocks(n_rows: int, n_cols: int) -> list:
     return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
-def _kernel_coefficients(alpha: float, rv: np.ndarray, dt: float, block: int):
-    """The recursion's coefficients for one asset: (gather, A, H).
+def _checkpoint_rows(n: int) -> np.ndarray:
+    """The martingale profile's grid rows round(j n / K), j = 0..K, without
+    repeats: rows 0 and n always, and every row when n <= K."""
+    return np.unique(np.rint(np.arange(_CHECKPOINTS + 1) * n / _CHECKPOINTS).astype(int))
 
-    ``gather`` is the Toeplitz gather of [0, kbar] for time blocks of
-    ``block`` steps, kbar[j] = (K1((j+1) D) - K1(j D)) / D for j < n;
-    A_j = w_j rv_j with the trapezoid weights w (D, and D/2 at j = n); and
-    H_m = sum_{j >= m} A_j kbar_{j-m}, of which H[0] is not used.
+
+def _kernel_rows(alpha: float, rv: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the (n+1) x n trapezoid matrix M of the profile's kernel term.
+
+    M[k, l-1] = sum_{j >= k} w_j rv_j kbar_{j-l} for l <= k, with
+    kbar_j = (K1((j+1) D) - K1(j D)) / D and w the trapezoid weights on
+    [t_k, T] (D/2 at j = k and at j = n, D between): one correlation per
+    row.  Rows 0 and n are 0.
     """
     n = rv.size - 1
-    k1 = (dt * np.arange(n + 1)) ** alpha / sp_gamma(alpha + 1.0)
+    k1 = (dt * np.arange(n + 1)) ** alpha / math.gamma(alpha + 1.0)
     kbar = (k1[1:] - k1[:-1]) / dt
-    A = dt * rv
-    A[-1] *= 0.5
-    # sum_s A_{m+s} kbar_s is entry n - m of the full convolution of A reversed with kbar
-    H = np.empty(n + 1)
-    H[1:] = np.convolve(A[::-1], kbar)[:n][::-1]
-    return _toeplitz_gather(np.concatenate(([0.0], kbar))[:, None], n, block), A, H
-
-
-def _kernel_term(dZ: np.ndarray, gather: np.ndarray, A: np.ndarray, H: np.ndarray, rv: np.ndarray, dt: float):
-    """Rows 1..n-1 of M dZ by the exact recursion; M dZ is 0 in rows 0 and n.
-
-    dZ holds dZ_1..dZ_n in rows 0..n-1.  conv_k = sum_{l <= k} kbar_{k-l} dZ_l
-    is a causal convolution, run in time blocks against ``gather`` (the
-    Toeplitz gather of [0, kbar]), and then (M dZ)_k = E_k - (D/2) rv_k conv_k
-    with E_k = sum_{m <= k} H_m dZ_m - sum_{m < k} A_m conv_m, one cumsum.
-    dZ is overwritten.
-    """
-    n, b = dZ.shape[0], gather.shape[1]
-    conv = np.zeros_like(dZ)
-    for start in range(0, n, b):
-        m = min(b, n - start)
-        conv[start:] += gather[: n - start, :m] @ dZ[start : start + m]
-    E = dZ
-    E *= H[1:, None]
-    E[1:] -= A[1:n, None] * conv[:-1]
-    np.cumsum(E, axis=0, out=E)
-    out = E[:-1]
-    out -= (0.5 * dt * rv[1:n])[:, None] * conv[:-1]
-    return out
+    w = dt * rv
+    w[-1] *= 0.5
+    M = np.zeros((rows.size, n))
+    for r, k in enumerate(rows):
+        if 0 < k < n:
+            # entry m of the correlation is sum_s w_{k+s} kbar_{s+m}, the column l = k - m
+            M[r, :k] = np.correlate(kbar, np.concatenate(([0.5 * w[k]], w[k + 1 :])), "valid")[::-1]
+    return M
 
 
 def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
-    Requires a bundle with dBperp stored (to reconstruct dW).  Each path's
-    g_0 is taken at its own V_0, so mean J_0 matches ``value``, the mean over
-    paths of the analytic value at each path's V_0.  Returns a dict with the
-    time grid, mean J, the paired standard error of J_t - J_0, the flatness
-    statistic max_k |mean_k - mean_0| / SE_k, and the two endpoint
-    references; ``terminal_mean_utility`` is the mean of J_T = U(X_T).
-
-    J is built over chunks of paths, and its statistics over blocks of grid
-    rows, so that J is the only (n+1, P) array the profile holds.
+    J is evaluated at the checkpoint rows of the bundle grid (K + 1 of them,
+    or every row when n <= K).  Requires a bundle with dBperp stored.  Each
+    path's g_0 is taken at its own V_0, so mean J_0 matches ``value``, the
+    mean over paths of the analytic value at each path's V_0.  Returns a dict
+    with the checkpoint times, mean J, the paired standard error of
+    J_t - J_0, the flatness statistic max_k |mean_k - mean_0| / SE_k over the
+    checkpoints, and the two endpoint references; ``terminal_mean_utility``
+    is the mean of J_T = U(X_T).
     """
+    if bundle.dBperp is None:
+        raise ValueError("the martingale profile needs a bundle built with dBperp storage")
     params, util = bundle.params, sol.spec.util
-    d = params.d
     times = bundle.times
     n = times.size - 1
     dt = times[1] - times[0]
-    P = bundle.n_paths
     T = params.T
+    rows = _checkpoint_rows(n)
+    m = rows.size
 
-    steps = _wealth_steps(bundle, util, [lambda t: optimal_rule(sol, t)])
-    # value integrands a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
-    s_nodes = (T - sol.times)[::-1]
-    rvs = np.stack([np.interp(times, s_nodes, sol.rhs_values[i][::-1]) for i in range(d)])
-    # the g_0 part of the exponent at the bundle times; exact at t = 0 and T
+    start, rate_steps, B, C = _wealth_steps(bundle, util, [lambda t: optimal_rule(sol, t)])
+    # step l of the wealth recursion is in the state at row k iff l < k
+    before = np.arange(n) < rows[:, None]
+    state0 = start + np.concatenate(([0.0], np.cumsum(rate_steps)))[rows]
+    # the g_0 part of the exponent at the checkpoint times; exact at t = 0 and T
     slope, level = value_exponent(sol)
-    slope = np.stack([np.interp(times, sol.times, c) for c in slope])
-    level = np.interp(times, sol.times, np.sum(level, axis=0))
-    assets = []
-    for i in range(d):
-        gather, A, H = _kernel_coefficients(params.alpha[i], rvs[i], dt, min(_CONV_BLOCK, n))
-        sig = np.asarray(sol.spec.stabilizers[i](times))
-        assets.append((gather, A, H, params.nu[i] * sig[1:, None]))
-    growth = np.exp(params.rate.primitive(T) - params.rate.primitive(times))[:, None]
+    slope = np.stack([np.interp(times[rows], sol.times, c) for c in slope])
+    level = np.interp(times[rows], sol.times, np.sum(level, axis=0))
+    # per asset, the weights of the wealth state (first m rows) and of the
+    # kernel term (last m) against V, sqrt(V) dB and sqrt(V) dBperp
+    s_nodes = (T - sol.times)[::-1]
+    weights = []
+    for i in range(params.d):
+        # the value integrand a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
+        rv = np.interp(times, s_nodes, sol.rhs_values[i][::-1])
+        M = _kernel_rows(params.alpha[i], rv, dt, rows)
+        vol = params.nu[i] * np.asarray(sol.spec.stabilizers[i](times[1:]))
+        rho = params.rho[i]
+        weights.append(
+            (
+                np.vstack([C[0, i] * before, -params.lam[i] * dt * M]),
+                np.vstack([B[0, i] * before, rho * vol * M]),
+                math.sqrt(max(1.0 - rho * rho, 0.0)) * vol * M,
+            )
+        )
+    primitive = params.rate.primitive(times[rows])[:, None]
+    growth = np.exp(params.rate.primitive(T) - primitive)
 
-    J = np.empty((n + 1, P))
-    for cols, chunk in _path_chunks(bundle, max(1, _PROFILE_CHUNK_BYTES // (8 * (n + 1)))):
+    J = np.empty((m, bundle.n_paths))
+    for cols, chunk in _path_chunks(bundle, max(1, _ROW_BLOCK_BYTES // (8 * n))):
+        acc = np.empty((2 * m, chunk.n_paths))
+        acc[:m] = state0[:, None]
         # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
-        expo = slope.T @ (chunk.v0 - params.x_inf[:, None])
-        expo += level[:, None]
-        for i, (gather, A, H, vol) in enumerate(assets):
-            dW = chunk.dW(i)
-            dZ = _increments(chunk.V[i, :-1], -params.lam[i], vol, dW, dt)
-            del dW
-            expo[1:n] += _kernel_term(dZ, gather, A, H, rvs[i], dt)
-            del dZ
-        J[:, cols] = util.u(_wealth_path(chunk, util, steps) * growth) * np.exp(expo, out=expo)
+        acc[m:] = slope.T @ (chunk.v0 - params.x_inf[:, None])
+        acc[m:] += level[:, None]
+        for i, (on_v, on_db, on_dbperp) in enumerate(weights):
+            V = chunk.V[i, :-1]
+            acc += on_v @ V
+            noise = np.sqrt(V)
+            perp = noise * chunk.dBperp[i]
+            noise *= chunk.dB[i]
+            acc += on_db @ noise
+            acc[m:] += on_dbperp @ perp
+        X = np.exp(acc[:m]) if util.kind == "power" else acc[:m] * np.exp(primitive)
+        J[:, cols] = util.u(X * growth) * np.exp(acc[m:])
     value = value_function(sol, x0=params.x0, v0=bundle.v0)
 
-    j_mean, se = np.empty(n + 1), np.empty(n + 1)
-    for rows in _row_blocks(n + 1, P):
-        j_mean[rows] = J[rows].mean(axis=1)
-        # SE of the paired differences J_t - J_0
-        se[rows] = np.std(J[rows] - J[0], axis=1, ddof=1) / math.sqrt(P)
+    j_mean = J.mean(axis=1)
+    # SE of the paired differences J_t - J_0
+    se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(bundle.n_paths)
     with np.errstate(invalid="ignore", divide="ignore"):
         stats = np.abs(j_mean - j_mean[0]) / se
     stats[0] = 0.0
     flat = float(np.nanmax(stats))
     return {
-        "times": times,
+        "times": times[rows],
         "j_mean": j_mean,
         "se_paired": se,
         "flat_stat": flat,

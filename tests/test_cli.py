@@ -305,9 +305,14 @@ class TestCommands:
             assert (gate.stat, gate.threshold, gate.passed) == (
                 abs(entry["mc_mean"] - entry["target"]), entry["tolerance"], entry["passed"]
             )
-        zs = [e["z"] for e in written["optimality"]["report"]["perturbations"]]
+        perts = written["optimality"]["report"]["perturbations"]
+        assert [(e["label"], e["epsilon"]) for e in perts] == [
+            (label, eps) for label in ("uniform", "-uniform") for eps in (0.1, 0.2, 0.4)
+        ]
+        zs = [e["z"] for e in perts]
         no_gain, detects = by_name.pop("optimality.no_gain"), by_name.pop("optimality.detects")
-        assert (no_gain.stat, detects.stat) == (-min(zs), -zs[-1])
+        # detects: the worse of the two eps = 0.4 sides
+        assert (no_gain.stat, detects.stat) == (-min(zs), -min(zs[2], zs[5]))
         assert written["optimality"]["passed"] == (no_gain.passed and detects.passed)
         gate = by_name.pop("martingale_profile")
         prof = written["martingale_profile"]

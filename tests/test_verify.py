@@ -15,12 +15,9 @@ from roughmerton.verify import (
     TOLERANCES,
     Gate,
     PerturbationSpec,
-    _increments,
-    _kernel_coefficients,
-    _kernel_term,
+    _checkpoint_rows,
+    _kernel_rows,
     _terminal_wealth,
-    _wealth_path,
-    _wealth_steps,
     martingale_profile,
     moment_curves,
     optimality_gates,
@@ -32,6 +29,7 @@ from roughmerton.verify import (
     stationarity_report,
     value_gate,
 )
+from test_simulate import variance_driver
 
 
 def make_params(params4, **overrides):
@@ -66,10 +64,6 @@ def piecewise_market(params4, stab4):
     p = make_params(params4, rate=RateCurve(knots=[0.0, 0.4], values=[0.03, 0.01]), x0=1.7)
     sols = {k: solve_riccati(RiccatiSpec(UtilitySpec(k, 0.2), p, stab4, n=200)) for k in ("power", "exponential")}
     return p, sols
-
-
-def wealth_path(bundle, util, rule):
-    return _wealth_path(bundle, util, _wealth_steps(bundle, util, [rule]))
 
 
 def zero_rule(d):
@@ -146,8 +140,9 @@ def profile_integrands(bundle, sol):
 
 
 def dense_profile(bundle, sol):
-    """J (n+1, P) of the martingale profile on all paths at once, with the
-    kernel term as the dense product M dZ; returns J and max |M dZ|."""
+    """J (n+1, P) of the martingale profile at every grid row, with the
+    wealth path marched step by step and the kernel term as the dense
+    product M dZ of the rebuilt dW; returns J and max |M dZ|."""
     params, util = bundle.params, sol.spec.util
     times = bundle.times
     dt = times[1] - times[0]
@@ -160,11 +155,12 @@ def dense_profile(bundle, sol):
         expo += np.interp(times, sol.times, slope[i])[:, None] * (bundle.v0[i] - params.x_inf[i])
         expo += np.interp(times, sol.times, level[i])[:, None]
         sig = np.asarray(sol.spec.stabilizers[i](times))
-        dZ = _increments(bundle.V[i, :-1], -params.lam[i], params.nu[i] * sig[1:, None], bundle.dW(i), dt)
+        V = bundle.V[i, :-1]
+        dZ = -params.lam[i] * V * dt + params.nu[i] * sig[1:, None] * np.sqrt(V) * variance_driver(bundle, i)
         MdZ = dense_kernel_matrix(rvs[i], params.alpha[i], dt) @ dZ
         scale = max(scale, float(np.max(np.abs(MdZ))))
         expo += MdZ
-    X = wealth_path(bundle, util, lambda t: optimal_rule(sol, t))
+    X = march_wealth(bundle, util, lambda t: optimal_rule(sol, t))
     r_tail = (params.rate.primitive(params.T) - params.rate.primitive(times))[:, None]
     g = util.gamma
     if util.kind == "power":
@@ -198,20 +194,15 @@ class TestSimulateWealth:
         p = make_params(params4, rate=rate)
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
         util = UtilitySpec("exponential", 0.5)
-        X = wealth_path(b, util, zero_rule(2))
-        bank = np.array([math.exp(rate.integral(0.0, t)) for t in b.times])
-        assert np.allclose(X, p.x0 * bank[:, None], rtol=1e-15, atol=0.0)
+        bank = math.exp(rate.integral(0.0, 1.0))
         run = simulate_wealth(b, util, zero_rule(2))
-        assert np.allclose(run.x_T, p.x0 * bank[-1], rtol=1e-15, atol=0.0)
+        assert np.allclose(run.x_T, p.x0 * bank, rtol=1e-15, atol=0.0)
 
     def test_power_wealth_positive_and_stats(self, bundle, params4, sol_power):
         util = UtilitySpec("power", 0.2)
         rule = lambda t: np.ones((2, np.asarray(t).size))
         run = simulate_wealth(bundle, util, rule)
-        X = wealth_path(bundle, util, rule)
         assert np.all(run.x_T > 0.0)
-        assert np.all(X > 0.0)
-        assert np.allclose(X[-1], run.x_T, rtol=1e-12)
         assert run.mean == pytest.approx(np.mean(run.u_T), rel=1e-15)
         assert run.se == pytest.approx(np.std(run.u_T, ddof=1) / math.sqrt(5000), rel=1e-12)
 
@@ -251,7 +242,7 @@ class TestSimulateWealth:
 
 
 class TestProductPass:
-    """The stacked product pass and the wealth path against the step-by-step march."""
+    """The stacked product pass against the step-by-step march."""
 
     RULES = (
         lambda t: np.vstack([0.5 + t, 1.0 - t**2]),
@@ -280,7 +271,6 @@ class TestProductPass:
             ref = march_wealth(b, util, rule)
             assert close(x_T[k], ref[-1])
             assert close(simulate_wealth(b, util, rule).x_T, ref[-1])
-            assert close(wealth_path(b, util, rule), ref)
 
     @pytest.mark.parametrize("kind", ["power", "exponential"])
     def test_stacked_runs_match_single_runs(self, rate_bundle, kind):
@@ -396,22 +386,26 @@ class TestMartingaleProfile:
         gate = profile_gate(prof, TOLERANCES)
         assert gate.stat == prof["flat_stat"] and not gate.passed
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 60])
-    def test_kernel_term_matches_dense_product(self, params4, stab4, sol_power, n):
-        b = simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=n), n_paths=300, seed=n)
-        dt = b.times[1]
-        rvs = profile_integrands(b, sol_power)
+    def test_checkpoint_rows(self):
+        for n in list(range(1, 60)) + [600, 601, 2400]:
+            rows = _checkpoint_rows(n)
+            assert rows[0] == 0 and rows[-1] == n and np.all(np.diff(rows) > 0)
+            if n <= 24:
+                assert np.array_equal(rows, np.arange(n + 1))
+            else:
+                assert rows.size == 25
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 23, 60, 601])
+    def test_kernel_rows_match_dense_matrix(self, params4, sol_power, n):
+        times = np.linspace(0.0, 1.0, n + 1)
+        dt = times[1]
+        rows = _checkpoint_rows(n)
         for i in range(params4.d):
-            sig = np.asarray(stab4[i](b.times))
-            dZ = _increments(b.V[i, :-1], -params4.lam[i], params4.nu[i] * sig[1:, None], b.dW(i), dt)
-            MdZ = dense_kernel_matrix(rvs[i], params4.alpha[i], dt) @ dZ
-            # the two rows the recursion leaves out are 0 in the dense form too
-            assert np.all(MdZ[0] == 0.0) and np.all(MdZ[n] == 0.0)
-            # time blocks of 2 steps: more than one block from n = 3 on
-            gather, A, H = _kernel_coefficients(params4.alpha[i], rvs[i], dt, min(2, n))
-            rows = _kernel_term(dZ.copy(), gather, A, H, rvs[i], dt)
-            scale = np.max(np.abs(MdZ))
-            assert np.all(np.abs(rows - MdZ[1:n]) <= 1e-13 * scale)
+            rv = np.interp(times, (1.0 - sol_power.times)[::-1], sol_power.rhs_values[i][::-1])
+            M = dense_kernel_matrix(rv, params4.alpha[i], dt)
+            # rows 0 and n are 0 in the dense form too
+            assert np.all(M[0] == 0.0) and np.all(M[n] == 0.0)
+            assert np.all(np.abs(_kernel_rows(params4.alpha[i], rv, dt, rows) - M[rows]) <= 1e-13 * np.max(np.abs(M)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60])
     @pytest.mark.parametrize("v0_mode", ["mean", "gaussian"])
@@ -434,10 +428,11 @@ class TestMartingaleProfile:
         P = 300
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=n), n_paths=P, seed=7 + n, v0_mode=v0_mode)
         J, scale = dense_profile(b, sol)
-        # chunks of 64 paths (the last one 44) and row blocks of 7 grid rows
-        monkeypatch.setattr(verify, "_PROFILE_CHUNK_BYTES", 8 * (n + 1) * 64)
-        monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * P * 7)
+        # chunks of 64 paths (the last one 44)
+        monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * n * 64)
         prof = martingale_profile(b, sol)
+        J = J[_checkpoint_rows(n)]
+        assert np.array_equal(prof["times"], b.times[_checkpoint_rows(n)])
         # the exponent may move by 1e-13 max |M dZ| plus rounding; J moves by as much relative
         tol = (1e-13 * scale + 1e-15) * np.max(np.abs(J))
         assert np.all(np.abs(prof["j_mean"] - J.mean(axis=1)) <= tol)
@@ -503,9 +498,7 @@ class TestMemory:
         return simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=self.N), n_paths=self.P, seed=3)
 
     @pytest.mark.parametrize("stage", ["simulate_wealth", "optimality_test", "martingale_profile", "stationarity_report"])
-    def test_stage_allocates_at_most_one_full_array(self, big_bundle, sol_power, monkeypatch, stage):
-        # path chunks of 64 paths, so that J is the profile's one full-size array
-        monkeypatch.setattr(verify, "_PROFILE_CHUNK_BYTES", 8 * (self.N + 1) * 64)
+    def test_stage_allocates_at_most_one_full_array(self, big_bundle, sol_power, stage):
         h = lambda t: np.ones((2, np.asarray(t).size))
         calls = {
             "simulate_wealth": lambda: simulate_wealth(big_bundle, sol_power.spec.util, lambda t: optimal_rule(sol_power, t)),
@@ -528,19 +521,22 @@ class TestGates:
     elementary gate's record fails under a named wrong model (5 000 paths x 60 steps)."""
 
     UNIFORM = [PerturbationSpec(e, lambda t: np.ones((2, np.asarray(t).size)), "uniform") for e in (0.1, 0.2, 0.4)]
+    TWO_SIDED = UNIFORM + [
+        PerturbationSpec(e, lambda t: -np.ones((2, np.asarray(t).size)), "-uniform") for e in (0.1, 0.2, 0.4)
+    ]
 
     def test_verdict(self):
         assert Gate("g", 3.0, 3.0).passed and not Gate("g", 3.0 + 1e-15, 3.0).passed
         assert not Gate("g", float("nan"), 3.0).passed
         # a NaN z fails both optimality gates
-        nan_z = {"perturbations": [{"z": 5.0}, {"z": float("nan")}]}
+        nan_z = {"perturbations": [{"epsilon": 0.1, "z": 5.0}, {"epsilon": 0.4, "z": float("nan")}]}
         assert [g.passed for g in optimality_gates(nan_z, TOLERANCES)] == [False, False]
 
     def test_each_family_reads_its_own_tolerance(self):
         tol = {key: float(k + 1) for k, key in enumerate(TOLERANCES)}
         run = verify.WealthRun(None, None, mean=1.0, se=0.25)
         assert value_gate("v", run, -2.0, tol).threshold == 0.5 + 2.0 * tol["value_rel_allowance"]
-        opt = {"perturbations": [{"z": 1.0}, {"z": 2.0}]}
+        opt = {"perturbations": [{"epsilon": 0.1, "z": 1.0}, {"epsilon": 0.4, "z": 2.0}]}
         assert [g.threshold for g in optimality_gates(opt, tol)] == [tol["optimality_z"], -tol["optimality_z"]]
         assert profile_gate({"flat_stat": 0.0}, tol).threshold == tol["profile_z"]
         report = [{"asset": 0, "mean_stat": 0.0, "var_stat": 0.0}]
@@ -580,6 +576,21 @@ class TestGates:
         gates = optimality_gates(optimality_test(bundle, sol0, self.UNIFORM), TOLERANCES)
         assert [g.name for g in gates] == ["optimality.no_gain", "optimality.detects"]
         assert not gates[0].passed and gates[0].stat > 3.0
+
+    def test_no_gain_fails_for_a_rule_that_overshoots(self, bundle, params4, stab4):
+        # the rule solved at theta = 0.3 holds three times the optimal
+        # multiplier: it passes both gates on +eps alone, and less of every
+        # asset gains
+        p3 = make_params(params4, theta=[0.3, 0.3])
+        sol3 = solve_riccati(RiccatiSpec(UtilitySpec("power", 0.2), p3, stab4, n=200))
+        one_sided = optimality_gates(optimality_test(bundle, sol3, self.UNIFORM), TOLERANCES)
+        assert [g.passed for g in one_sided] == [True, True]
+        report = optimality_test(bundle, sol3, self.TWO_SIDED)
+        no_gain, detects = optimality_gates(report, TOLERANCES)
+        zs = {(e["label"], e["epsilon"]): e["z"] for e in report["perturbations"]}
+        assert no_gain.stat == -min(zs.values()) > 3.0 and not no_gain.passed
+        # detects takes the worse of the two eps = 0.4 sides: -0.4 gains too
+        assert detects.stat == -zs["-uniform", 0.4] > 0.0 and not detects.passed
 
     def test_detects_fails_when_the_largest_perturbation_crosses_the_optimum(self, params4, stab4):
         # at theta = 0.16 the optimal multiplier is 0.2: the rule solved at
