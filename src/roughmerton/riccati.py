@@ -101,7 +101,7 @@ class RiccatiSpec:
         if self.degenerate and not np.all(p.rho == p.rho[0]):
             raise ValueError("degenerate variants require all rho_i equal")
         for i, tab in enumerate(self.stabilizers):
-            if tab.grid[-1] < p.T - 1e-12:
+            if not tab.covers(p.T):
                 raise ValueError(f"stabilizer table {i} does not cover [0, T]")
 
     @property

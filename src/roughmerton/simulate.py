@@ -126,12 +126,6 @@ class RateCurve:
         out = self.values[idx]
         return float(out) if out.ndim == 0 else out
 
-    def integral(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} r(s) ds (t0 <= t1)."""
-        if t1 < t0:
-            raise ValueError("integral requires t0 <= t1")
-        return float(self.primitive(t1) - self.primitive(t0))
-
     def primitive(self, t) -> np.ndarray:
         """int_0^t r(s) ds for each t >= 0 (vectorised)."""
         t = np.asarray(t, dtype=float)
@@ -471,7 +465,7 @@ def simulate_variance(
     if v0_mode not in ("gaussian", "mean"):
         raise ValueError(f"unknown v0_mode {v0_mode!r}")
     for i, tab in enumerate(stab):
-        if tab.grid[-1] < params.T - 1e-12:
+        if not tab.covers(params.T):
             raise ValueError(f"stabilizer table {i} does not cover [0, T]")
 
     factors = [integral_factor(params.kernel_spec(i), dt, n) for i in range(d)]

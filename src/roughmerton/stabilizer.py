@@ -19,16 +19,23 @@ A table keeps only the coefficients its horizon T needs.  In u = lam t^alpha
 (= tau^alpha) both series the table carries are power series: varsigma^2
 with terms c_k u^k and the f^2 of the residual check with terms (b*b)_k u^k.
 The recurrence stops at the first k where both have converged at
-u = lam T^alpha, and at most at ``_K_CAP`` = 200 terms.  The shorter series is
-the prefix of the 200-term one, and its dropped tail is about 1e-17 of the
-sum, below rounding, so the tabulated values and the residual come out as
-those of the 200-term series, bit for bit on the tables the tests check.
-The trust radius comes from the shorter series and lies beyond the horizon.
+u = lam T^alpha.  The shorter series is the prefix of the 200-term one, and
+its dropped tail is about 1e-17 of the sum, below rounding, so the tabulated
+values and the residual come out as those of the 200-term series, bit for
+bit on the tables the tests check.
+
+The table's horizon T is its domain.  A build refuses a horizon at which
+the series has not converged within ``_K_CAP`` = 200 terms, or at which it
+goes negative on the grid, and a table refuses every time outside [0, T]
+(NaN too); each raises ``StabilizerDomainError``.  Nothing extrapolates past
+T.  Converged is not accurate: the c_k recurrence is ill-conditioned, and
+only the residual check measures how well the kept coefficients solve the
+equation.
 
 Provides:
   - ``stabilizer_coefficients``: the c_k recurrence (extended-range, via
     gammaln), optionally stopped where the series has converged.
-  - ``stabilizer_eval``: pointwise evaluation with trust-radius guard.
+  - ``stabilizer_eval``: the series evaluated at any t >= 0.
   - ``build_stabilizer``: grid tabulation as a ``StabilizerTable``.
   - ``functional_equation_residual``: singularity-aware residual check.
 """
@@ -44,6 +51,7 @@ from scipy.special import betaln, gammaln
 from .kernels import KernelSpec, _ml_coefficients, f_l2_norm, resolvent
 
 __all__ = [
+    "StabilizerDomainError",
     "StabilizerTable",
     "stabilizer_coefficients",
     "stabilizer_eval",
@@ -53,17 +61,21 @@ __all__ = [
 
 # Largest number of series coefficients kept (hard cap).
 _K_CAP = 200
-# Relative size under which additional series terms are considered converged.
-_TERM_TOL = 1e-12
 # Relative size of the last coefficient's term at the table's horizon at which
 # the recurrence stops: far enough below rounding that the dropped tail does
 # not move a tabulated value.
 _SERIES_TOL = 1e-17
+# Slack by which a time may pass the table's horizon (grid rounding).
+_HORIZON_SLACK = 1e-12
+
+
+class StabilizerDomainError(ValueError):
+    """A stabilizer asked for outside the horizon on which its series holds."""
 
 
 @dataclass(frozen=True)
 class StabilizerTable:
-    """Stabilizer values on a grid, plus the series data that produced them.
+    """The stabilizer on [0, T], T = grid[-1], and the series that gives it.
 
     Attributes
     ----------
@@ -73,33 +85,34 @@ class StabilizerTable:
         Variance scale c = v0 / (nu^2 x_inf) >= 0.
     coeffs : np.ndarray
         Series coefficients c_0..c_K, K set by the grid's horizon (see
-        ``build_stabilizer``); empty when alpha = 1.
+        ``build_stabilizer``); empty when the series is not used (c = 0 or
+        alpha = 1).
     grid : np.ndarray
         Times, starting at 0.
-    values : np.ndarray
-        varsigma(t) >= 0 per grid point.
     limit : float
         Long-time limit sqrt(c) lam / ||f||_L2.
-    radius : float or None
-        Trust radius of those coefficients in tau = lam^(1/alpha) t (see
-        ``_trust_radius``), beyond the horizon's tau when the series
-        converged there; None when the series is not used (c = 0 or
-        alpha = 1).
     """
 
     spec: KernelSpec
     c: float
     coeffs: np.ndarray
     grid: np.ndarray
-    values: np.ndarray
     limit: float
-    radius: float | None
+
+    def covers(self, horizon: float) -> bool:
+        """Whether the table's domain reaches ``horizon``."""
+        return self.grid[-1] >= horizon - _HORIZON_SLACK
 
     def __call__(self, t):
-        """Evaluate varsigma at arbitrary times via the series."""
-        return stabilizer_eval(
-            self.spec, self.c, self.coeffs, t, limit=self.limit, radius=self.radius
-        )
+        """varsigma at times in [0, T]; any other time (NaN too) raises
+        ``StabilizerDomainError``."""
+        arr = np.asarray(t, dtype=float)
+        if not np.all((arr >= 0.0) & (arr <= self.grid[-1] + _HORIZON_SLACK)):
+            raise StabilizerDomainError(
+                f"stabilizer (alpha={self.spec.alpha:g}, lam={self.spec.lam:g}) is tabulated on "
+                f"[0, {self.grid[-1]:g}]; asked at t in [{np.min(arr):g}, {np.max(arr):g}]"
+            )
+        return stabilizer_eval(self.spec, self.c, self.coeffs, t)
 
 
 def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None) -> np.ndarray:
@@ -142,8 +155,9 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None)
     c, bb = np.empty(n_coeffs), np.empty(n_coeffs)
     c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
     bb[0] = b[0] * b[0]
-    # running partial sums of both series at u, and (-u)^k
-    sum_c, sum_f, u_k = c[0], bb[0], 1.0
+    # running partial sums of both series at u, and (-u)^k, in Python floats:
+    # past overflow they turn inf or nan without a warning, and never converge
+    sum_c, sum_f, u_k = float(c[0]), float(bb[0]), 1.0
     for k in range(1, n_coeffs):
         ab_k = np.sum(a[: k + 1] * b[k::-1])
         bb[k] = np.sum(b[: k + 1] * b[k::-1])
@@ -154,10 +168,10 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None)
         # math.exp: np.exp can differ from it in the last bit, which would move every c_k
         c[k] = math.exp(log_pref[k]) * (ab_k - alpha * (k + 1) * conv)
         if u is not None:
-            u_k *= -u
-            sum_c += c[k] * u_k
-            sum_f += bb[k] * u_k
-            if abs(c[k] * u_k) < _SERIES_TOL * abs(sum_c) and abs(bb[k] * u_k) < _SERIES_TOL * abs(sum_f):
+            u_k *= -float(u)
+            term_c, term_f = float(c[k]) * u_k, float(bb[k]) * u_k
+            sum_c, sum_f = sum_c + term_c, sum_f + term_f
+            if abs(term_c) < _SERIES_TOL * abs(sum_c) and abs(term_f) < _SERIES_TOL * abs(sum_f):
                 return c[: k + 1].copy()
     return c
 
@@ -181,83 +195,37 @@ def _series_sq_scaled(alpha: float, coeffs: np.ndarray, tau: np.ndarray) -> np.n
     return 2.0 * tau ** (1.0 - alpha) * _horner(signs * coeffs, tau**alpha)
 
 
-def _trust_radius(alpha: float, coeffs: np.ndarray) -> float:
-    """Largest tau where the partial sums have visibly converged.
-
-    A point tau is trusted when the last kept term is below _TERM_TOL relative
-    to the partial sum and the partial sum is positive; the radius is the
-    last of 200 geometric tau before the first untrusted one.  Near
-    alpha = 1 the c_k underflow to subnormals and tau^(alpha k) overflows at
-    the larger tau.  The last term overflows first, to inf or (with c_K = 0)
-    nan, so that tau is untrusted; the overflow itself is expected and not
-    reported.
-    """
-    taus = np.geomspace(1e-4, 1e4, 200)
-    k = np.arange(coeffs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (-1.0) ** k * coeffs * taus[:, None] ** (alpha * k)
-        total = np.sum(terms, axis=1)
-        trusted = (total > 0.0) & (np.abs(terms[:, -1]) < _TERM_TOL * total)
-    n_lead = int(np.logical_and.accumulate(trusted).sum())
-    return taus[max(n_lead - 1, 0)]
+def _limit(spec: KernelSpec, c: float) -> float:
+    """Long-time limit sqrt(c) lam / ||f||_L2 of varsigma."""
+    return math.sqrt(c) * spec.lam / f_l2_norm(spec) if c > 0.0 else 0.0
 
 
-def stabilizer_eval(
-    spec: KernelSpec,
-    c: float,
-    coeffs: np.ndarray,
-    t,
-    limit: float | None = None,
-    radius: float | None = None,
-):
+def stabilizer_eval(spec: KernelSpec, c: float, coeffs: np.ndarray, t):
     """varsigma_{alpha,lam,c}(t) = sqrt(max(series, 0)), t >= 0.
 
-    Beyond the series trust radius the asymptotic limit
-    sqrt(c) lam / ||f||_L2 is returned, blended linearly over one decade edge.
-    Raises on materially negative series values inside the trust radius.
-    ``limit`` and ``radius`` (``_trust_radius(alpha, coeffs)``) are computed
-    when not given.
+    The series is summed as given, at any t: where it has converged is the
+    caller's to know (``StabilizerTable`` keeps to its horizon).  A
+    materially negative series value raises ``StabilizerDomainError``.  For
+    alpha = 1 varsigma is the constant long-time limit sqrt(c) lam / ||f||_L2.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("stabilizer_eval requires t >= 0")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     if c < 0.0:
         raise ValueError("variance scale c must be >= 0")
-    if c == 0.0:
-        out = np.zeros_like(t)
-        return float(out[0]) if scalar else out
-    if limit is None:
-        limit = math.sqrt(c) * spec.lam / f_l2_norm(spec)
-    alpha, lam = spec.alpha, spec.lam
-    if alpha == 1.0:
-        # classical square-root diffusion: constant modulation
-        out = np.full_like(t, limit)
-        return float(out[0]) if scalar else out
-
-    tau = lam ** (1.0 / alpha) * t
-    if radius is None:
-        radius = _trust_radius(alpha, coeffs)
-    sq = np.zeros_like(tau)
-    inside = tau <= radius
-    if np.any(inside):
-        vals = c * lam ** (2.0 - 1.0 / alpha) * _series_sq_scaled(alpha, coeffs, tau[inside])
-        if np.any(vals < -1e-10 * limit**2):
-            raise ArithmeticError(
-                "stabilizer series went negative inside its trust radius; "
-                "increase the number of coefficients or reduce the horizon"
+    alpha, lam, ts, limit = spec.alpha, spec.lam, np.atleast_1d(t), _limit(spec, c)
+    if c == 0.0 or alpha == 1.0:
+        # no noise, or the classical square-root diffusion: constant modulation
+        out = np.full_like(ts, limit)
+    else:
+        sq = c * lam ** (2.0 - 1.0 / alpha) * _series_sq_scaled(alpha, coeffs, lam ** (1.0 / alpha) * ts)
+        negative = sq < -1e-10 * limit**2
+        if np.any(negative):
+            raise StabilizerDomainError(
+                f"stabilizer series (alpha={alpha:g}, lam={lam:g}) went negative at t={ts[negative][0]:g}"
             )
-        sq[inside] = np.maximum(vals, 0.0)
-    out = np.sqrt(sq)
-    if np.any(~inside):
-        # blend linearly into the limit over one trust-radius-sized cell
-        edge = math.sqrt(
-            max(c * lam ** (2.0 - 1.0 / alpha) * _series_sq_scaled(alpha, coeffs, np.array([radius]))[0], 0.0)
-        )
-        frac = np.clip((tau[~inside] - radius) / max(radius, 1e-12), 0.0, 1.0)
-        out[~inside] = (1.0 - frac) * edge + frac * limit
-    return float(out[0]) if scalar else out
+        out = np.sqrt(np.maximum(sq, 0.0))
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
@@ -265,25 +233,28 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
 
     The series keeps the coefficients its horizon T = grid[-1] needs: the
     recurrence stops where both series have converged at u = lam T^alpha
-    (see ``stabilizer_coefficients``), with at most ``_K_CAP`` terms.
+    (see ``stabilizer_coefficients``).  A horizon that needs all ``_K_CAP``
+    terms, or a series that goes negative on the grid, raises
+    ``StabilizerDomainError``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must start at 0 and be strictly increasing")
     if c < 0.0:
         raise ValueError("variance scale c must be >= 0")
-    limit = math.sqrt(c) * spec.lam / f_l2_norm(spec) if c > 0.0 else 0.0
-    coeffs = (
-        np.empty(0)
-        if spec.alpha == 1.0
-        else stabilizer_coefficients(spec.alpha, _K_CAP, u=spec.lam * grid[-1] ** spec.alpha)
-    )
-    # the series, and so its trust radius, is used only when c > 0 and alpha < 1
-    radius = _trust_radius(spec.alpha, coeffs) if c > 0.0 and spec.alpha < 1.0 else None
-    values = stabilizer_eval(spec, c, coeffs, grid, limit=limit, radius=radius)
-    return StabilizerTable(
-        spec=spec, c=c, coeffs=coeffs, grid=grid, values=values, limit=limit, radius=radius
-    )
+    coeffs = np.empty(0)
+    # the series is used only when c > 0 and alpha < 1
+    if c > 0.0 and spec.alpha < 1.0:
+        u_T = spec.lam * grid[-1] ** spec.alpha
+        coeffs = stabilizer_coefficients(spec.alpha, _K_CAP, u=u_T)
+        if coeffs.size == _K_CAP:
+            raise StabilizerDomainError(
+                f"stabilizer series (alpha={spec.alpha:g}, lam={spec.lam:g}) has not converged in {_K_CAP} "
+                f"terms at T={grid[-1]:g} (tau_T = lam^(1/alpha) T = {u_T ** (1.0 / spec.alpha):.4g})"
+            )
+        # converged is not accurate: a series that goes negative on the grid raises here
+        stabilizer_eval(spec, c, coeffs, grid)
+    return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=_limit(spec, c))
 
 
 def functional_equation_residual(table: StabilizerTable) -> float:

@@ -179,4 +179,4 @@ def value_function(sol: RiccatiSolution, x0: float | None = None, v0=None) -> fl
     v0_factor = float(np.mean(np.exp(shift)))
     if util.kind == "power" and x0 <= 0.0:
         raise ValueError("power utility requires x0 > 0")
-    return float(util.u(x0 * math.exp(params.rate.integral(0.0, params.T)))) * math.exp(expo) * v0_factor
+    return float(util.u(x0 * math.exp(params.rate.primitive(params.T)))) * math.exp(expo) * v0_factor

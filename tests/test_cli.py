@@ -417,13 +417,37 @@ class TestCommands:
 
     def test_arithmetic_error_is_a_json_error_line(self, tmp_path, capsys, monkeypatch):
         def negative_series(*args, **kwargs):
-            raise ArithmeticError("stabilizer series went negative inside its trust radius")
+            raise ArithmeticError("stabilizer series went negative")
 
         monkeypatch.setattr(cli, "build_stabilizer", negative_series)
         assert run_cli(["stabilizer", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ArithmeticError"
+
+    @staticmethod
+    def out_of_domain(raw):
+        # asset 2's series (alpha = 0.55, lam = 2) has not converged at T = 10
+        raw["model"].update(alpha=[0.9, 0.55], lam=[0.2, 2.0], T=10.0)
+
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_out_of_domain_is_one_json_error_line(self, tmp_path, capsys, subcommand):
+        cfg = write_config(tmp_path, self.out_of_domain)
+        out = tmp_path / "out"
+        assert run_cli([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "StabilizerDomainError"
+        assert "alpha=0.55" in payload["message"] and "T=10" in payload["message"]
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_out_of_domain_process_prints_no_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, self.out_of_domain)
+        out = str(tmp_path / "out")
+        proc = fresh_python("-m", "roughmerton.cli", "all", "--config", cfg, "--out", out, check=False)
+        assert proc.returncode == 1
+        assert [json.loads(line)["error"] for line in proc.stderr.splitlines()] == ["StabilizerDomainError"]
 
     def test_dispatch_unknown(self, tmp_path):
         cfg = load_config(write_config(tmp_path, self.shrink))
@@ -461,12 +485,17 @@ def test_csv_rows_match_per_value_format(tmp_path):
     ]
 
 
-def run_fresh_python(code):
-    """stdout of ``code`` run in a fresh interpreter that imports this roughmerton."""
+def fresh_python(*args, check=True):
+    """``python *args`` run in a fresh interpreter that imports this roughmerton."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=check)
+
+
+def run_fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this roughmerton."""
+    return fresh_python("-c", code).stdout
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():

@@ -19,7 +19,7 @@ from roughmerton.riccati import (
     solve_riccati,
 )
 from roughmerton.simulate import ModelParams
-from roughmerton.stabilizer import build_stabilizer
+from roughmerton.stabilizer import StabilizerDomainError, build_stabilizer
 from roughmerton.strategy import UtilitySpec
 
 POWER = UtilitySpec("power", 0.2)
@@ -226,21 +226,28 @@ class TestSolution:
 
 
 class TestBlowup:
-    def test_blowup_raises_with_horizon(self, params4):
+    @staticmethod
+    def supercritical(params4, T):
         # strong positive leverage and vol-of-vol push the power quadratic
         # supercritical well before T
-        p = make_params(
-            params4, rho=[0.9, 0.9], nu=[3.0, 3.0], theta=[2.5, 2.5], c=[1.0, 1.0], T=40.0,
-        )
+        return make_params(params4, rho=[0.9, 0.9], nu=[3.0, 3.0], theta=[2.5, 2.5], c=[1.0, 1.0], T=T)
+
+    def test_blowup_raises_with_horizon(self, params4):
+        p = self.supercritical(params4, T=5.0)
         util = UtilitySpec("power", 0.9)
         stabs = make_stabs(p, grid_pts=401)
         spec = RiccatiSpec(util, p, stabs, n=400)
         with pytest.raises(RiccatiBlowup) as exc:
             solve_riccati(spec)
-        assert 0.0 < exc.value.t_max < 40.0
+        assert 0.0 < exc.value.t_max < 5.0
         # the refined horizon is usable
         ok = RiccatiSpec(util, dataclasses.replace(p, T=exc.value.t_max), stabs, n=400)
         solve_riccati(ok)
+
+    def test_stabilizer_beyond_its_series_raises(self, params4):
+        # at T = 40 asset 2's series (alpha = 0.6, lam = 0.6) has not converged
+        with pytest.raises(StabilizerDomainError):
+            make_stabs(self.supercritical(params4, T=40.0), grid_pts=401)
 
 
 class TestAdamsMarch:

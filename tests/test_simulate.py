@@ -174,19 +174,18 @@ def step_by_step_reference(params, stab, grid, n_paths, seed, block_size):
 
 
 class TestRateCurve:
-    def test_defaults_and_integral(self):
+    def test_defaults_and_primitive(self):
         r = RateCurve()
         assert r(0.3) == 0.0
-        assert r.integral(0.0, 2.0) == 0.0
+        assert r.primitive(2.0) == 0.0
 
     def test_piecewise(self):
         r = RateCurve(knots=[0.0, 1.0, 2.0], values=[0.02, 0.04, 0.01])
         assert r(0.5) == 0.02
         assert r(1.0) == 0.04
         assert r(5.0) == 0.01
-        assert r.integral(0.5, 2.5) == pytest.approx(0.5 * 0.02 + 1.0 * 0.04 + 0.5 * 0.01, rel=1e-14)
-        with pytest.raises(ValueError):
-            r.integral(1.0, 0.5)
+        ref = 0.5 * 0.02 + 1.0 * 0.04 + 0.5 * 0.01
+        assert r.primitive(2.5) - r.primitive(0.5) == pytest.approx(ref, rel=1e-14)
 
     def test_primitive_matches_piecewise_sums(self):
         r = RateCurve(knots=[0.0, 0.3, 0.7], values=[0.02, 0.05, 0.01])
@@ -194,7 +193,9 @@ class TestRateCurve:
         ref = [0.0, 0.002, 0.006, 0.016, 0.026, 0.029, 0.059]
         assert np.allclose(r.primitive(t), ref, rtol=1e-14, atol=0.0)
         assert r.primitive(0.5) == pytest.approx(0.016, rel=1e-14)
-        assert r.integral(0.1, 1.0) == pytest.approx(0.027, rel=1e-14)
+        assert r.primitive(1.0) - r.primitive(0.1) == pytest.approx(0.027, rel=1e-14)
+        # value_function reads primitive(T) as the integral from 0: primitive(0) is exactly 0
+        assert r.primitive(0.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,10 @@ from test_kernels import f_l2_sq_unit_quadrature
 from roughmerton.kernels import KernelSpec, f_l2_norm, resolvent, resolvent_density
 from roughmerton.stabilizer import (
     _K_CAP,
+    StabilizerDomainError,
     StabilizerTable,
     _series_convolution,
     _series_sq_scaled,
-    _trust_radius,
     build_stabilizer,
     functional_equation_residual,
     stabilizer_coefficients,
@@ -67,29 +67,11 @@ def series_convolution_einsum(table: StabilizerTable, grid: np.ndarray) -> np.nd
     return 2.0 * c * lam**3 * grid**alpha * np.einsum("tm,mj,tj->t", powers, M, powers)
 
 
-def trust_radius_scan(alpha: float, coeffs: np.ndarray) -> float:
-    """The trust-radius scan one tau at a time, stopping at the first untrusted tau."""
-    k = np.arange(coeffs.size)
-    trusted = 1e-4
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tau in np.geomspace(1e-4, 1e4, 200):
-            terms = (-1.0) ** k * coeffs * tau ** (alpha * k)
-            total = np.sum(terms)
-            if not (total > 0.0 and abs(terms[-1]) < 1e-12 * total):
-                break
-            trusted = tau
-    return trusted
-
-
 def full_series_table(spec: KernelSpec, c: float, grid: np.ndarray) -> StabilizerTable:
     """The table of a build that always keeps all 200 series coefficients."""
     coeffs = stabilizer_coefficients(spec.alpha, 200)
     limit = math.sqrt(c) * spec.lam / f_l2_norm(spec)
-    radius = _trust_radius(spec.alpha, coeffs)
-    values = stabilizer_eval(spec, c, coeffs, grid, limit=limit, radius=radius)
-    return StabilizerTable(
-        spec=spec, c=c, coeffs=coeffs, grid=grid, values=values, limit=limit, radius=radius
-    )
+    return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=limit)
 
 
 def c0_ref(alpha: float) -> float:
@@ -165,15 +147,17 @@ class TestStabilizerValues:
 
     def test_zero_at_origin_and_nonnegative(self, stab4):
         for tab in stab4:
-            assert tab.values[0] == 0.0
-            assert np.all(tab.values >= 0.0)
+            values = tab(tab.grid)
+            assert values[0] == 0.0
+            assert np.all(values >= 0.0)
 
     def test_long_time_limit(self):
+        # the table reports the limit but never returns it past its horizon
         spec = KernelSpec(0.9, 0.2)
         tab = build_stabilizer(spec, 0.01, np.linspace(0.0, 1.0, 11))
-        t_far = 2000.0
-        assert float(tab(t_far)) == pytest.approx(tab.limit, rel=0.01)
         assert tab.limit == pytest.approx(math.sqrt(0.01) * 0.2 / f_l2_norm(spec), rel=1e-14)
+        with pytest.raises(StabilizerDomainError):
+            tab(2000.0)
 
     def test_scaling_law_exact(self):
         # varsigma_{a,lam,c}(t) = sqrt(c) lam^(1 - 1/(2a)) varsigma_{a,1,1}(lam^(1/a) t)
@@ -190,12 +174,12 @@ class TestStabilizerValues:
 
     def test_alpha_one_constant(self):
         tab = build_stabilizer(KernelSpec(1.0, 0.7), 0.02, np.linspace(0.0, 1.0, 11))
-        assert np.allclose(tab.values, math.sqrt(2.0 * 0.02 * 0.7), rtol=1e-14)
+        assert np.allclose(tab(tab.grid), math.sqrt(2.0 * 0.02 * 0.7), rtol=1e-14)
         assert functional_equation_residual(tab) < 1e-12
 
     def test_c_zero(self):
         tab = build_stabilizer(KernelSpec(0.9, 0.2), 0.0, np.linspace(0.0, 1.0, 11))
-        assert np.all(tab.values == 0.0)
+        assert np.all(tab(tab.grid) == 0.0)
         assert functional_equation_residual(tab) == 0.0
 
     def test_input_validation(self, stab4):
@@ -228,17 +212,14 @@ class TestStabilizerValues:
             assert functional_equation_residual(tab) == pytest.approx(ref_res, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", np.linspace(0.52, 0.995, 25))
-    def test_stored_trust_radius(self, alpha):
+    def test_table_is_the_series_on_its_horizon(self, alpha):
         tab = build_stabilizer(KernelSpec(alpha, 0.6), 0.03, np.linspace(0.0, 1.0, 11))
-        assert tab.radius == _trust_radius(alpha, tab.coeffs)
-        t = np.linspace(0.0, 3.0, 31)
+        t = np.linspace(0.0, 1.0, 31)
         assert np.array_equal(tab(t), stabilizer_eval(tab.spec, tab.c, tab.coeffs, t))
-
-    def test_trust_radius_matches_scan(self):
-        # one vectorised pass over the 200 tau gives the scan's radius bit for bit
-        for alpha in np.linspace(0.505, 0.9995, 250):
-            coeffs = stabilizer_coefficients(alpha, 200)
-            assert _trust_radius(alpha, coeffs) == trust_radius_scan(alpha, coeffs), alpha
+        assert tab(1.0 + 1e-13) == stabilizer_eval(tab.spec, tab.c, tab.coeffs, 1.0 + 1e-13)
+        for beyond in (1.0 + 1e-9, 1.5, np.array([0.5, 3.0])):
+            with pytest.raises(StabilizerDomainError):
+                tab(beyond)
 
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9])
     def test_series_horner_against_mpmath(self, alpha):
@@ -256,17 +237,20 @@ class TestStabilizerValues:
 
     @pytest.mark.parametrize("alpha", [0.975, 0.99, 0.999])
     def test_build_near_alpha_one_is_warning_free(self, alpha):
-        # the c_k underflow to subnormals here, and the radius scan reaches
-        # taus where tau^(alpha k) overflows; that must stop the scan quietly
+        # the c_k underflow to subnormals here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tab = build_stabilizer(KernelSpec(alpha, 1.0), 0.03, np.linspace(0.0, 1.0, 11))
-        assert math.isfinite(tab.radius) and tab.radius > 1.0
+            values = tab(tab.grid)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
-    def test_no_trust_radius_without_series(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        assert build_stabilizer(KernelSpec(1.0, 0.7), 0.02, grid).radius is None
-        assert build_stabilizer(KernelSpec(0.9, 0.2), 0.0, grid).radius is None
+    def test_no_series_without_use(self):
+        # alpha = 1 and c = 0 need no series, so every horizon is in the domain
+        grid = np.linspace(0.0, 500.0, 11)
+        for spec, c in ((KernelSpec(1.0, 0.7), 0.02), (KernelSpec(0.55, 2.0), 0.0)):
+            tab = build_stabilizer(spec, c, grid)
+            assert tab.coeffs.size == 0
+            assert np.all(np.isfinite(tab(grid)))
 
     @pytest.mark.parametrize("alphas", [(0.9, 0.6), (0.75, 0.55), (0.95, 0.7)])
     def test_values_on_sweep_grids_match_quadrature_build(self, alphas):
@@ -281,10 +265,10 @@ class TestStabilizerValues:
                 grid = np.linspace(0.0, 1.0, n + 1)
                 tab = build_stabilizer(spec, c, grid)
                 assert tab.limit == pytest.approx(limit, rel=1e-9)
-                ref = stabilizer_eval(spec, c, coeffs, grid, limit=limit)
-                assert np.allclose(tab.values, ref, rtol=1e-12, atol=0.0)
+                ref = stabilizer_eval(spec, c, coeffs, grid)
+                assert np.allclose(tab(grid), ref, rtol=1e-12, atol=0.0)
                 t_sim = np.linspace(0.0, 1.0, 601)
-                ref = stabilizer_eval(spec, c, coeffs, t_sim, limit=limit)
+                ref = stabilizer_eval(spec, c, coeffs, t_sim)
                 assert np.allclose(tab(t_sim), ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("alphas", [(0.9, 0.6), (0.75, 0.55), (0.95, 0.7)])
@@ -300,21 +284,24 @@ class TestStabilizerValues:
                 tab, ref = build_stabilizer(spec, c, grid), full_series_table(spec, c, grid)
                 assert tab.coeffs.size < _K_CAP
                 assert np.array_equal(tab.coeffs, ref.coeffs[: tab.coeffs.size])
-                assert np.array_equal(tab.values, ref.values)
+                assert np.array_equal(tab(grid), ref(grid))
                 assert np.array_equal(tab(t_sim), ref(t_sim))
                 assert functional_equation_residual(tab) == functional_equation_residual(ref)
-                # the shorter series' radius still covers the horizon
-                assert lam ** (1.0 / alpha) * grid[-1] < tab.radius <= ref.radius
 
-    def test_unconverged_horizon_keeps_the_cap(self):
-        # at tau_T = 35 the 200-term series has not converged: the table keeps
-        # every coefficient and the full series' trust radius
-        spec, grid = KernelSpec(0.55, 2.0), np.linspace(0.0, 10.0, 201)
-        tab, ref = build_stabilizer(spec, 0.03, grid), full_series_table(spec, 0.03, grid)
-        assert tab.coeffs.size == _K_CAP
-        assert np.array_equal(tab.coeffs, ref.coeffs)
-        assert tab.radius == ref.radius < spec.lam ** (1.0 / spec.alpha) * grid[-1]
-        assert np.array_equal(tab.values, ref.values)
+    def test_unconverged_horizon_raises(self):
+        # at tau_T = 35 the 200-term series has not converged: no table
+        spec, grid = KernelSpec(0.55, 2.0), np.linspace(0.0, 10.0, 401)
+        assert stabilizer_coefficients(0.55, _K_CAP, u=2.0 * 10.0**0.55).size == _K_CAP
+        with pytest.raises(StabilizerDomainError) as exc:
+            build_stabilizer(spec, 0.03, grid)
+        assert all(s in str(exc.value) for s in ("alpha=0.55", "lam=2", "T=10", "tau_T", "35.26"))
+
+    def test_negative_series_on_the_grid_raises(self):
+        # at (0.9, 1, 30) the series converges at T but goes negative near t = 24
+        spec, grid = KernelSpec(0.9, 1.0), np.linspace(0.0, 30.0, 401)
+        assert stabilizer_coefficients(0.9, _K_CAP, u=30.0**0.9).size < _K_CAP
+        with pytest.raises(StabilizerDomainError, match="went negative"):
+            build_stabilizer(spec, 0.03, grid)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -326,3 +313,32 @@ class TestStabilizerValues:
         horizon = min(1.0, 2.0 / lam ** (1.0 / alpha))
         tab = build_stabilizer(KernelSpec(alpha, lam), c, np.linspace(0.0, horizon, 51))
         assert functional_equation_residual(tab) < 1e-8
+
+
+class TestDomain:
+    """The table's domain contract: a build either raises StabilizerDomainError
+    or gives a table that holds on its grid and refuses every other time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        lam=st.floats(0.1, 3.0),
+        c=st.floats(1e-4, 0.5),
+        T=st.floats(0.1, 60.0),
+    )
+    def test_build_raises_or_holds_on_its_grid(self, alpha, lam, c, T):
+        grid = np.linspace(0.0, T, 51)
+        try:
+            tab = build_stabilizer(KernelSpec(alpha, lam), c, grid)
+        except StabilizerDomainError:
+            return
+        values = tab(grid)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        for t in (T * (1.0 + 1e-9) + 1e-9, 2.0 * T, math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(StabilizerDomainError):
+                tab(t)
+
+    def test_covers_has_the_call_slack(self, stab4):
+        # RiccatiSpec and simulate_variance accept a table iff it covers their T
+        for tab in stab4:
+            assert tab.covers(1.0) and tab.covers(1.0 + 1e-13) and not tab.covers(1.0 + 1e-9)

@@ -194,7 +194,7 @@ class TestSimulateWealth:
         p = make_params(params4, rate=rate)
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=20), n_paths=5, seed=1)
         util = UtilitySpec("exponential", 0.5)
-        bank = math.exp(rate.integral(0.0, 1.0))
+        bank = math.exp(rate.primitive(1.0) - rate.primitive(0.0))
         run = simulate_wealth(b, util, zero_rule(2))
         assert np.allclose(run.x_T, p.x0 * bank, rtol=1e-15, atol=0.0)
 
