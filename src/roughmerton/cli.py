@@ -223,6 +223,7 @@ def _write_csv(config: RunConfig, name: str, columns: list, rows: np.ndarray):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     fmt = ",".join(["%.17g"] * rows.shape[1])
     lines = _header(config, columns) + [fmt % tuple(row) for row in rows.tolist()]
+    os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, name), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -230,6 +231,7 @@ def _write_csv(config: RunConfig, name: str, columns: list, rows: np.ndarray):
 def _write_json(config: RunConfig, name: str, payload: dict):
     payload = dict(payload)
     payload["_meta"] = {"config_sha256": config.sha256, "seed": config.seed, "version": __version__}
+    os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
@@ -461,7 +463,6 @@ def dispatch(subcommand: str, config: RunConfig) -> int:
     """Run one subcommand; returns the process exit code, 0 iff every gate passed."""
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    os.makedirs(config.out_dir, exist_ok=True)
     gates = _COMMANDS[subcommand](config)
     return 0 if all(g.passed for g in gates) else 1
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gamma as sp_gamma
 
 # not called here: the benchmark's trace points (perfbench/spans.py) still
 # name roughmerton.riccati.mittag_leffler
@@ -166,15 +165,15 @@ def _adams_weights(alpha: float, dt: float, n: int):
     implicit weight acorr = dt^alpha / Gamma(alpha + 2).
     """
     m = np.arange(n + 1, dtype=float)
-    bw = dt**alpha / sp_gamma(alpha + 1.0) * ((m + 1.0) ** alpha - m**alpha)
+    bw = dt**alpha / math.gamma(alpha + 1.0) * ((m + 1.0) ** alpha - m**alpha)
     aw = (
         dt**alpha
-        / sp_gamma(alpha + 2.0)
+        / math.gamma(alpha + 2.0)
         * ((m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0))
     )
     k = np.arange(n + 1, dtype=float)
-    a0 = dt**alpha / sp_gamma(alpha + 2.0) * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
-    return bw, aw, a0, dt**alpha / sp_gamma(alpha + 2.0)
+    a0 = dt**alpha / math.gamma(alpha + 2.0) * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
+    return bw, aw, a0, dt**alpha / math.gamma(alpha + 2.0)
 
 
 def _solve_single(

@@ -25,16 +25,22 @@ values and the residual come out as those of the 200-term series, bit for
 bit on the tables the tests check.
 
 The table's horizon T is its domain.  A build refuses a horizon at which
-the series has not converged within ``_K_CAP`` = 200 terms, or at which it
-goes negative on the grid, and a table refuses every time outside [0, T]
-(NaN too); each raises ``StabilizerDomainError``.  Nothing extrapolates past
-T.  Converged is not accurate: the c_k recurrence is ill-conditioned, and
-only the residual check measures how well the kept coefficients solve the
-equation.
+the series has not converged within ``_K_CAP`` = 200 terms, at which it is
+not accurate on the grid, or at which it goes negative there, and a table
+refuses every time outside [0, T] (NaN too); each raises
+``StabilizerDomainError``.  Nothing extrapolates past T.  Converged is not
+accurate: the c_k recurrence is ill-conditioned, so last-bit changes in its
+Beta weights move c_k by more than 1e-3 relative past k = 29 to 100,
+depending on alpha.  The recurrence therefore runs twice, the second time
+under a rounding-level perturbation of those weights, and a build refuses a
+grid time at which the spread this leaves reaches 1e-6 of the series (the
+accuracy radius).  Only the residual check measures how well the kept
+coefficients solve the equation.
 
 Provides:
   - ``stabilizer_coefficients``: the c_k recurrence (extended-range, via
-    gammaln), optionally stopped where the series has converged.
+    log Gamma tables) and the spread rounding leaves in it, optionally
+    stopped where the series has converged.
   - ``stabilizer_eval``: the series evaluated at any t >= 0.
   - ``build_stabilizer``: grid tabulation as a ``StabilizerTable``.
   - ``functional_equation_residual``: singularity-aware residual check.
@@ -46,9 +52,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
-from .kernels import KernelSpec, _ml_coefficients, f_l2_norm, resolvent
+from .kernels import KernelSpec, _gammaln, _ml_coefficients, f_l2_norm, resolvent
 
 __all__ = [
     "StabilizerDomainError",
@@ -65,6 +70,9 @@ _K_CAP = 200
 # the recurrence stops: far enough below rounding that the dropped tail does
 # not move a tabulated value.
 _SERIES_TOL = 1e-17
+# Largest share of the series value that the rounding spread of its
+# coefficients may reach on a table's grid (``build_stabilizer``).
+_ACCURACY = 1e-6
 # Slack by which a time may pass the table's horizon (grid rounding).
 _HORIZON_SLACK = 1e-12
 
@@ -115,8 +123,26 @@ class StabilizerTable:
         return stabilizer_eval(self.spec, self.c, self.coeffs, t)
 
 
-def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None) -> np.ndarray:
-    """Coefficients c_0..c_K of the stabilizer series, K <= n_coeffs - 1.
+def _log_beta_tables(alpha: float, n: int, n_sum: int):
+    """log Gamma tables p, q (length n) and r (length n_sum) with
+
+      log B(alpha (l+2) - 1, alpha (j-1) + 2) = p[l] + q[j] - r[l+j],
+
+    the two arguments adding up to alpha (l+j+1) + 1.  Every Beta value the
+    stabilizer takes, in the recurrence and in ``_series_convolution``, has
+    this form, so each is three lookups into tables built once.
+    """
+    ks = np.arange(max(n, n_sum))
+    return (
+        _gammaln(alpha * (ks[:n] + 2) - 1.0),
+        _gammaln(alpha * (ks[:n] - 1) + 2.0),
+        _gammaln(alpha * (ks[:n_sum] + 1) + 1.0),
+    )
+
+
+def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None):
+    """Coefficients c_0..c_K of the stabilizer series, K <= n_coeffs - 1, and
+    their rounding spread dc_0..dc_K.
 
     c_0 = Gamma(alpha)^2 / (Gamma(2 alpha - 1) Gamma(2 - alpha)) and, for k >= 1,
 
@@ -127,8 +153,14 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None)
 
     with a_k = 1/Gamma(alpha k + 1), b_k = 1/Gamma(alpha (k+1)) the series
     coefficients of E_{alpha,1} and E_{alpha,alpha} (``kernels._ml_coefficients``)
-    and (x*y) the Cauchy product.  Gamma ratios go through gammaln to survive
-    large k.
+    and (x*y) the Cauchy product.  Gamma ratios and Beta values go through
+    log Gamma tables (``_log_beta_tables``) to survive large k.
+
+    In the same loop the recurrence runs a second time with every Beta weight
+    scaled by 1 +- 4 eps (the sign alternating in l), a perturbation at
+    rounding level of its inputs.  The spread dc_k = |c_k - c'_k| shows how
+    far rounding alone moves each coefficient: the recurrence is
+    ill-conditioned, and the spread grows fast with k.
 
     Without ``u`` all n_coeffs coefficients are returned.  With ``u`` (the
     series variable lam t^alpha at the largest time of interest) the
@@ -145,15 +177,15 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None)
         raise ValueError("n_coeffs must be >= 1")
     ks = np.arange(n_coeffs)
     a, b = _ml_coefficients(alpha, n_coeffs, 0), _ml_coefficients(alpha, n_coeffs, 1)
+    log_first, log_second, log_sum = _log_beta_tables(alpha, n_coeffs, n_coeffs)
 
-    log_g2a1 = gammaln(2.0 * alpha - 1.0)
-    log_ga = gammaln(alpha)
-    log_pref = (
-        2.0 * log_ga + gammaln(alpha * (ks + 1)) - log_g2a1 - gammaln(alpha * ks + 2.0 - alpha)
-    )
+    log_g2a1 = math.lgamma(2.0 * alpha - 1.0)
+    log_ga = math.lgamma(alpha)
+    log_pref = 2.0 * log_ga + _gammaln(alpha * (ks + 1)) - log_g2a1 - log_second
+    jitter = 1.0 + 4.0 * np.finfo(float).eps * (-1.0) ** ks
 
-    c, bb = np.empty(n_coeffs), np.empty(n_coeffs)
-    c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
+    c, c_pert, bb = np.empty(n_coeffs), np.empty(n_coeffs), np.empty(n_coeffs)
+    c[0] = c_pert[0] = math.exp(2.0 * log_ga - log_g2a1 - math.lgamma(2.0 - alpha))
     bb[0] = b[0] * b[0]
     # running partial sums of both series at u, and (-u)^k, in Python floats:
     # past overflow they turn inf or nan without a warning, and never converge
@@ -161,19 +193,19 @@ def stabilizer_coefficients(alpha: float, n_coeffs: int, u: float | None = None)
     for k in range(1, n_coeffs):
         ab_k = np.sum(a[: k + 1] * b[k::-1])
         bb[k] = np.sum(b[: k + 1] * b[k::-1])
-        ls = ks[1 : k + 1]
         # B(alpha (l+2) - 1, alpha (k-l-1) + 2) (b*b)_l for 1 <= l <= k
-        weights = np.exp(betaln(alpha * (ls + 2) - 1.0, alpha * (k - ls - 1) + 2.0)) * bb[1 : k + 1]
-        conv = np.sum(weights * c[k - 1 :: -1])
+        weights = np.exp(log_first[1 : k + 1] + log_second[k - 1 :: -1] - log_sum[k]) * bb[1 : k + 1]
         # math.exp: np.exp can differ from it in the last bit, which would move every c_k
-        c[k] = math.exp(log_pref[k]) * (ab_k - alpha * (k + 1) * conv)
+        pref = math.exp(log_pref[k])
+        c[k] = pref * (ab_k - alpha * (k + 1) * np.sum(weights * c[k - 1 :: -1]))
+        c_pert[k] = pref * (ab_k - alpha * (k + 1) * np.sum(weights * jitter[1 : k + 1] * c_pert[k - 1 :: -1]))
         if u is not None:
             u_k *= -float(u)
             term_c, term_f = float(c[k]) * u_k, float(bb[k]) * u_k
             sum_c, sum_f = sum_c + term_c, sum_f + term_f
             if abs(term_c) < _SERIES_TOL * abs(sum_c) and abs(term_f) < _SERIES_TOL * abs(sum_f):
-                return c[: k + 1].copy()
-    return c
+                return c[: k + 1].copy(), np.abs(c[: k + 1] - c_pert[: k + 1])
+    return c, np.abs(c - c_pert)
 
 
 def _cauchy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -233,9 +265,12 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
 
     The series keeps the coefficients its horizon T = grid[-1] needs: the
     recurrence stops where both series have converged at u = lam T^alpha
-    (see ``stabilizer_coefficients``).  A horizon that needs all ``_K_CAP``
-    terms, or a series that goes negative on the grid, raises
-    ``StabilizerDomainError``.
+    (see ``stabilizer_coefficients``).  ``StabilizerDomainError`` is raised
+    when the horizon needs all ``_K_CAP`` terms; when at some grid time the
+    rounding spread of the coefficients, sum_k dc_k u^k, exceeds
+    ``_ACCURACY`` of the series |sum_k c_k (-u)^k| (the message names the
+    accuracy radius, the last grid time before it); or when the series goes
+    negative on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
@@ -245,14 +280,24 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
     coeffs = np.empty(0)
     # the series is used only when c > 0 and alpha < 1
     if c > 0.0 and spec.alpha < 1.0:
-        u_T = spec.lam * grid[-1] ** spec.alpha
-        coeffs = stabilizer_coefficients(spec.alpha, _K_CAP, u=u_T)
+        alpha, lam, T = spec.alpha, spec.lam, grid[-1]
+        u_T = lam * T**alpha
+        coeffs, spread = stabilizer_coefficients(alpha, _K_CAP, u=u_T)
         if coeffs.size == _K_CAP:
             raise StabilizerDomainError(
-                f"stabilizer series (alpha={spec.alpha:g}, lam={spec.lam:g}) has not converged in {_K_CAP} "
-                f"terms at T={grid[-1]:g} (tau_T = lam^(1/alpha) T = {u_T ** (1.0 / spec.alpha):.4g})"
+                f"stabilizer series (alpha={alpha:g}, lam={lam:g}) has not converged in {_K_CAP} "
+                f"terms at T={T:g} (tau_T = lam^(1/alpha) T = {u_T ** (1.0 / alpha):.4g})"
             )
-        # converged is not accurate: a series that goes negative on the grid raises here
+        u = lam * grid**alpha
+        signs = (-1.0) ** np.arange(coeffs.size)
+        inaccurate = _horner(spread, u) > _ACCURACY * np.abs(_horner(signs * coeffs, u))
+        if np.any(inaccurate):
+            radius = grid[np.argmax(inaccurate) - 1]
+            raise StabilizerDomainError(
+                f"stabilizer series (alpha={alpha:g}, lam={lam:g}) holds to {_ACCURACY:g} against the "
+                f"rounding in its coefficients only up to t={radius:.4g}, short of T={T:g}"
+            )
+        # a series that goes negative on the grid raises here
         stabilizer_eval(spec, c, coeffs, grid)
     return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=_limit(spec, c))
 
@@ -304,9 +349,8 @@ def _series_convolution(table: StabilizerTable, grid: np.ndarray) -> np.ndarray:
     b = _ml_coefficients(alpha, K, 1)
     d = (-lam) ** ks * _cauchy(b, b)
     e = (-lam) ** ks * table.coeffs
-    beta_mat = np.exp(
-        betaln(2.0 * alpha - 1.0 + alpha * ks[:, None], 2.0 - alpha + alpha * ks[None, :])
-    )
+    log_first, log_second, log_sum = _log_beta_tables(alpha, K, 2 * K - 1)
+    beta_mat = np.exp(log_first[:, None] + log_second[None, :] - log_sum[ks[:, None] + ks[None, :]])
     M = beta_mat * d[:, None] * e[None, :]
 
     g = np.bincount((ks[:, None] + ks[None, :]).ravel(), weights=M.ravel())

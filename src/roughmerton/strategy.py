@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as sp_gamma
 
+from .kernels import _gamma
 from .riccati import RiccatiSolution
 from .simulate import ModelParams
 
@@ -78,7 +78,7 @@ def g0_curve(params: ModelParams, s) -> np.ndarray:
         params.x_inf[(...,) + (None,) * s.ndim]
         + params.mu0[(...,) + (None,) * s.ndim]
         * s[None, ...] ** alpha[(...,) + (None,) * s.ndim]
-        / sp_gamma(alpha + 1.0)[(...,) + (None,) * s.ndim]
+        / _gamma(alpha + 1.0)[(...,) + (None,) * s.ndim]
     )
 
 

@@ -440,7 +440,7 @@ class TestCommands:
         payload = json.loads(err[0])
         assert payload["error"] == "StabilizerDomainError"
         assert "alpha=0.55" in payload["message"] and "T=10" in payload["message"]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_out_of_domain_process_prints_no_traceback(self, tmp_path):
         cfg = write_config(tmp_path, self.out_of_domain)
@@ -508,28 +508,25 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_runs_load_no_quadrature_until_quad_is_called(tmp_path):
-    # scipy.integrate is in sys.modules from the start, but unexecuted: its
-    # submodules and the packages it imports show whether it has loaded.
-    # The stabilizer report's Gauss-Jacobi nodes (scipy.special.roots_jacobi)
-    # import scipy.linalg themselves, so that command runs last.
+    # Gamma, log Gamma and Gauss-Jacobi come from libm and numpy, so no
+    # subcommand loads scipy.special or scipy.linalg.  scipy.integrate is in
+    # sys.modules from the start, but unexecuted: its quadpack submodule and
+    # the packages it imports show whether it has loaded.
     code = f"""
 import json, sys
 import roughmerton.cli as cli
 from roughmerton.kernels import mittag_leffler
-deferred = ("scipy.integrate._quadpack", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+deferred = ("scipy.special", "scipy.linalg", "scipy.integrate._quadpack", "scipy.optimize", "scipy.sparse")
 loaded = {{}}
 cli.load_config(cli._default_config_path())
 loaded["load_config"] = [m for m in deferred if m in sys.modules]
-for args in (["riccati"], ["strategy"], ["value"], ["verify", "--paths", "200"], ["stabilizer"]):
-    rc = cli.main(args + ["--out", {str(tmp_path)!r} + "/" + args[0]])
-    loaded[args[0]] = [m for m in deferred if m in sys.modules] + ([] if rc in (0, 1) else [rc])
+for sub in cli.SUBCOMMANDS:
+    rc = cli.main([sub, "--paths", "200", "--out", {str(tmp_path)!r} + "/" + sub])
+    loaded[sub] = [m for m in deferred if m in sys.modules] + ([] if rc in (0, 1) else [rc])
 ml = mittag_leffler(0.6, -50.0)
 print(json.dumps([loaded, ml.hex(), "scipy.integrate._quadpack" in sys.modules]))
 """
     loaded, ml, quadpack = json.loads(run_fresh_python(code).splitlines()[-1])
-    assert loaded == {
-        **dict.fromkeys(["load_config", "riccati", "strategy", "value", "verify"], []),
-        "stabilizer": ["scipy.linalg"],
-    }
+    assert loaded == dict.fromkeys(["load_config", *cli.SUBCOMMANDS], [])
     # the first quad call loads the quadrature and gives the eager import's value
     assert quadpack and float.fromhex(ml) == 0.009083744773103457

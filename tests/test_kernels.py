@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
-from scipy.special import roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from roughmerton.kernels import (
     KernelSpec,
     _f_smooth,
+    _gamma,
+    _gammaln,
+    _roots_jacobi,
     f_l2_norm,
     mittag_leffler,
     resolvent,
@@ -55,11 +58,11 @@ def f_l2_sq_unit_quadrature(alpha: float) -> float:
 
 def resolvent_residual_per_t(spec: KernelSpec, t, n_nodes: int = 60) -> np.ndarray:
     """|R(t) + lam (K * R)(t) - 1|, one Gauss-Jacobi rule and two resolvent calls per t."""
-    xi, w = roots_jacobi(n_nodes, spec.alpha - 1.0, 0.0)
+    xi, w = _roots_jacobi(n_nodes, spec.alpha - 1.0, 0.0)
     out = np.empty_like(t)
     for i, ti in enumerate(t):
         s = ti * 0.5 * (1.0 + xi)
-        conv = (ti / 2.0) ** spec.alpha / sp_gamma(spec.alpha) * np.sum(w * resolvent(spec, s))
+        conv = (ti / 2.0) ** spec.alpha / math.gamma(spec.alpha) * np.sum(w * resolvent(spec, s))
         out[i] = abs(resolvent(spec, ti) + spec.lam * conv - 1.0)
     return out
 
@@ -291,3 +294,69 @@ class TestKernelAndResolvent:
         t = np.linspace(0.02, 1.0, 50)
         assert np.array_equal(resolvent_residual(spec, t), resolvent_residual_per_t(spec, t))
         assert resolvent_residual(spec, 0.5) == resolvent_residual_per_t(spec, np.array([0.5]))[0]
+
+
+def jacobi_weight_moments(a: float, degree: int) -> np.ndarray:
+    """int_{-1}^1 x^d (1-x)^a dx for d <= degree, without scipy.
+
+    Integration by parts gives J_d = ((-1)^d 2^(a+1) + d J_(d-1)) / (a+1+d),
+    J_0 = 2^(a+1)/(a+1); each step scales the error by d/(a+1+d) < 1.
+    """
+    out = [2.0 ** (a + 1.0) / (a + 1.0)]
+    for d in range(1, degree + 1):
+        out.append(((-1.0) ** d * 2.0 ** (a + 1.0) + d * out[-1]) / (a + 1.0 + d))
+    return np.array(out)
+
+
+class TestSpecialFunctions:
+    """libm's Gamma and log Gamma and the Golub-Welsch rule, against scipy,
+    on the arguments src/ gives them."""
+
+    ALPHAS = np.linspace(0.5, 1.0, 51)[1:]
+
+    def src_arguments(self) -> np.ndarray:
+        # _ml_coefficients and _ml_series: alpha (k + m) + 1 - m; the
+        # stabilizer's tables: alpha (k+2) - 1, alpha (k-1) + 2, alpha (k+1)
+        # and alpha (k+1) + 1; Adams and the forward curve: alpha + 1, alpha + 2
+        a, k = self.ALPHAS[:, None], np.arange(400)[None, :]
+        args = [a * k + 1.0, a * (k + 1), a * (k + 2) - 1.0, a * (k - 1) + 2.0, a * (k + 1) + 1.0, a + 2.0]
+        return np.concatenate([np.ravel(x) for x in args])
+
+    def test_gamma_and_gammaln_match_scipy(self):
+        # near its zeros at 1 and 2 log Gamma is O(ulp) in both libraries, and
+        # 40-digit values put both ~1e-13 relative off there: a floor of 1e-15
+        # absolute, which is what the exp of a log Gamma sum sees
+        x = self.src_arguments()
+        np.testing.assert_allclose(_gammaln(x), gammaln(x), rtol=1e-14, atol=1e-15)
+        small = x[x < 170.0]
+        np.testing.assert_allclose(_gamma(small), sp_gamma(small), rtol=1e-14, atol=0.0)
+        assert _gamma(np.array([[1.5, 2.0]])).shape == (1, 2) and _gammaln(np.array(3.0)).shape == ()
+
+    def test_gauss_jacobi_matches_scipy(self):
+        # scipy's own end-node weights are up to ~1e-11 off 40-digit values,
+        # where ours hold 5e-13 (test_gauss_jacobi_weights_against_mpmath), so
+        # the weights are compared at scipy's level and the nodes at rounding level
+        for alpha in self.ALPHAS:
+            x_ref, w_ref = roots_jacobi(60, alpha - 1.0, 0.0)
+            x, w = _roots_jacobi(60, alpha - 1.0, 0.0)
+            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(w, w_ref, rtol=2e-11, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.95, 1.0])
+    def test_gauss_jacobi_weights_against_mpmath(self, alpha):
+        # 40-digit roots of P_60^(a,0) and w_i = 2^(a+1) / ((1 - x_i^2) P_60'(x_i)^2)
+        n, a = 60, mp.mpf(alpha) - 1
+        x, w = _roots_jacobi(n, alpha - 1.0, 0.0)
+        with mp.workdps(40):
+            for xi, wi in zip(x.tolist(), w.tolist()):
+                root = mp.findroot(lambda t: mp.jacobi(n, a, 0, t), mp.mpf(xi), tol=mp.mpf(10) ** -35)
+                slope = (n + a + 1) / 2 * mp.jacobi(n - 1, a + 1, 1, root)
+                assert abs(xi - root) <= 2.3e-16
+                assert wi == pytest.approx(float(2 ** (a + 1) / ((1 - root**2) * slope**2)), rel=5e-13)
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.5, 1.0, 11)[1:])
+    def test_gauss_jacobi_integrates_monomials(self, alpha):
+        # exact to degree 2n - 1 = 119, with no scipy in the check
+        x, w = _roots_jacobi(60, alpha - 1.0, 0.0)
+        got = np.array([np.sum(w * x**d) for d in range(120)])
+        np.testing.assert_allclose(got, jacobi_weight_moments(alpha - 1.0, 119), rtol=0.0, atol=1e-13)

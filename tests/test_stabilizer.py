@@ -15,6 +15,7 @@ from roughmerton.stabilizer import (
     _K_CAP,
     StabilizerDomainError,
     StabilizerTable,
+    _log_beta_tables,
     _series_convolution,
     _series_sq_scaled,
     build_stabilizer,
@@ -31,23 +32,31 @@ def cauchy_bb(alpha: float, n: int) -> np.ndarray:
     return np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(n)])
 
 
+def lgammas(x) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in np.ravel(x).tolist()])
+
+
 def coefficients_loop_reference(alpha: float, n_coeffs: int) -> np.ndarray:
-    """The c_k recurrence with every prefactor and Beta value formed inside the k loop."""
+    """The c_k recurrence with every prefactor and Beta value formed inside the
+    k loop, from libm's lgamma as the module's tables are: it checks the
+    hoisting, not the special-function source."""
     K = n_coeffs - 1
     ks = np.arange(K + 1)
-    a = np.exp(-gammaln(alpha * ks + 1.0))
-    b = np.exp(-gammaln(alpha * (ks + 1)))
+    a = np.exp(-lgammas(alpha * ks + 1.0))
+    b = np.exp(-lgammas(alpha * (ks + 1)))
     ab = np.array([np.sum(a[: k + 1] * b[k::-1]) for k in range(K + 1)])
-    bb = cauchy_bb(alpha, K + 1)
-    log_g2a1, log_ga = gammaln(2.0 * alpha - 1.0), gammaln(alpha)
+    bb = np.array([np.sum(b[: k + 1] * b[k::-1]) for k in range(K + 1)])
+    log_g2a1, log_ga = math.lgamma(2.0 * alpha - 1.0), math.lgamma(alpha)
     c = np.empty(K + 1)
-    c[0] = math.exp(2.0 * log_ga - log_g2a1 - gammaln(2.0 - alpha))
+    c[0] = math.exp(2.0 * log_ga - log_g2a1 - math.lgamma(2.0 - alpha))
     for k in range(1, K + 1):
         pref = math.exp(
-            2.0 * log_ga + gammaln(alpha * (k + 1)) - log_g2a1 - gammaln(alpha * k + 2.0 - alpha)
+            2.0 * log_ga + math.lgamma(alpha * (k + 1)) - log_g2a1 - math.lgamma(alpha * (k - 1) + 2.0)
         )
         ells = np.arange(1, k + 1)
-        beta_vals = np.exp(betaln(alpha * (ells + 2) - 1.0, alpha * (k - ells - 1) + 2.0))
+        # log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y), x + y = alpha (k+1) + 1
+        log_beta = lgammas(alpha * (ells + 2) - 1.0) + lgammas(alpha * (k - ells - 1) + 2.0)
+        beta_vals = np.exp(log_beta - math.lgamma(alpha * (k + 1) + 1.0))
         conv = np.sum(beta_vals * bb[1 : k + 1] * c[k - 1 :: -1][:k])
         c[k] = pref * (ab[k] - alpha * (k + 1) * conv)
     return c
@@ -69,7 +78,7 @@ def series_convolution_einsum(table: StabilizerTable, grid: np.ndarray) -> np.nd
 
 def full_series_table(spec: KernelSpec, c: float, grid: np.ndarray) -> StabilizerTable:
     """The table of a build that always keeps all 200 series coefficients."""
-    coeffs = stabilizer_coefficients(spec.alpha, 200)
+    coeffs = stabilizer_coefficients(spec.alpha, 200)[0]
     limit = math.sqrt(c) * spec.lam / f_l2_norm(spec)
     return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=limit)
 
@@ -90,39 +99,56 @@ def c1_ref(alpha: float) -> float:
 class TestCoefficients:
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9])
     def test_c0_closed_form(self, alpha):
-        c = stabilizer_coefficients(alpha, 3)
+        c = stabilizer_coefficients(alpha, 3)[0]
         assert c[0] == pytest.approx(c0_ref(alpha), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9])
     def test_c1_recurrence_oracle(self, alpha):
-        c = stabilizer_coefficients(alpha, 3)
+        c = stabilizer_coefficients(alpha, 3)[0]
         assert c[1] == pytest.approx(c1_ref(alpha), rel=1e-12)
 
     def test_c0_tends_to_one_at_alpha_one(self):
-        assert stabilizer_coefficients(0.9999, 1)[0] == pytest.approx(1.0, abs=1e-3)
+        assert stabilizer_coefficients(0.9999, 1)[0][0] == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_out_of_range_alpha(self):
         for alpha in (0.5, 1.0, 1.2):
             with pytest.raises(ValueError):
                 stabilizer_coefficients(alpha, 5)
 
+    @pytest.mark.parametrize("alpha", [0.51, 0.55, 0.6, 0.75, 0.9, 0.99])
+    def test_log_beta_tables_match_scipy(self, alpha):
+        # every Beta value of the recurrence and of _series_convolution, l, j < 200:
+        # to 1e-13, plus the rounding of a sum of three log Gammas, which
+        # reach 1.5e3 here (at l, j ~ 170 scipy and the tables are both
+        # ~5e-13 off 40-digit values)
+        first, second, total = _log_beta_tables(alpha, 200, 399)
+        ls, js = np.arange(200)[:, None], np.arange(200)[None, :]
+        got = first[:, None] + second[None, :] - total[ls + js]
+        ref = betaln(alpha * (ls + 2) - 1.0, alpha * (js - 1) + 2.0)
+        scale = np.abs(first[:, None]) + np.abs(second[None, :]) + np.abs(total[ls + js])
+        assert np.all(np.abs(got - ref) <= 1e-13 + 4.0 * np.finfo(float).eps * scale)
+        # the sweep configs' tables keep 16 to 36 coefficients; below 30 the plain bound holds
+        assert np.max(np.abs(got - ref)[:30, :30]) <= 1e-13
+
     def test_coefficients_finite_to_cap(self):
-        c = stabilizer_coefficients(0.6, 200)
+        c = stabilizer_coefficients(0.6, 200)[0]
         assert np.all(np.isfinite(c))
 
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.7, 0.75, 0.9, 0.95])
     def test_hoisted_prefactors_match_loop(self, alpha):
-        got = stabilizer_coefficients(alpha, 200)
+        got = stabilizer_coefficients(alpha, 200)[0]
         assert np.allclose(got, coefficients_loop_reference(alpha, 200), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9, 0.95])
     def test_stopped_recurrence_is_a_prefix(self, alpha):
-        full = stabilizer_coefficients(alpha, 200)
+        full, full_spread = stabilizer_coefficients(alpha, 200)
+        assert full_spread[0] == 0.0 and np.all(full_spread >= 0.0)
         for u in (0.01, 0.2, 1.0, 3.0):
-            short = stabilizer_coefficients(alpha, 200, u=u)
+            short, spread = stabilizer_coefficients(alpha, 200, u=u)
             assert short.size < 200
             assert np.array_equal(short, full[: short.size])
-        sizes = [stabilizer_coefficients(alpha, 200, u=u).size for u in (0.2, 3.0)]
+            assert np.array_equal(spread, full_spread[: short.size])
+        sizes = [stabilizer_coefficients(alpha, 200, u=u)[0].size for u in (0.2, 3.0)]
         assert sizes[0] < sizes[1]
 
 
@@ -162,7 +188,7 @@ class TestStabilizerValues:
     def test_scaling_law_exact(self):
         # varsigma_{a,lam,c}(t) = sqrt(c) lam^(1 - 1/(2a)) varsigma_{a,1,1}(lam^(1/a) t)
         alpha, lam, c = 0.6, 0.6, 0.03
-        coeffs = stabilizer_coefficients(alpha, 60)
+        coeffs = stabilizer_coefficients(alpha, 60)[0]
         t = np.linspace(0.0, 1.0, 41)
         lhs = stabilizer_eval(KernelSpec(alpha, lam), c, coeffs, t)
         rhs = (
@@ -225,7 +251,7 @@ class TestStabilizerValues:
     def test_series_horner_against_mpmath(self, alpha):
         # Horner's rule against the same coefficients summed in 50 digits; a
         # grid x K powers product lost up to 3e-12 relative here (alpha = 0.55)
-        coeffs = stabilizer_coefficients(alpha, 200)
+        coeffs = stabilizer_coefficients(alpha, 200)[0]
         tau = np.linspace(0.0, 8.0, 41)
         got = _series_sq_scaled(alpha, coeffs, tau)
         a = mp.mpf(alpha)
@@ -291,17 +317,41 @@ class TestStabilizerValues:
     def test_unconverged_horizon_raises(self):
         # at tau_T = 35 the 200-term series has not converged: no table
         spec, grid = KernelSpec(0.55, 2.0), np.linspace(0.0, 10.0, 401)
-        assert stabilizer_coefficients(0.55, _K_CAP, u=2.0 * 10.0**0.55).size == _K_CAP
+        assert stabilizer_coefficients(0.55, _K_CAP, u=2.0 * 10.0**0.55)[0].size == _K_CAP
         with pytest.raises(StabilizerDomainError) as exc:
             build_stabilizer(spec, 0.03, grid)
         assert all(s in str(exc.value) for s in ("alpha=0.55", "lam=2", "T=10", "tau_T", "35.26"))
 
-    def test_negative_series_on_the_grid_raises(self):
-        # at (0.9, 1, 30) the series converges at T but goes negative near t = 24
-        spec, grid = KernelSpec(0.9, 1.0), np.linspace(0.0, 30.0, 401)
-        assert stabilizer_coefficients(0.9, _K_CAP, u=30.0**0.9).size < _K_CAP
-        with pytest.raises(StabilizerDomainError, match="went negative"):
+    @pytest.mark.parametrize("T", [24.0, 30.0])
+    def test_inaccurate_horizon_raises(self, T):
+        # at (0.9, 1) the series converges at T = 24 and 30 but solves the
+        # equation there only to ~1e4 and ~1e9: the rounding spread of its
+        # coefficients passes 1e-6 of the series near t = 10
+        spec, grid = KernelSpec(0.9, 1.0), np.linspace(0.0, T, 401)
+        assert stabilizer_coefficients(0.9, _K_CAP, u=T**0.9)[0].size < _K_CAP
+        with pytest.raises(StabilizerDomainError) as exc:
             build_stabilizer(spec, 0.03, grid)
+        msg = str(exc.value)
+        assert all(s in msg for s in ("alpha=0.9", "lam=1", f"T={T:g}", "only up to t=10.0"))
+
+    @pytest.mark.parametrize(
+        "alpha,lam,last", [(0.9, 1.0, 10.0), (0.6, 0.6, 24.5), (0.75, 1.0, 10.0), (0.55, 2.0, 3.0), (0.9, 0.2, 60.5)]
+    )
+    def test_accuracy_radius_edges(self, alpha, lam, last):
+        # README's valid domain: the last horizon that builds, in steps of 0.25;
+        # there the series solves the equation to about the radius' 1e-6
+        spec = KernelSpec(alpha, lam)
+        tab = build_stabilizer(spec, 0.03, np.linspace(0.0, last, 401))
+        assert functional_equation_residual(tab) < 1e-6
+        with pytest.raises(StabilizerDomainError, match="only up to t="):
+            build_stabilizer(spec, 0.03, np.linspace(0.0, last + 0.5, 401))
+
+    def test_negative_series_on_the_grid_raises(self):
+        # c_0 - c_1 u turns negative at u = 0.1: t = 0.1^(1/0.9) = 0.077 at lam = 1
+        spec, grid = KernelSpec(0.9, 1.0), np.linspace(0.0, 1.0, 101)
+        assert stabilizer_eval(spec, 0.03, np.array([1.0, 10.0]), grid[:7]).min() >= 0.0
+        with pytest.raises(StabilizerDomainError, match="went negative at t=0.08"):
+            stabilizer_eval(spec, 0.03, np.array([1.0, 10.0]), grid)
 
     @settings(max_examples=10, deadline=None)
     @given(
