@@ -32,14 +32,29 @@ C Q formed from G and the two border columns, so C is never built (the
 tests build it densely, as the factor's reference).  Each column of A is
 signed so that its entry of largest magnitude is positive.
 
-The Volterra sum is a causal convolution over steps: with
-eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs
-sum_{l<=k} A[k-l+1] @ eta_l.  ``simulate_variance`` evaluates it in time
-blocks of a few dozen steps.  Each step adds the terms of its own block, and
-each finished block adds its terms to all later steps with one matrix
-product against a Toeplitz gather of A.  That is O(n^2 q P) flops per asset
-and block of P paths, spent in BLAS-3 products, and O(n P) memory.  The
-push runs in row panels of at most ``_PANEL_BYTES`` of product rows, so
+The Volterra sum is a causal convolution over steps: with eta_l = (nu/lam)
+varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs sum_{l<=k} A[k-l+1] @
+eta_l.  ``simulate_variance`` evaluates it in time blocks of b =
+``_TIME_BLOCK`` steps.  Each step adds the terms of its own block, and each
+finished block adds its terms to all later steps: the push of its (b q, P)
+terms is a product against F, the rows of a Toeplitz gather of A at lags >=
+2, where the resolvent density is smooth.  So the singular values of F fall
+about tenfold per index, and it has numerical rank r ~ 48 at the packaged
+sizes, against b q = 160-192 columns: a far-field factor U W = F up to
+``_FAR_CUT`` sigma_1 (the low-rank blocks of hierarchical matrices,
+Hackbusch 2015) pushes in r (rows + b q) multiply-adds per path instead of
+rows b q, as U[:rows] @ (W @ pushed).  A push of few rows stays dense, where
+that costs no more.  So the push costs O(n (r q + n r / b) P) flops per asset
+and block of P paths, not O(n^2 q P), all in BLAS-3 products, and memory
+stays O(n P); at n = 600 and 2400 the push's multiply-adds fall 2.4x and
+3.5x.  The factor is built once per call from the SVD of the triangular
+factor R of F = Q R, at most (b q)^2: an SVD of F itself forms its (n, b q)
+left factor, and left 14 MB more resident after a call at 2400 steps and
+1000 paths.  V moves from the dense push's only by rounding (1.7e-15 of max V
+at 600 steps, 1.6e-15 at 2400); the normals, dB, dBperp and the integrals
+are the same bit for bit.
+
+The push runs in row panels of at most ``_PANEL_BYTES`` of product rows, so
 its temporary stays a few MB instead of (n, P).  The panels of one push
 have equal heights (within one row), so none is a sliver that BLAS would
 send to another kernel (gemv for one row) summing in another order; at the
@@ -58,7 +73,8 @@ not count it.
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
-  - ``simulate_variance``: block-streamed, seed-deterministic path generation.
+  - ``simulate_variance``: block-streamed, seed-deterministic path generation
+    with a low-rank far-field push.
 """
 
 from __future__ import annotations
@@ -93,6 +109,12 @@ _QUAD_NODES = 64
 _TIME_BLOCK = 32
 # Bytes of the product rows that one panel of a block push holds.
 _PANEL_BYTES = 4 << 20
+# Relative singular-value cut of a block push's far-field factor.  The
+# singular values of the far field fall about tenfold per index; at the
+# packaged sizes (alpha 0.9 and 0.6, n = 600 and 2400) the first dropped one
+# is at most 1.4e-14 of the largest, and at alpha = 0.99 a rounding plateau
+# near 1.7e-14 lies below the cut, so none of its noise directions is kept.
+_FAR_CUT = 2e-14
 
 
 @dataclass(frozen=True)
@@ -374,6 +396,36 @@ def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
     return A[np.maximum(lag, 0)].reshape(n, b * A.shape[1])
 
 
+def _block_push(A: np.ndarray, n: int, b: int):
+    """The in-block and push operators of time blocks of ``b`` steps: (K, U, W).
+
+    A full block pushes its (b q, P) terms to the ``rows`` steps after it
+    with F[:rows], F = ``_toeplitz_gather(A, n, b)[b:]`` (the lags >= 2).  F
+    has numerical rank r far below b q, so with W the r leading right
+    singular vectors of F (the singular values above ``_FAR_CUT`` of the
+    largest) and U = F W^T, U[:rows] @ (W @ pushed) is that push in
+    r (rows + b q) multiply-adds per path instead of rows b q, and
+    |F - U W|_2 <= _FAR_CUT sigma_1(F) up to rounding.  The right factor
+    comes from the SVD of the triangular R of F = Q R, at most (b q)^2, so no
+    (n, b q) orthogonal factor is ever held.
+
+    A push of at most ``K.shape[0] - b`` rows costs no more dense, as
+    K[b:b + rows] @ pushed; K holds those rows after the b rows of the
+    in-block sums, and nothing beyond.
+    """
+    K = _toeplitz_gather(A, n, b)
+    F = K[b:]
+    cols = F.shape[1]
+    if F.shape[0] == 0:
+        return K, np.empty((0, 0)), np.empty((0, cols))
+    _, s, W = np.linalg.svd(np.linalg.qr(F, mode="r"))
+    W = W[: np.count_nonzero(s > _FAR_CUT * s[0])]
+    r = W.shape[0]
+    # r (rows + cols) >= rows cols, the dense push costs no more, iff rows <= r cols / (cols - r)
+    dense = F.shape[0] if r >= cols else min(F.shape[0], r * cols // (cols - r))
+    return K[: b + dense].copy(), F @ W.T, W
+
+
 def _normals_ahead(pool: ThreadPoolExecutor, draws, max_shape: tuple):
     """Yield the standard normals (eta, z) of each draw of ``draws``, in order.
 
@@ -421,12 +473,16 @@ def simulate_variance(
     With eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, the Volterra sum
     of the scheme at step k is sum_{l<=k} A[k-l+1] @ eta_l, a causal
     convolution over steps.  It is evaluated in time blocks of
-    ``_TIME_BLOCK`` steps: inside a block each step adds the block's own
-    terms (one product of length at most ``_TIME_BLOCK * q``), and a finished
-    block pushes its terms to every later step with one BLAS-3 product.
-    Per asset this is O(n^2 q P) flops in matrix products and O(n P) memory
-    for a block of P paths; the normals and the sums are those of the
-    step-by-step scheme, summed in another order.
+    b = ``_TIME_BLOCK`` steps: inside a block each step adds the block's own
+    terms (one product of length at most b q), and a finished block pushes
+    its terms to every later step through a rank-r far-field factor of the
+    push operator (r ~ 48; dense where that is cheaper, see
+    ``_block_push``).  Per asset this is O(n (r q + n r / b) P) flops in
+    matrix products and O(n P) memory for a block of P paths; the normals
+    are those of the step-by-step scheme, and the sums are its sums in
+    another order, with the push operator held to ``_FAR_CUT`` of its norm.
+    The factor comes from the SVD of F's small triangular factor, not of F,
+    so that no (n, b q) orthogonal factor stays resident.
 
     The normals of each time block, (m, q, P) from the asset's stream and
     (m, P) from the orthogonal driver's, are drawn by one helper thread a
@@ -470,7 +526,7 @@ def simulate_variance(
 
     factors = [integral_factor(params.kernel_spec(i), dt, n) for i in range(d)]
     tb = min(_TIME_BLOCK, n)
-    gathers = [_toeplitz_gather(A, n, tb) for A in factors]
+    pushes = [_block_push(A, n, tb) for A in factors]
     r_vals = [resolvent(params.kernel_spec(i), times) for i in range(d)]
     s_vals = [np.asarray(stab[i](times)) for i in range(d)]
     x_inf, v0_sd = params.x_inf, np.sqrt(params.v0_var)
@@ -513,7 +569,7 @@ def simulate_variance(
             v0_out[:, lo:hi] = v0
 
             for i in range(d):
-                A, K = factors[i], gathers[i]
+                A, (K, U, W) = factors[i], pushes[i]
                 q = A.shape[1]
                 scale = params.nu[i] / params.lam[i]
                 Vi = V[i, :, lo:hi]
@@ -539,13 +595,15 @@ def simulate_variance(
                         own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
                         h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
                         Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
-                    # the push to later steps, in panels of equal height (see the module docstring)
+                    # the push to later steps, through the far-field factor unless
+                    # dense is cheaper, in panels of equal height (see the module docstring)
                     rows = n - start - m
                     cuts = -(-rows // panel)
                     pushed = eta.reshape(m * q, P)
+                    left, right = (K[m:], pushed) if rows <= K.shape[0] - tb else (U, W @ pushed)
                     for c in range(cuts):
-                        a, b = m + rows * c // cuts, m + rows * (c + 1) // cuts
-                        Vi[start + 1 + a : start + 1 + b] += K[a:b] @ pushed
+                        a, b = rows * c // cuts, rows * (c + 1) // cuts
+                        Vi[start + 1 + m + a : start + 1 + m + b] += left[a:b] @ right
 
     return PathBundle(
         times=times,

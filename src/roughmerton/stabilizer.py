@@ -232,6 +232,16 @@ def _limit(spec: KernelSpec, c: float) -> float:
     return math.sqrt(c) * spec.lam / f_l2_norm(spec) if c > 0.0 else 0.0
 
 
+def _raise_if_negative(spec: KernelSpec, sq: np.ndarray, ts: np.ndarray, limit: float) -> None:
+    """Raise ``StabilizerDomainError`` where varsigma^2 values ``sq`` at times
+    ``ts`` are materially negative: below -1e-10 limit^2."""
+    negative = sq < -1e-10 * limit**2
+    if np.any(negative):
+        raise StabilizerDomainError(
+            f"stabilizer series (alpha={spec.alpha:g}, lam={spec.lam:g}) went negative at t={ts[negative][0]:g}"
+        )
+
+
 def stabilizer_eval(spec: KernelSpec, c: float, coeffs: np.ndarray, t):
     """varsigma_{alpha,lam,c}(t) = sqrt(max(series, 0)), t >= 0.
 
@@ -251,11 +261,7 @@ def stabilizer_eval(spec: KernelSpec, c: float, coeffs: np.ndarray, t):
         out = np.full_like(ts, limit)
     else:
         sq = c * lam ** (2.0 - 1.0 / alpha) * _series_sq_scaled(alpha, coeffs, lam ** (1.0 / alpha) * ts)
-        negative = sq < -1e-10 * limit**2
-        if np.any(negative):
-            raise StabilizerDomainError(
-                f"stabilizer series (alpha={alpha:g}, lam={lam:g}) went negative at t={ts[negative][0]:g}"
-            )
+        _raise_if_negative(spec, sq, ts, limit)
         out = np.sqrt(np.maximum(sq, 0.0))
     return float(out[0]) if t.ndim == 0 else out
 
@@ -277,7 +283,7 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
         raise ValueError("grid must start at 0 and be strictly increasing")
     if c < 0.0:
         raise ValueError("variance scale c must be >= 0")
-    coeffs = np.empty(0)
+    coeffs, limit = np.empty(0), _limit(spec, c)
     # the series is used only when c > 0 and alpha < 1
     if c > 0.0 and spec.alpha < 1.0:
         alpha, lam, T = spec.alpha, spec.lam, grid[-1]
@@ -290,16 +296,19 @@ def build_stabilizer(spec: KernelSpec, c: float, grid) -> StabilizerTable:
             )
         u = lam * grid**alpha
         signs = (-1.0) ** np.arange(coeffs.size)
-        inaccurate = _horner(spread, u) > _ACCURACY * np.abs(_horner(signs * coeffs, u))
+        series = _horner(signs * coeffs, u)
+        inaccurate = _horner(spread, u) > _ACCURACY * np.abs(series)
         if np.any(inaccurate):
             radius = grid[np.argmax(inaccurate) - 1]
             raise StabilizerDomainError(
                 f"stabilizer series (alpha={alpha:g}, lam={lam:g}) holds to {_ACCURACY:g} against the "
                 f"rounding in its coefficients only up to t={radius:.4g}, short of T={T:g}"
             )
-        # a series that goes negative on the grid raises here
-        stabilizer_eval(spec, c, coeffs, grid)
-    return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=_limit(spec, c))
+        # the same sum scaled to varsigma^2 = 2 c lam^(2 - 1/alpha) tau^(1 - alpha) series,
+        # tau = lam^(1/alpha) t: a series that goes negative on the grid raises here
+        sq = 2.0 * c * lam ** (2.0 - 1.0 / alpha) * (lam ** (1.0 / alpha) * grid) ** (1.0 - alpha) * series
+        _raise_if_negative(spec, sq, grid, limit)
+    return StabilizerTable(spec=spec, c=c, coeffs=coeffs, grid=grid, limit=limit)
 
 
 def functional_equation_residual(table: StabilizerTable) -> float:

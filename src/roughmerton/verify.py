@@ -13,10 +13,10 @@ V.  With a_i = theta_i V_i D + sqrt(V_i) dB_i on the left grid points and
 Per asset these are two products along the grid, against sqrt(V_i) dB_i and
 against V_i D, whose weights depend on the rule but not on the path: pi_i and
 theta_i pi_i - pi_i^2/2 for power, disc pi_i and theta_i disc pi_i for
-exponential, so the discounting lives in the weights.  One pass per asset
-forms sqrt(V_i) dB_i once and reduces it and V_i for a whole stack of rules
-by matrix products; the wealth state at grid row k is the same reduction
-with the weights of steps k, k+1, ... set to 0.
+exponential, so the discounting lives in the weights.  Over chunks of
+paths, one pass per asset forms sqrt(V_i) dB_i once and reduces it and V_i
+for a whole stack of rules by matrix products; the wealth state at grid
+row k is the same reduction with the weights of steps k, k+1, ... set to 0.
 
 The martingale optimality principle is probed two ways: paired common-random-
 number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
@@ -101,7 +101,7 @@ TOLERANCES = {
 # K: grid intervals between the martingale profile's checkpoint rows.
 _CHECKPOINTS = 24
 # Bytes of one row block of the moment curves, and of one (n, paths) array
-# of a path chunk of the martingale profile.
+# of a path chunk of terminal wealth and the martingale profile.
 _ROW_BLOCK_BYTES = 1 << 20
 
 
@@ -184,19 +184,21 @@ def _wealth_steps(bundle: PathBundle, util: UtilitySpec, rules: list):
 def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.ndarray:
     """Terminal wealth (len(rules), P) of each rule.
 
-    One pass per asset: sqrt(V) dB is formed once, and it and V are reduced
-    along the grid for every rule at once by one matrix product each.
+    Over chunks of paths, one pass per asset: sqrt(V) dB is formed once, and
+    it and V are reduced along the grid for every rule at once by one matrix
+    product each.
     """
     params = bundle.params
     start, rate_steps, B, C = _wealth_steps(bundle, util, rules)
     x_T = np.full((len(rules), bundle.n_paths), start + float(np.sum(rate_steps)))
-    for i in range(params.d):
-        V = bundle.V[i, :-1]
-        noise = np.sqrt(V)
-        noise *= bundle.dB[i]
-        x_T += B[:, i] @ noise
-        del noise
-        x_T += C[:, i] @ V
+    for cols, chunk in _path_chunks(bundle):
+        acc = x_T[:, cols]
+        for i in range(params.d):
+            V = chunk.V[i, :-1]
+            noise = np.sqrt(V)
+            noise *= chunk.dB[i]
+            acc += B[:, i] @ noise
+            acc += C[:, i] @ V
     if util.kind == "power":
         np.exp(x_T, out=x_T)
     else:
@@ -290,11 +292,13 @@ def optimality_gates(report: dict, tol) -> list[Gate]:
     ]
 
 
-def _path_chunks(bundle: PathBundle, paths: int):
-    """(columns, sub-bundle) over consecutive slices of at most ``paths`` paths.
+def _path_chunks(bundle: PathBundle):
+    """(columns, sub-bundle) over consecutive slices of paths whose (n, paths)
+    arrays are about ``_ROW_BLOCK_BYTES`` each.
 
     Each sub-bundle holds views of the bundle's arrays, so it costs no copy.
     """
+    paths = max(1, _ROW_BLOCK_BYTES // (8 * (bundle.times.size - 1)))
     for lo in range(0, bundle.n_paths, paths):
         cols = slice(lo, min(lo + paths, bundle.n_paths))
         view = lambda a: None if a is None else a[..., cols]
@@ -388,7 +392,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     growth = np.exp(params.rate.primitive(T) - primitive)
 
     J = np.empty((m, bundle.n_paths))
-    for cols, chunk in _path_chunks(bundle, max(1, _ROW_BLOCK_BYTES // (8 * n))):
+    for cols, chunk in _path_chunks(bundle):
         acc = np.empty((2 * m, chunk.n_paths))
         acc[:m] = state0[:, None]
         # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent

@@ -10,15 +10,18 @@ import roughmerton.simulate as simulate
 from roughmerton.kernels import KernelSpec, _f_smooth, resolvent, resolvent_density
 from roughmerton.simulate import (
     _EIG_CUT,
+    _FAR_CUT,
     _PSD_TOL,
     _QUAD_NODES,
     ModelParams,
     PathBundle,
     RateCurve,
     SimGrid,
+    _block_push,
     _gl_nodes,
     _lag_covariance_pieces,
     _lag_entry_00,
+    _toeplitz_gather,
     integral_factor,
     simulate_variance,
 )
@@ -396,8 +399,40 @@ def oracle_model(request, params4):
     return p, tabs
 
 
+class TestFarField:
+    @pytest.mark.parametrize("n", [130, 600, 2400])
+    @pytest.mark.parametrize("alpha,lam", [(0.6, 0.6), (0.9, 0.2), (1.0, 0.7)])
+    def test_factor_reproduces_the_push_operator(self, alpha, lam, n):
+        A = integral_factor(KernelSpec(alpha, lam), 1.0 / n, n)
+        tb = simulate._TIME_BLOCK
+        F = _toeplitz_gather(A, n, tb)[tb:]
+        K, U, W = _block_push(A, n, tb)
+        r, cols = W.shape
+        # |F - U W|_2 within the cut, in far fewer than the b q columns
+        sigma = np.linalg.norm(F, 2)
+        assert np.linalg.norm(F - U @ W, 2) <= _FAR_CUT * sigma
+        assert np.allclose(W @ W.T, np.eye(r), rtol=0.0, atol=1e-14)
+        assert r == 1 if alpha == 1.0 else 40 <= r <= 52
+        # K keeps the in-block rows and the rows of the pushes dense is cheaper for
+        dense = [rows for rows in range(1, n - tb + 1) if r * (rows + cols) >= rows * cols]
+        assert K.shape[0] == tb + max(dense, default=0)
+        assert np.array_equal(K, _toeplitz_gather(A, n, tb)[: K.shape[0]])
+
+    def test_far_field_push_matches_dense_push(self, params4, stab4, monkeypatch):
+        # the packaged kernels at n = 600: pushes through U W where they are cheaper,
+        # then every push dense
+        grid, n_paths = SimGrid(T=1.0, n_steps=600), 2000
+        far = simulate_variance(params4, stab4, grid, n_paths, seed=6, store_integrals=True)
+        monkeypatch.setattr(simulate, "_block_push", lambda A, n, b: (_toeplitz_gather(A, n, b), None, None))
+        dense = simulate_variance(params4, stab4, grid, n_paths, seed=6, store_integrals=True)
+        assert np.max(np.abs(far.V - dense.V)) <= 1e-14 * np.max(np.abs(dense.V))
+        assert not np.array_equal(far.V, dense.V)
+        for name in ("dB", "dBperp", "integrals"):
+            assert np.array_equal(getattr(far, name), getattr(dense, name))
+
+
 # one step, one full time block and a partial one, several time blocks
-@pytest.mark.parametrize("n", [1, 37, 130])
+@pytest.mark.parametrize("n", [1, 37, 130, 300])
 def test_matches_step_by_step_oracle(oracle_model, n):
     p, tabs = oracle_model
     grid = SimGrid(T=1.0, n_steps=n)

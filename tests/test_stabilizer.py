@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, gammaln
 from test_kernels import f_l2_sq_unit_quadrature
 
+import roughmerton.stabilizer as stabilizer
 from roughmerton.kernels import KernelSpec, f_l2_norm, resolvent, resolvent_density
 from roughmerton.stabilizer import (
     _K_CAP,
@@ -352,6 +353,33 @@ class TestStabilizerValues:
         assert stabilizer_eval(spec, 0.03, np.array([1.0, 10.0]), grid[:7]).min() >= 0.0
         with pytest.raises(StabilizerDomainError, match="went negative at t=0.08"):
             stabilizer_eval(spec, 0.03, np.array([1.0, 10.0]), grid)
+
+    def test_build_refuses_a_negative_series_from_its_accuracy_sum(self, monkeypatch):
+        # constructed coefficients with no rounding spread: the build reuses its
+        # accuracy sum for the negative check, and refuses where stabilizer_eval does
+        coeffs = {}
+        monkeypatch.setattr(
+            stabilizer, "stabilizer_coefficients", lambda *args, **kwargs: (coeffs["c"], np.zeros(coeffs["c"].size))
+        )
+        spec, c, grid = KernelSpec(0.9, 1.0), 0.03, np.linspace(0.0, 1.0, 101)
+
+        def refusals(c_k):
+            coeffs["c"] = np.array(c_k)
+            messages = []
+            for build in (lambda: build_stabilizer(spec, c, grid), lambda: stabilizer_eval(spec, c, coeffs["c"], grid)):
+                with pytest.raises(StabilizerDomainError) as exc:
+                    build()
+                messages.append(str(exc.value))
+            return messages
+
+        # c_0 - c_1 u turns negative at u = 0.1: t = 0.1^(1/0.9) = 0.077; t <= 0.06 builds
+        assert refusals([1.0, 10.0]) == ["stabilizer series (alpha=0.9, lam=1) went negative at t=0.08"] * 2
+        assert np.all(build_stabilizer(spec, c, grid[:7])(grid[:7]) >= 0.0)
+        # a constant series -delta: varsigma^2 = -2 c delta t^0.1 here, against -1e-10 limit^2
+        delta = 1e-10 * stabilizer._limit(spec, c) ** 2 / (2.0 * c)
+        assert refusals([-1.1 * delta]) == ["stabilizer series (alpha=0.9, lam=1) went negative at t=0.39"] * 2
+        coeffs["c"] = np.array([-0.9 * delta])
+        assert np.all(build_stabilizer(spec, c, grid)(grid) == 0.0)
 
     @settings(max_examples=10, deadline=None)
     @given(
