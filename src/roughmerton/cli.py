@@ -23,10 +23,12 @@ import numpy as np
 from . import __version__, verify
 from .kernels import resolvent_residual
 from .riccati import RiccatiSpec, assumption_gate, solve_riccati
-from .simulate import ModelParams, RateCurve, SimGrid, simulate_variance
+from .simulate import ModelParams, RateCurve, SimGrid, _asset_blocks, simulate_variance
 from .stabilizer import build_stabilizer, functional_equation_residual
 from .strategy import UtilitySpec, optimal_rule, value_function
-from .verify import (
+# martingale_profile, optimality_test and simulate_wealth are not called here;
+# perfbench/spans.py traces them under these names
+from .verify import (  # noqa: F401
     PerturbationSpec,
     martingale_profile,
     moment_curves,
@@ -297,21 +299,21 @@ def _cmd_riccati(config: RunConfig) -> list:
     return []
 
 
-def _simulate_bundle(config: RunConfig, tabs, store_bperp: bool):
-    """The run's Gaussian-V_0 bundle; dBperp is kept only where the profile needs it."""
+def _simulate_bundle(config: RunConfig, tabs):
+    """The run's Gaussian-V_0 bundle, without dBperp (its V feeds the moment curves)."""
     return simulate_variance(
         config.params,
         tabs,
         SimGrid(config.params.T, config.n_sim),
         config.paths,
         config.seed,
-        store_bperp=store_bperp,
+        store_bperp=False,
         block_size=config.block_size,
     )
 
 
 def _cmd_simulate(config: RunConfig) -> list:
-    bundle = _simulate_bundle(config, _stab_tables(config), store_bperp=False)
+    bundle = _simulate_bundle(config, _stab_tables(config))
     curves = moment_curves(bundle)
     cols, data = ["t"], [bundle.times]
     for i in range(config.params.d):
@@ -345,39 +347,19 @@ def _cmd_value(config: RunConfig) -> list:
 
 
 def _verify_gates(config: RunConfig):
-    """Every verify gate on one bundle, writing nothing.
+    """Every verify gate on one pass of the simulation, writing nothing.
 
-    Returns the report (each check's figures, and its ``passed``, the AND of
-    its gates), the gate records and the profile curve's columns
-    (t, mean J, paired SE) at the profile's checkpoint rows.
+    The Riccati systems are solved first.  Then every Monte Carlo check is
+    a reducer of one fold (``verify._fold``) fed by the paths as they are
+    made, asset by asset, so only one asset's V is held, and each asset's
+    moment curves are taken once its V is finished.  Returns the report
+    (each check's figures, and its ``passed``, the AND of its gates), the
+    gate records and the profile curve's columns (t, mean J, paired SE) at
+    the profile's checkpoint rows.
     """
+    params, d = config.params, config.params.d
     tabs = _stab_tables(config)
-    # one bundle serves every gate; the profile reads its dBperp
-    bundle = _simulate_bundle(config, tabs, store_bperp=True)
-    d = config.params.d
-
-    # value agreement per gamma, against the value at each path's V_0; every
-    # gamma's optimal rule shares one wealth pass
     sols = {g: _solve(config, tabs, g) for g in config.gammas}
-    runs = simulate_wealth(
-        bundle,
-        [sol.spec.util for sol in sols.values()],
-        [lambda t, sol=sol: optimal_rule(sol, t) for sol in sols.values()],
-    )
-    values, gates = {}, []
-    for (g, sol), run in zip(sols.items(), runs):
-        target = value_function(sol, v0=bundle.v0)
-        gate = verify.value_gate(f"value_agreement.gamma_{g:g}", run, target, config.tolerances)
-        gates.append(gate)
-        values[f"gamma_{g:g}"] = {
-            "mc_mean": run.mean,
-            "mc_se": run.se,
-            "analytic": value_function(sol),
-            "target": target,
-            "tolerance": gate.threshold,
-            "passed": gate.passed,
-        }
-
     # optimality and the martingale profile for the first gamma
     sol = sols[config.gammas[0]]
     # a rule that holds too much, or too little, of every asset gains on one side
@@ -386,11 +368,39 @@ def _verify_gates(config: RunConfig):
         for sign, label in ((1.0, "uniform"), (-1.0, "-uniform"))
         for eps in (0.1, 0.2, 0.4)
     ]
-    opt = optimality_test(bundle, sol, perts)
+    grid = SimGrid(params.T, config.n_sim)
+    reducers = [
+        # value agreement per gamma: every gamma's optimal rule shares one set of rows
+        verify._value_reducer(
+            params,
+            grid.times,
+            [s.spec.util for s in sols.values()],
+            [lambda t, s=s: optimal_rule(s, t) for s in sols.values()],
+        ),
+        verify._optimality_reducer(params, grid.times, sol, perts),
+        verify._profile_reducer(params, grid.times, sol),
+    ]
+    v0, blocks = _asset_blocks(params, tabs, grid, config.paths, config.seed, block_size=config.block_size)
+    curves = np.empty((4, d, grid.n_steps + 1))
+    runs, opt, prof = verify._fold(blocks, v0, params, reducers, curves)
+
+    values, gates = {}, []
+    for (g, sol_g), run in zip(sols.items(), runs):
+        # against the value at each path's V_0
+        target = value_function(sol_g, v0=v0)
+        gate = verify.value_gate(f"value_agreement.gamma_{g:g}", run, target, config.tolerances)
+        gates.append(gate)
+        values[f"gamma_{g:g}"] = {
+            "mc_mean": run.mean,
+            "mc_se": run.se,
+            "analytic": value_function(sol_g),
+            "target": target,
+            "tolerance": gate.threshold,
+            "passed": gate.passed,
+        }
     opt_gates = verify.optimality_gates(opt, config.tolerances)
-    prof = martingale_profile(bundle, sol)
     prof_gate = verify.profile_gate(prof, config.tolerances)
-    stat = stationarity_report(bundle)
+    stat = verify._stationarity(params, curves)
     stat_gates = verify.stationarity_gates(stat, config.tolerances)
     gates += opt_gates + [prof_gate] + stat_gates
 
@@ -423,7 +433,7 @@ def _cmd_all(config: RunConfig) -> list:
     tabs = _stab_tables(config)
     _write_stabilizer_curves(config, tabs, "fig1.csv")
 
-    bundle = _simulate_bundle(config, tabs, store_bperp=False)
+    bundle = _simulate_bundle(config, tabs)
     curves = moment_curves(bundle)
     cols, data = ["t"], [bundle.times]
     for i in range(d):

@@ -34,7 +34,7 @@ signed so that its entry of largest magnitude is positive.
 
 The Volterra sum is a causal convolution over steps: with eta_l = (nu/lam)
 varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs sum_{l<=k} A[k-l+1] @
-eta_l.  ``simulate_variance`` evaluates it in time blocks of b =
+eta_l.  ``_asset_blocks`` evaluates it in time blocks of b =
 ``_TIME_BLOCK`` steps.  Each step adds the terms of its own block, and each
 finished block adds its terms to all later steps: the push of its (b q, P)
 terms is a product against F, the rows of a Toeplitz gather of A at lags >=
@@ -47,7 +47,7 @@ rows b q, as U[:rows] @ (W @ pushed).  A push of few rows stays dense, where
 that costs no more.  So the push costs O(n (r q + n r / b) P) flops per asset
 and block of P paths, not O(n^2 q P), all in BLAS-3 products, and memory
 stays O(n P); at n = 600 and 2400 the push's multiply-adds fall 2.4x and
-3.5x.  The factor is built once per call from the SVD of the triangular
+3.5x.  The factor is built once per pass from the SVD of the triangular
 factor R of F = Q R, at most (b q)^2: an SVD of F itself forms its (n, b q)
 left factor, and left 14 MB more resident after a call at 2400 steps and
 1000 paths.  V moves from the dense push's only by rounding (1.7e-15 of max V
@@ -60,21 +60,36 @@ have equal heights (within one row), so none is a sliver that BLAS would
 send to another kernel (gemv for one row) summing in another order; at the
 packaged sizes the paths are those of the unpanelled push bit for bit.
 
-The standard normals are drawn one time block ahead: while the calling
-thread runs a block's products, one helper thread (a pool scoped to the
-call) fills the next block's normals into the other of two preallocated
-buffers.  Each asset stream still makes one (m, q, P) draw per time block,
-and the orthogonal driver is drawn per time block as (m, P), which is the
-same stream as one (n, P) draw.  Every generator is used by the helper
-thread alone, in the serial order, so the paths are those of a serial loop
-bit for bit.  The helper thread is not a BLAS thread: BLAS thread limits do
-not count it.
+The scheme runs asset by asset (``_asset_blocks``): for each asset, time
+block by time block, and inside a time block path block by path block, so
+that once a time block is done its rows of V, dB and dBperp are final for
+every path and are handed out.  The V_0 draws and the dBperp generators of
+every path block are made before the first asset.  Each generator is still
+used in its own order (an asset's stream per path block time block by time
+block, a path block's dBperp stream for asset 0's steps, then asset 1's,
+...), so the paths are those of one path block after another, bit for bit.
+A consumer that reduces each time block as it comes (``cli``'s ``verify``)
+holds one asset's V, (n+1, M) for M paths, and one time block's rows of dB
+and dBperp; ``simulate_variance`` collects the blocks into a ``PathBundle``
+of (d, n+1, M) and (d, n, M) arrays.
+
+The standard normals are drawn one (time block, path block) ahead: while
+the calling thread runs a block's products, one helper thread (a pool
+scoped to the pass) fills the next block's normals into the other of two
+preallocated buffers.  Each asset stream still makes one (m, q, P) draw per
+time block, and the dBperp stream is drawn per time block as (m, P), which
+is the same stream as one (n, P) draw.  Every generator is used by the
+helper thread alone, in its serial order, so the paths are those of a serial
+loop bit for bit.  The helper thread is not a BLAS thread: BLAS thread
+limits do not count it.
 
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
   - ``simulate_variance``: block-streamed, seed-deterministic path generation
-    with a low-rank far-field push.
+    with a low-rank far-field push, collected into a bundle.
+  - ``_asset_blocks``: the same paths handed out one finished time block at
+    a time, and ``_bundle_blocks``: a stored bundle's blocks in that order.
 """
 
 from __future__ import annotations
@@ -82,6 +97,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -457,6 +473,155 @@ def _normals_ahead(pool: ThreadPoolExecutor, draws, max_shape: tuple):
         yield current.result()
 
 
+class _TimeBlock(NamedTuple):
+    """One finished time block of one asset's paths.
+
+    ``V`` is the asset's (n+1, M) variance paths, final up to row start + m;
+    ``dB`` and ``dBperp`` are the block's m rows of the increments, (m, M) each
+    (``dBperp`` None where it is not kept).
+    """
+
+    asset: int
+    start: int
+    V: np.ndarray
+    dB: np.ndarray
+    dBperp: np.ndarray | None
+
+
+def _asset_blocks(
+    params: ModelParams,
+    stab: list[StabilizerTable],
+    grid: SimGrid,
+    n_paths: int,
+    seed: int,
+    v0_mode: str = "gaussian",
+    block_size: int = 25000,
+    out: tuple | None = None,
+):
+    """Run the scheme one asset at a time; returns (v0, blocks).
+
+    ``v0`` is the (d, M) initial variance, drawn before the first asset, and
+    ``blocks`` a generator of ``_TimeBlock``: asset by asset, each time block
+    of b = ``_TIME_BLOCK`` steps once every path block has run it, so that
+    its rows of V, dB and dBperp are final for all M paths.
+
+    ``out`` is (V, dB, dBperp, integrals), arrays of ``PathBundle``'s shapes
+    (None where a field is not kept) that the paths are written into.
+    Without it one asset's V, (n+1, M), and one time block's rows of dB and
+    dBperp are held, and each is overwritten by the next asset or block, so a
+    yielded block is valid until the next is requested.
+
+    Every generator draws in its own order whatever the loop order: one
+    stream per asset and path block, the path block's V_0 stream (drawn
+    first, (d, P) at once) and its dBperp stream (asset 0's steps, then
+    asset 1's, ...).  So the paths are those of one path block after another.
+    """
+    d, n, dt = params.d, grid.n_steps, grid.dt
+    times = grid.times
+    if len(stab) != d:
+        raise ValueError(f"need one stabilizer table per asset ({d}), got {len(stab)}")
+    if v0_mode not in ("gaussian", "mean"):
+        raise ValueError(f"unknown v0_mode {v0_mode!r}")
+    for i, tab in enumerate(stab):
+        if not tab.covers(params.T):
+            raise ValueError(f"stabilizer table {i} does not cover [0, T]")
+
+    factors = [integral_factor(params.kernel_spec(i), dt, n) for i in range(d)]
+    tb = min(_TIME_BLOCK, n)
+    pushes = [_block_push(A, n, tb) for A in factors]
+    r_vals = [resolvent(params.kernel_spec(i), times) for i in range(d)]
+    s_vals = [np.asarray(stab[i](times)) for i in range(d)]
+    x_inf, v0_sd = params.x_inf, np.sqrt(params.v0_var)
+    rho = params.rho
+    rho_c = np.sqrt(np.maximum(1.0 - rho**2, 0.0))
+    sqrt_dt = math.sqrt(dt)
+
+    spans = [(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)]
+    # per path block: one stream per asset, then one for V_0 and one for dBperp
+    streams = [bss.spawn(d + 2) for bss in np.random.SeedSequence(seed).spawn(len(spans))]
+    v0 = np.empty((d, n_paths))
+    for subs, (lo, hi) in zip(streams, spans):
+        if v0_mode == "gaussian":
+            z0 = np.random.default_rng(subs[d]).standard_normal((d, hi - lo))
+            v0[:, lo:hi] = np.maximum(x_inf[:, None] + v0_sd[:, None] * z0, _V0_FLOOR)
+        else:
+            v0[:, lo:hi] = x_inf[:, None]
+    bperp_rngs = [np.random.default_rng(subs[d + 1]) for subs in streams]
+
+    def draws():
+        """The normals of every time block, in the order the loop below consumes them."""
+        for i in range(d):
+            rngs = [np.random.default_rng(subs[i]) for subs in streams]
+            for start in range(0, n, tb):
+                for rng, bperp_rng, (lo, hi) in zip(rngs, bperp_rngs, spans):
+                    yield rng, bperp_rng, (min(tb, n - start), factors[i].shape[1], hi - lo)
+
+    def run():
+        if out is None:
+            V, held = np.empty((n + 1, n_paths)), np.empty((2, tb, n_paths))
+        max_shape = (tb, max(A.shape[1] for A in factors), min(block_size, n_paths))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            normals = _normals_ahead(pool, draws(), max_shape)
+            for i in range(d):
+                A, (K, U, W) = factors[i], pushes[i]
+                q = A.shape[1]
+                scale = params.nu[i] / params.lam[i]
+                Vi = V if out is None else out[0][i]
+                Vi[0] = v0[i]
+                # until step k is reached, Vi[k] holds the pushes of finished blocks
+                Vi[1:] = 0.0
+                for start in range(0, n, tb):
+                    m = min(tb, n - start)
+                    if out is None:
+                        (dB, dBp), ints = held[:, :m], None
+                    else:
+                        dB, dBp, ints = (None if a is None else a[i, start : start + m] for a in out[1:])
+                    for lo, hi in spans:
+                        P = hi - lo
+                        panel = max(1, _PANEL_BYTES // (8 * P))
+                        Vp = Vi[:, lo:hi]
+                        # eta: the stream's next m draws of (q, P); z: the dBperp stream's next m rows
+                        eta, z = next(normals)
+                        dW = A[0] @ eta
+                        # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
+                        # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
+                        z *= sqrt_dt  # now What
+                        dB[:, lo:hi] = rho[i] * dW + rho_c[i] * z
+                        if dBp is not None:
+                            dBp[:, lo:hi] = rho_c[i] * dW - rho[i] * z
+                        if ints is not None:
+                            ints[:, lo:hi] = A[1] @ eta
+                        for j in range(m):
+                            ell = start + j + 1
+                            eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vp[ell - 1])
+                            own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
+                            h = x_inf[i] + (v0[i, lo:hi] - x_inf[i]) * r_vals[i][ell]
+                            Vp[ell] = np.maximum(h + Vp[ell] + own, 0.0)
+                        # the push to later steps, through the far-field factor unless
+                        # dense is cheaper, in panels of equal height (see the module docstring)
+                        rows = n - start - m
+                        cuts = -(-rows // panel)
+                        pushed = eta.reshape(m * q, P)
+                        left, right = (K[m:], pushed) if rows <= K.shape[0] - tb else (U, W @ pushed)
+                        for c in range(cuts):
+                            a, b = rows * c // cuts, rows * (c + 1) // cuts
+                            Vp[start + 1 + m + a : start + 1 + m + b] += left[a:b] @ right
+                    yield _TimeBlock(i, start, Vi, dB, dBp)
+
+    return v0, run()
+
+
+def _bundle_blocks(bundle: PathBundle):
+    """A stored bundle's time blocks, in the order and sizes ``_asset_blocks`` yields them."""
+    n = bundle.times.size - 1
+    tb = min(_TIME_BLOCK, n)
+    for i in range(bundle.params.d):
+        for start in range(0, n, tb):
+            rows = slice(start, start + tb)
+            dBperp = None if bundle.dBperp is None else bundle.dBperp[i, rows]
+            yield _TimeBlock(i, start, bundle.V[i], bundle.dB[i, rows], dBperp)
+
+
 def simulate_variance(
     params: ModelParams,
     stab: list[StabilizerTable],
@@ -470,19 +635,20 @@ def simulate_variance(
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
 
-    With eta_l = (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, the Volterra sum
-    of the scheme at step k is sum_{l<=k} A[k-l+1] @ eta_l, a causal
-    convolution over steps.  It is evaluated in time blocks of
-    b = ``_TIME_BLOCK`` steps: inside a block each step adds the block's own
-    terms (one product of length at most b q), and a finished block pushes
-    its terms to every later step through a rank-r far-field factor of the
-    push operator (r ~ 48; dense where that is cheaper, see
-    ``_block_push``).  Per asset this is O(n (r q + n r / b) P) flops in
-    matrix products and O(n P) memory for a block of P paths; the normals
-    are those of the step-by-step scheme, and the sums are its sums in
-    another order, with the push operator held to ``_FAR_CUT`` of its norm.
-    The factor comes from the SVD of F's small triangular factor, not of F,
-    so that no (n, b q) orthogonal factor stays resident.
+    The paths of ``_asset_blocks``, collected into one bundle.  With eta_l =
+    (nu/lam) varsigma(t_l) sqrt(V_{l-1}) xi_l, the Volterra sum of the
+    scheme at step k is sum_{l<=k} A[k-l+1] @ eta_l, a causal convolution
+    over steps.  It is evaluated in time blocks of b = ``_TIME_BLOCK``
+    steps: inside a block each step adds the block's own terms (one product
+    of length at most b q), and a finished block pushes its terms to every
+    later step through a rank-r far-field factor of the push operator
+    (r ~ 48; dense where that is cheaper, see ``_block_push``).  Per asset
+    this is O(n (r q + n r / b) P) flops in matrix products for a block of P
+    paths; the normals are those of the step-by-step scheme, and the sums
+    are its sums in another order, with the push operator held to
+    ``_FAR_CUT`` of its norm.  The factor comes from the SVD of F's small
+    triangular factor, not of F, so that no (n, b q) orthogonal factor stays
+    resident.
 
     The normals of each time block, (m, q, P) from the asset's stream and
     (m, P) from the orthogonal driver's, are drawn by one helper thread a
@@ -513,104 +679,26 @@ def simulate_variance(
     Returns
     -------
     PathBundle
+        Its V, dB and dBperp hold (2 + store_bperp) d n n_paths doubles;
+        consumers that reduce as the paths are made (``cli``'s ``verify``)
+        hold one asset's V instead.
     """
-    d, n, dt = params.d, grid.n_steps, grid.dt
-    times = grid.times
-    if len(stab) != d:
-        raise ValueError(f"need one stabilizer table per asset ({d}), got {len(stab)}")
-    if v0_mode not in ("gaussian", "mean"):
-        raise ValueError(f"unknown v0_mode {v0_mode!r}")
-    for i, tab in enumerate(stab):
-        if not tab.covers(params.T):
-            raise ValueError(f"stabilizer table {i} does not cover [0, T]")
-
-    factors = [integral_factor(params.kernel_spec(i), dt, n) for i in range(d)]
-    tb = min(_TIME_BLOCK, n)
-    pushes = [_block_push(A, n, tb) for A in factors]
-    r_vals = [resolvent(params.kernel_spec(i), times) for i in range(d)]
-    s_vals = [np.asarray(stab[i](times)) for i in range(d)]
-    x_inf, v0_sd = params.x_inf, np.sqrt(params.v0_var)
-    rho = params.rho
-    rho_c = np.sqrt(np.maximum(1.0 - rho**2, 0.0))
-
+    d, n = params.d, grid.n_steps
     V = np.empty((d, n + 1, n_paths))
     dB = np.empty((d, n, n_paths))
     dBperp = np.empty((d, n, n_paths)) if store_bperp else None
     integrals = np.empty((d, n, n_paths)) if store_integrals else None
-    v0_out = np.empty((d, n_paths))
-
-    spans = [(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)]
-    # per path block: one stream per asset, then one for V_0 and one for the orthogonal driver
-    streams = [bss.spawn(d + 2) for bss in np.random.SeedSequence(seed).spawn(len(spans))]
-    sqrt_dt = math.sqrt(dt)
-
-    def draws():
-        """The normals of every time block, in the order the loop below consumes them."""
-        for subs, (lo, hi) in zip(streams, spans):
-            bperp_rng = np.random.default_rng(subs[d + 1])
-            for i in range(d):
-                rng = np.random.default_rng(subs[i])
-                for start in range(0, n, tb):
-                    yield rng, bperp_rng, (min(tb, n - start), factors[i].shape[1], hi - lo)
-
-    max_shape = (tb, max(A.shape[1] for A in factors), min(block_size, n_paths))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        normals = _normals_ahead(pool, draws(), max_shape)
-        for subs, (lo, hi) in zip(streams, spans):
-            P = hi - lo
-            panel = max(1, _PANEL_BYTES // (8 * P))
-            if v0_mode == "gaussian":
-                v0_rng = np.random.default_rng(subs[d])
-                v0 = np.maximum(
-                    x_inf[:, None] + v0_sd[:, None] * v0_rng.standard_normal((d, P)), _V0_FLOOR
-                )
-            else:
-                v0 = np.broadcast_to(x_inf[:, None], (d, P)).copy()
-            v0_out[:, lo:hi] = v0
-
-            for i in range(d):
-                A, (K, U, W) = factors[i], pushes[i]
-                q = A.shape[1]
-                scale = params.nu[i] / params.lam[i]
-                Vi = V[i, :, lo:hi]
-                Vi[0] = v0[i]
-                # until step k is reached, Vi[k] holds the pushes of finished blocks
-                Vi[1:] = 0.0
-                for start in range(0, n, tb):
-                    m = min(tb, n - start)
-                    # eta: the stream's next m draws of (q, P); z: the orthogonal driver's next m rows
-                    eta, z = next(normals)
-                    dW = A[0] @ eta
-                    # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
-                    # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
-                    z *= sqrt_dt  # now What
-                    dB[i, start : start + m, lo:hi] = rho[i] * dW + rho_c[i] * z
-                    if store_bperp:
-                        dBperp[i, start : start + m, lo:hi] = rho_c[i] * dW - rho[i] * z
-                    if store_integrals:
-                        integrals[i, start : start + m, lo:hi] = A[1] @ eta
-                    for j in range(m):
-                        ell = start + j + 1
-                        eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vi[ell - 1])
-                        own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
-                        h = x_inf[i] + (v0[i] - x_inf[i]) * r_vals[i][ell]
-                        Vi[ell] = np.maximum(h + Vi[ell] + own, 0.0)
-                    # the push to later steps, through the far-field factor unless
-                    # dense is cheaper, in panels of equal height (see the module docstring)
-                    rows = n - start - m
-                    cuts = -(-rows // panel)
-                    pushed = eta.reshape(m * q, P)
-                    left, right = (K[m:], pushed) if rows <= K.shape[0] - tb else (U, W @ pushed)
-                    for c in range(cuts):
-                        a, b = rows * c // cuts, rows * (c + 1) // cuts
-                        Vi[start + 1 + m + a : start + 1 + m + b] += left[a:b] @ right
-
+    v0, blocks = _asset_blocks(
+        params, stab, grid, n_paths, seed, v0_mode, block_size, out=(V, dB, dBperp, integrals)
+    )
+    for _ in blocks:
+        pass
     return PathBundle(
-        times=times,
+        times=grid.times,
         V=V,
         dB=dB,
         dBperp=dBperp,
         integrals=integrals,
-        v0=v0_out,
+        v0=v0,
         params=params,
     )

@@ -13,10 +13,9 @@ V.  With a_i = theta_i V_i D + sqrt(V_i) dB_i on the left grid points and
 Per asset these are two products along the grid, against sqrt(V_i) dB_i and
 against V_i D, whose weights depend on the rule but not on the path: pi_i and
 theta_i pi_i - pi_i^2/2 for power, disc pi_i and theta_i disc pi_i for
-exponential, so the discounting lives in the weights.  Over chunks of
-paths, one pass per asset forms sqrt(V_i) dB_i once and reduces it and V_i
-for a whole stack of rules by matrix products; the wealth state at grid
-row k is the same reduction with the weights of steps k, k+1, ... set to 0.
+exponential, so the discounting lives in the weights.  A stack of rules
+is a stack of weight rows; the wealth state at grid row k is the same
+reduction with the weights of steps k, k+1, ... set to 0.
 
 The martingale optimality principle is probed two ways: paired common-random-
 number comparisons of E[U(X_T)] between the optimal rule and perturbed rules
@@ -45,9 +44,22 @@ profile evaluates J only at the checkpoint rows k_j = round(j n / K),
 j = 0..K.  There the wealth state and M dZ are linear in V, sqrt(V) dB and
 sqrt(V) dBperp, since dW = rho dB + sqrt(1 - rho^2) dBperp, with weights that
 do not depend on the path: the masked wealth weights and the K + 1 rows of M
-scaled by -lam D, nu varsigma rho and nu varsigma sqrt(1 - rho^2).  So J is a
-stack of (rows, n) @ (n, paths) products per asset, run over chunks of paths
-whose temporaries are about ``_ROW_BLOCK_BYTES`` each.
+scaled by -lam D, nu varsigma rho and nu varsigma sqrt(1 - rho^2).  So J
+is 2(K + 1) rows of weights, K + 1 of them also against sqrt(V) dBperp.
+
+The fold.  Every Monte Carlo consumer is thus a ``_Reducer``: rows of
+weights per asset against V, sqrt(V) dB and sqrt(V) dBperp along the grid,
+a start affine in V_0, and a ``finish`` that turns the rows into its
+report.  ``_fold`` runs several reducers in one pass over time blocks of
+``simulate._TIME_BLOCK`` steps of each asset: a block's sqrt(V) rows are
+formed once, each reducer adds one product per array to its (rows, paths)
+accumulator, and the moment curves of an asset are taken once its V is
+finished.  The blocks come from one of two sources in one order:
+``simulate._asset_blocks`` as the paths are made, so that ``cli``'s
+``verify`` holds one asset's V and never a bundle, or
+``simulate._bundle_blocks`` over a stored bundle, which the public
+functions below read.  So a reducer's figures are the same from either
+source, bit for bit.
 
 The market (theta, rates, x0, kernels) is read from the bundle's
 ``params``; the utility and the exponent curves from the Riccati solution.
@@ -62,12 +74,13 @@ threshold from a ``tolerances`` mapping (keys and defaults in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .riccati import RiccatiSolution
-from .simulate import PathBundle
+from .simulate import PathBundle, _bundle_blocks
 # g0_curve is not called here; perfbench/spans.py traces it under this name
 from .strategy import UtilitySpec, g0_curve, optimal_rule, value_exponent, value_function  # noqa: F401
 
@@ -100,8 +113,7 @@ TOLERANCES = {
 
 # K: grid intervals between the martingale profile's checkpoint rows.
 _CHECKPOINTS = 24
-# Bytes of one row block of the moment curves, and of one (n, paths) array
-# of a path chunk of terminal wealth and the martingale profile.
+# Bytes of one row block of the moment curves.
 _ROW_BLOCK_BYTES = 1 << 20
 
 
@@ -156,15 +168,90 @@ class PerturbationSpec:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
-def _wealth_steps(bundle: PathBundle, util: UtilitySpec, rules: list):
-    """The wealth recursion of each rule, evaluated at the left grid points, as weights.
+@dataclass(frozen=True)
+class _Reducer:
+    """One consumer of the fold: rows of weights, and what the rows become.
+
+    Its rows start at ``start + slope^T (V_0 - x_inf)``.  Along the grid's
+    left points, asset i adds ``on_v[i] @ V^i`` and
+    ``on_db[i] @ (sqrt(V^i) dB^i)`` to every row, and
+    ``on_perp[i] @ (sqrt(V^i) dBperp^i)`` to the last ``on_perp.shape[1]``
+    rows.  ``finish(acc, v0)`` turns the (rows, M) result into the
+    consumer's output.  Shapes: start (R,), slope (d, R), on_v and on_db
+    (d, R, n), on_perp (d, R_perp, n) or None.
+    """
+
+    start: np.ndarray
+    slope: np.ndarray
+    on_v: np.ndarray
+    on_db: np.ndarray
+    on_perp: np.ndarray | None
+    finish: Callable
+
+
+def _moments(V: np.ndarray) -> np.ndarray:
+    """Sample mean, variance and their SEs per grid row of one asset's paths
+    V (n+1, M), stacked as (4, n+1); see ``moment_curves``."""
+    P = V.shape[1]
+    out = np.empty((4, V.shape[0]))
+    for rows in _row_blocks(V.shape[0], P):
+        block = V[rows]
+        mean_k = block.mean(axis=1)
+        sd_k = block.std(axis=1, ddof=1)
+        var_k = sd_k**2
+        dev = block - mean_k[:, None]
+        dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
+        dev *= dev
+        m4 = dev.mean(axis=1)
+        out[:, rows] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
+    return out
+
+
+def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | None = None) -> list:
+    """Each reducer's output after one pass over ``blocks``, the
+    ``simulate._TimeBlock`` records of the paths with initial variance ``v0``.
+
+    Each time block forms sqrt(V), sqrt(V) dB and sqrt(V) dBperp once, and
+    each reducer adds one product per array to its (rows, M) accumulator:
+    the products are the same, shape for shape, whichever reducers share a
+    pass, and so are the sums bit for bit.  With ``moments``, (4, d, n+1),
+    each asset's ``_moments`` are written into it once its last block is
+    folded.
+    """
+    dv = v0 - params.x_inf[:, None]
+    accs = [r.slope.T @ dv + r.start[:, None] for r in reducers]
+    perp = any(r.on_perp is not None for r in reducers)
+    for blk in blocks:
+        i, m = blk.asset, blk.dB.shape[0]
+        cols = slice(blk.start, blk.start + m)
+        V = blk.V[cols]
+        noise = np.sqrt(V)
+        noise_perp = noise * blk.dBperp if perp else None
+        noise *= blk.dB
+        for r, acc in zip(reducers, accs):
+            acc += r.on_v[i, :, cols] @ V
+            acc += r.on_db[i, :, cols] @ noise
+            if r.on_perp is not None:
+                acc[-r.on_perp.shape[1] :] += r.on_perp[i, :, cols] @ noise_perp
+        if moments is not None and cols.stop == blk.V.shape[0] - 1:
+            moments[:, i] = _moments(blk.V)
+    return [r.finish(acc, v0) for r, acc in zip(reducers, accs)]
+
+
+def _replay(bundle: PathBundle, reducer: _Reducer):
+    """``reducer``'s output on a stored bundle, fed block by block as the paths were made."""
+    return _fold(_bundle_blocks(bundle), bundle.v0, bundle.params, [reducer])[0]
+
+
+def _wealth_steps(params, times: np.ndarray, util: UtilitySpec, rules: list):
+    """The wealth recursion of each rule on the grid ``times``, evaluated at the left grid points, as weights.
 
     Its state (log X for power, the discounted X for exponential) starts at
     ``start``, and step k adds ``rate_steps[k] + sum_i B[:, i, k] sqrt(V^i_k) dB^i_k
     + C[:, i, k] V^i_k``.  Returns (start, rate_steps, B, C), B and C of shape
     (len(rules), d, n).
     """
-    params, times = bundle.params, bundle.times[:-1]
+    dt, times = times[1] - times[0], times[:-1]
     shape = (params.d, times.size)
     R = np.empty((len(rules),) + shape)
     for k, rule in enumerate(rules):
@@ -174,43 +261,61 @@ def _wealth_steps(bundle: PathBundle, util: UtilitySpec, rules: list):
         R[k] = out
     if not np.all(np.isfinite(R)):
         raise ValueError("rule produced non-finite values")
-    dt, theta = bundle.times[1] - bundle.times[0], params.theta[:, None]
+    theta = params.theta[:, None]
     if util.kind == "power":
         return math.log(params.x0), params.rate(times) * dt, R, dt * (theta * R - 0.5 * R**2)
     B = R * np.exp(-params.rate.primitive(times))
     return params.x0, np.zeros(times.size), B, dt * theta * B
 
 
-def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.ndarray:
-    """Terminal wealth (len(rules), P) of each rule.
+def _wealth_reducer(params, times: np.ndarray, util: UtilitySpec, rules: list, finish) -> _Reducer:
+    """Terminal wealth (len(rules), M) of each rule, handed to ``finish``.
 
-    Over chunks of paths, one pass per asset: sqrt(V) dB is formed once, and
-    it and V are reduced along the grid for every rule at once by one matrix
-    product each.
+    One row per rule, the wealth recursion's state: its weights are the
+    rule's B against sqrt(V) dB and C against V, and it starts where the
+    rate steps leave it.
     """
-    params = bundle.params
-    start, rate_steps, B, C = _wealth_steps(bundle, util, rules)
-    x_T = np.full((len(rules), bundle.n_paths), start + float(np.sum(rate_steps)))
-    for cols, chunk in _path_chunks(bundle):
-        acc = x_T[:, cols]
-        for i in range(params.d):
-            V = chunk.V[i, :-1]
-            noise = np.sqrt(V)
-            noise *= chunk.dB[i]
-            acc += B[:, i] @ noise
-            acc += C[:, i] @ V
-    if util.kind == "power":
-        np.exp(x_T, out=x_T)
-    else:
-        x_T *= np.exp(params.rate.primitive(params.T))
-    bad = np.flatnonzero(~np.all(np.isfinite(x_T), axis=0))
-    if bad.size:
-        raise FloatingPointError(f"non-finite terminal wealth at path index {bad[0]}")
-    return x_T
+    start, rate_steps, B, C = _wealth_steps(params, times, util, rules)
+
+    def terminal(x_T, v0):
+        if util.kind == "power":
+            np.exp(x_T, out=x_T)
+        else:
+            x_T *= np.exp(params.rate.primitive(params.T))
+        bad = np.flatnonzero(~np.all(np.isfinite(x_T), axis=0))
+        if bad.size:
+            raise FloatingPointError(f"non-finite terminal wealth at path index {bad[0]}")
+        return finish(x_T)
+
+    rows = len(rules)
+    start = np.full(rows, start + float(np.sum(rate_steps)))
+    return _Reducer(start, np.zeros((params.d, rows)), C.transpose(1, 0, 2), B.transpose(1, 0, 2), None, terminal)
+
+
+def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.ndarray:
+    """Terminal wealth (len(rules), P) of each rule on a stored bundle."""
+    return _replay(bundle, _wealth_reducer(bundle.params, bundle.times, util, rules, lambda x_T: x_T))
 
 
 def _mean_se(u: np.ndarray) -> tuple[float, float]:
     return float(np.mean(u)), float(np.std(u, ddof=1) / math.sqrt(u.size))
+
+
+def _value_reducer(params, times: np.ndarray, utils: list, rules: list) -> _Reducer:
+    """The WealthRun of each rule, the k-th under utils[k].  Every rule shares
+    one set of rows: the weights depend on the rule, the utility kind and the
+    rate, not on gamma."""
+    if len(utils) != len(rules) or len({u.kind for u in utils}) != 1:
+        raise ValueError("stacked wealth runs need one utility per rule, all of one kind")
+
+    def runs(x_T):
+        out = []
+        for spec, x in zip(utils, x_T):
+            u = spec.u(x)
+            out.append(WealthRun(x, u, *_mean_se(u)))
+        return out
+
+    return _wealth_reducer(params, times, utils[0], rules, runs)
 
 
 def simulate_wealth(bundle: PathBundle, util, rule):
@@ -221,17 +326,11 @@ def simulate_wealth(bundle: PathBundle, util, rule):
 
     Stacked form: with ``util`` a list of UtilitySpecs of one kind and
     ``rule`` a list of as many rules, every rule shares one terminal-wealth
-    pass (the weights depend on the rule, the utility kind and the rate, not
-    on gamma) and a list of WealthRuns comes back, the k-th under util[k].
+    pass and a list of WealthRuns comes back, the k-th under util[k].
     """
     stacked = isinstance(rule, (list, tuple))
     utils, rules = (list(util), list(rule)) if stacked else ([util], [rule])
-    if len(utils) != len(rules) or len({u.kind for u in utils}) != 1:
-        raise ValueError("stacked wealth runs need one utility per rule, all of one kind")
-    runs = []
-    for spec, x_T in zip(utils, _terminal_wealth(bundle, utils[0], rules)):
-        u = spec.u(x_T)
-        runs.append(WealthRun(x_T, u, *_mean_se(u)))
+    runs = _replay(bundle, _value_reducer(bundle.params, bundle.times, utils, rules))
     return runs if stacked else runs[0]
 
 
@@ -239,6 +338,36 @@ def value_gate(name: str, run: WealthRun, target: float, tol) -> Gate:
     """Value agreement: |MC mean - target| within two SEs plus
     ``value_rel_allowance`` of |target|."""
     return Gate(name, abs(run.mean - target), 2.0 * run.se + tol["value_rel_allowance"] * abs(target))
+
+
+def _optimality_reducer(params, times: np.ndarray, sol: RiccatiSolution, perturbations: list) -> _Reducer:
+    """The ``optimality_test`` report: the optimal rule and every perturbed
+    rule share one set of rows."""
+    util = sol.spec.util
+    rules = [lambda t: optimal_rule(sol, t)] + [
+        lambda t, eps=p.epsilon, h=p.h: optimal_rule(sol, t) + eps * np.asarray(h(t)) for p in perturbations
+    ]
+
+    def report(x_T):
+        u = util.u(x_T)
+        base_mean, base_se = _mean_se(u[0])
+        entries = []
+        for pert, u_pert in zip(perturbations, u[1:]):
+            eps = pert.epsilon
+            delta, se = _mean_se(u[0] - u_pert)
+            entries.append(
+                {
+                    "label": pert.label,
+                    "epsilon": eps,
+                    "delta": delta,
+                    "se": se,
+                    "z": delta / se if se > 0.0 else math.inf if delta > 0 else 0.0,
+                    "delta_over_eps2": delta / eps**2 if eps > 0.0 else 0.0,
+                }
+            )
+        return {"base_mean": base_mean, "base_se": base_se, "perturbations": entries}
+
+    return _wealth_reducer(params, times, util, rules, report)
 
 
 def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: list) -> dict:
@@ -251,27 +380,7 @@ def optimality_test(bundle: PathBundle, sol: RiccatiSolution, perturbations: lis
     perturbation with keys 'label', 'epsilon', 'delta', 'se', 'z',
     'delta_over_eps2'.
     """
-    util = sol.spec.util
-    rules = [lambda t: optimal_rule(sol, t)] + [
-        lambda t, eps=p.epsilon, h=p.h: optimal_rule(sol, t) + eps * np.asarray(h(t)) for p in perturbations
-    ]
-    u = util.u(_terminal_wealth(bundle, util, rules))
-    base_mean, base_se = _mean_se(u[0])
-    entries = []
-    for pert, u_pert in zip(perturbations, u[1:]):
-        eps = pert.epsilon
-        delta, se = _mean_se(u[0] - u_pert)
-        entries.append(
-            {
-                "label": pert.label,
-                "epsilon": eps,
-                "delta": delta,
-                "se": se,
-                "z": delta / se if se > 0.0 else math.inf if delta > 0 else 0.0,
-                "delta_over_eps2": delta / eps**2 if eps > 0.0 else 0.0,
-            }
-        )
-    return {"base_mean": base_mean, "base_se": base_se, "perturbations": entries}
+    return _replay(bundle, _optimality_reducer(bundle.params, bundle.times, sol, perturbations))
 
 
 def optimality_gates(report: dict, tol) -> list[Gate]:
@@ -290,22 +399,6 @@ def optimality_gates(report: dict, tol) -> list[Gate]:
         Gate("optimality.no_gain", float(np.max(neg_z)), z_tol),
         Gate("optimality.detects", float(np.max(neg_z[eps == eps.max()])), -z_tol),
     ]
-
-
-def _path_chunks(bundle: PathBundle):
-    """(columns, sub-bundle) over consecutive slices of paths whose (n, paths)
-    arrays are about ``_ROW_BLOCK_BYTES`` each.
-
-    Each sub-bundle holds views of the bundle's arrays, so it costs no copy.
-    """
-    paths = max(1, _ROW_BLOCK_BYTES // (8 * (bundle.times.size - 1)))
-    for lo in range(0, bundle.n_paths, paths):
-        cols = slice(lo, min(lo + paths, bundle.n_paths))
-        view = lambda a: None if a is None else a[..., cols]
-        yield cols, replace(
-            bundle, V=view(bundle.V), dB=view(bundle.dB), dBperp=view(bundle.dBperp),
-            integrals=view(bundle.integrals), v0=view(bundle.v0),
-        )
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list:
@@ -341,6 +434,64 @@ def _kernel_rows(alpha: float, rv: np.ndarray, dt: float, rows: np.ndarray) -> n
     return M
 
 
+def _profile_reducer(params, times: np.ndarray, sol: RiccatiSolution) -> _Reducer:
+    """The ``martingale_profile`` dict: the wealth state (first m rows) and
+    the exponent (last m) at the m checkpoint rows of the grid ``times``."""
+    util = sol.spec.util
+    n = times.size - 1
+    dt = times[1] - times[0]
+    T = params.T
+    rows = _checkpoint_rows(n)
+    m = rows.size
+
+    start, rate_steps, B, C = _wealth_steps(params, times, util, [lambda t: optimal_rule(sol, t)])
+    # step l of the wealth recursion is in the state at row k iff l < k
+    before = np.arange(n) < rows[:, None]
+    state0 = start + np.concatenate(([0.0], np.cumsum(rate_steps)))[rows]
+    # the g_0 part of the exponent at the checkpoint times; exact at t = 0 and T.
+    # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
+    slope, level = value_exponent(sol)
+    slope = np.stack([np.interp(times[rows], sol.times, c) for c in slope])
+    level = np.interp(times[rows], sol.times, np.sum(level, axis=0))
+    # per asset, the weights of the wealth state and of the kernel term
+    # against V, sqrt(V) dB and sqrt(V) dBperp
+    s_nodes = (T - sol.times)[::-1]
+    on_v, on_db, on_perp = np.empty((params.d, 2 * m, n)), np.empty((params.d, 2 * m, n)), np.empty((params.d, m, n))
+    for i in range(params.d):
+        # the value integrand a_i + F_i(s, psi(T-s)) interpolated to the grid
+        rv = np.interp(times, s_nodes, sol.rhs_values[i][::-1])
+        M = _kernel_rows(params.alpha[i], rv, dt, rows)
+        vol = params.nu[i] * np.asarray(sol.spec.stabilizers[i](times[1:]))
+        rho = params.rho[i]
+        on_v[i] = np.vstack([C[0, i] * before, -params.lam[i] * dt * M])
+        on_db[i] = np.vstack([B[0, i] * before, rho * vol * M])
+        on_perp[i] = math.sqrt(max(1.0 - rho * rho, 0.0)) * vol * M
+    primitive = params.rate.primitive(times[rows])[:, None]
+    growth = np.exp(params.rate.primitive(T) - primitive)
+
+    def profile(acc, v0):
+        X = np.exp(acc[:m]) if util.kind == "power" else acc[:m] * np.exp(primitive)
+        J = util.u(X * growth) * np.exp(acc[m:])
+        j_mean = J.mean(axis=1)
+        # SE of the paired differences J_t - J_0
+        se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(J.shape[1])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            stats = np.abs(j_mean - j_mean[0]) / se
+        stats[0] = 0.0
+        return {
+            "times": times[rows],
+            "j_mean": j_mean,
+            "se_paired": se,
+            "flat_stat": float(np.nanmax(stats)),
+            "value": value_function(sol, x0=params.x0, v0=v0),
+            "terminal_mean_utility": float(j_mean[-1]),
+        }
+
+    starts = np.concatenate([state0, level])
+    slopes = np.concatenate([np.zeros((params.d, m)), slope], axis=1)
+    return _Reducer(starts, slopes, on_v, on_db, on_perp, profile)
+
+
 def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
@@ -355,76 +506,7 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """
     if bundle.dBperp is None:
         raise ValueError("the martingale profile needs a bundle built with dBperp storage")
-    params, util = bundle.params, sol.spec.util
-    times = bundle.times
-    n = times.size - 1
-    dt = times[1] - times[0]
-    T = params.T
-    rows = _checkpoint_rows(n)
-    m = rows.size
-
-    start, rate_steps, B, C = _wealth_steps(bundle, util, [lambda t: optimal_rule(sol, t)])
-    # step l of the wealth recursion is in the state at row k iff l < k
-    before = np.arange(n) < rows[:, None]
-    state0 = start + np.concatenate(([0.0], np.cumsum(rate_steps)))[rows]
-    # the g_0 part of the exponent at the checkpoint times; exact at t = 0 and T
-    slope, level = value_exponent(sol)
-    slope = np.stack([np.interp(times[rows], sol.times, c) for c in slope])
-    level = np.interp(times[rows], sol.times, np.sum(level, axis=0))
-    # per asset, the weights of the wealth state (first m rows) and of the
-    # kernel term (last m) against V, sqrt(V) dB and sqrt(V) dBperp
-    s_nodes = (T - sol.times)[::-1]
-    weights = []
-    for i in range(params.d):
-        # the value integrand a_i + F_i(s, psi(T-s)) interpolated to the bundle grid
-        rv = np.interp(times, s_nodes, sol.rhs_values[i][::-1])
-        M = _kernel_rows(params.alpha[i], rv, dt, rows)
-        vol = params.nu[i] * np.asarray(sol.spec.stabilizers[i](times[1:]))
-        rho = params.rho[i]
-        weights.append(
-            (
-                np.vstack([C[0, i] * before, -params.lam[i] * dt * M]),
-                np.vstack([B[0, i] * before, rho * vol * M]),
-                math.sqrt(max(1.0 - rho * rho, 0.0)) * vol * M,
-            )
-        )
-    primitive = params.rate.primitive(times[rows])[:, None]
-    growth = np.exp(params.rate.primitive(T) - primitive)
-
-    J = np.empty((m, bundle.n_paths))
-    for cols, chunk in _path_chunks(bundle):
-        acc = np.empty((2 * m, chunk.n_paths))
-        acc[:m] = state0[:, None]
-        # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
-        acc[m:] = slope.T @ (chunk.v0 - params.x_inf[:, None])
-        acc[m:] += level[:, None]
-        for i, (on_v, on_db, on_dbperp) in enumerate(weights):
-            V = chunk.V[i, :-1]
-            acc += on_v @ V
-            noise = np.sqrt(V)
-            perp = noise * chunk.dBperp[i]
-            noise *= chunk.dB[i]
-            acc += on_db @ noise
-            acc[m:] += on_dbperp @ perp
-        X = np.exp(acc[:m]) if util.kind == "power" else acc[:m] * np.exp(primitive)
-        J[:, cols] = util.u(X * growth) * np.exp(acc[m:])
-    value = value_function(sol, x0=params.x0, v0=bundle.v0)
-
-    j_mean = J.mean(axis=1)
-    # SE of the paired differences J_t - J_0
-    se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(bundle.n_paths)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        stats = np.abs(j_mean - j_mean[0]) / se
-    stats[0] = 0.0
-    flat = float(np.nanmax(stats))
-    return {
-        "times": times[rows],
-        "j_mean": j_mean,
-        "se_paired": se,
-        "flat_stat": flat,
-        "value": value,
-        "terminal_mean_utility": float(j_mean[-1]),
-    }
+    return _replay(bundle, _profile_reducer(bundle.params, bundle.times, sol))
 
 
 def profile_gate(profile: dict, tol) -> Gate:
@@ -440,31 +522,11 @@ def moment_curves(bundle: PathBundle) -> np.ndarray:
     the fourth central moment over M paths.  Each block of grid rows is
     reduced on its own, so the temporaries are a block's size.
     """
-    P = bundle.n_paths
-    out = np.empty((4,) + bundle.V.shape[:2])
-    for i, Vi in enumerate(bundle.V):
-        for rows in _row_blocks(Vi.shape[0], P):
-            block = Vi[rows]
-            mean_k = block.mean(axis=1)
-            sd_k = block.std(axis=1, ddof=1)
-            var_k = sd_k**2
-            dev = block - mean_k[:, None]
-            dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
-            dev *= dev
-            m4 = dev.mean(axis=1)
-            out[:, i, rows] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
-    return out
+    return np.stack([_moments(Vi) for Vi in bundle.V], axis=1)
 
 
-def stationarity_report(bundle: PathBundle) -> list[dict]:
-    """Per-asset flatness of sample mean and variance of V across the grid.
-
-    Reports max_k |mean_k - x_inf| / SE(mean_k) and
-    max_k |var_k - v0| / SE(var_k), with SE(var) from the fourth central
-    moment.  Both should be small (<= 3) under fake stationarity.
-    """
-    params = bundle.params
-    curves = moment_curves(bundle)
+def _stationarity(params, curves: np.ndarray) -> list[dict]:
+    """The ``stationarity_report`` of the moment curves (4, d, n+1)."""
     out = []
     for i in range(params.d):
         mean_k, var_k, se_mean, se_var = curves[:, i]
@@ -484,6 +546,16 @@ def stationarity_report(bundle: PathBundle) -> list[dict]:
             }
         )
     return out
+
+
+def stationarity_report(bundle: PathBundle) -> list[dict]:
+    """Per-asset flatness of sample mean and variance of V across the grid.
+
+    Reports max_k |mean_k - x_inf| / SE(mean_k) and
+    max_k |var_k - v0| / SE(var_k), with SE(var) from the fourth central
+    moment.  Both should be small (<= 3) under fake stationarity.
+    """
+    return _stationarity(bundle.params, moment_curves(bundle))
 
 
 def stationarity_gates(report: list, tol) -> list[Gate]:

@@ -338,7 +338,7 @@ class TestCommands:
         assert not os.path.exists(out)
 
     def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
-        calls = {"factor": 0, "solve": 0, "bundle": 0}
+        calls = {"factor": 0, "solve": 0, "paths": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -349,13 +349,13 @@ class TestCommands:
 
         monkeypatch.setattr(simulate, "integral_factor", counted("factor", simulate.integral_factor))
         monkeypatch.setattr(cli, "solve_riccati", counted("solve", cli.solve_riccati))
-        monkeypatch.setattr(cli, "simulate_variance", counted("bundle", cli.simulate_variance))
+        monkeypatch.setattr(cli, "_asset_blocks", counted("paths", cli._asset_blocks))
         cfg = write_config(tmp_path, self.shrink)
         out = str(tmp_path / "out")
         run_cli(["verify", "--config", cfg, "--out", out])
         assert os.path.isfile(os.path.join(out, "verify_report.json"))
-        # one bundle serves every gate: one factor per asset; two gammas
-        assert calls == {"factor": 2, "solve": 2, "bundle": 1}
+        # one pass of the paths serves every gate: one factor per asset; two gammas
+        assert calls == {"factor": 2, "solve": 2, "paths": 1}
 
     def test_verify_rerun_bit_identical_and_stationarity_of_simulate(self, tmp_path):
         cfg = write_config(tmp_path, self.shrink)

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from roughmerton import cli
+from roughmerton.cli import _default_config_path, load_config
 from roughmerton.riccati import RiccatiSpec, solve_riccati
-from roughmerton.simulate import ModelParams, RateCurve, SimGrid, simulate_variance
+from roughmerton.simulate import ModelParams, RateCurve, SimGrid, _TIME_BLOCK, integral_factor, simulate_variance
 from roughmerton.stabilizer import build_stabilizer, functional_equation_residual
-from roughmerton import kernels, verify
+from roughmerton import kernels, simulate, verify
 from roughmerton.kernels import KernelSpec, resolvent_residual
 from roughmerton.strategy import UtilitySpec, optimal_rule, value_exponent, value_function
 from roughmerton.verify import (
@@ -166,6 +168,70 @@ def dense_profile(bundle, sol):
     if util.kind == "power":
         return X**g / g * np.exp(g * r_tail + expo), scale
     return -np.exp(-g * np.exp(r_tail) * X + expo) / g, scale
+
+
+def path_chunks(bundle, paths):
+    """(columns, V, dB, dBperp, v0) over consecutive slices of ``paths`` paths, as views."""
+    for lo in range(0, bundle.n_paths, paths):
+        cols = slice(lo, min(lo + paths, bundle.n_paths))
+        yield cols, bundle.V[..., cols], bundle.dB[..., cols], bundle.dBperp[..., cols], bundle.v0[:, cols]
+
+
+def chunked_terminal_wealth(bundle, util, rules, paths=16):
+    """Terminal wealth (len(rules), P) reduced over chunks of paths, each
+    asset's whole grid in one product per array: the fold's reference."""
+    params = bundle.params
+    start, rate_steps, B, C = verify._wealth_steps(params, bundle.times, util, rules)
+    x_T = np.full((len(rules), bundle.n_paths), start + float(np.sum(rate_steps)))
+    for cols, V, dB, _, _ in path_chunks(bundle, paths):
+        acc = x_T[:, cols]
+        for i in range(params.d):
+            noise = np.sqrt(V[i, :-1]) * dB[i]
+            acc += B[:, i] @ noise
+            acc += C[:, i] @ V[i, :-1]
+    return np.exp(x_T) if util.kind == "power" else x_T * np.exp(params.rate.primitive(params.T))
+
+
+def chunked_profile(bundle, sol, paths=16):
+    """J (m, P) at the profile's checkpoint rows, reduced over chunks of
+    paths, each asset's whole grid in one product per array: the fold's reference."""
+    params, util, times = bundle.params, sol.spec.util, bundle.times
+    n, dt = times.size - 1, times[1] - times[0]
+    rows = _checkpoint_rows(n)
+    m = rows.size
+    start, rate_steps, B, C = verify._wealth_steps(params, times, util, [lambda t: optimal_rule(sol, t)])
+    before = np.arange(n) < rows[:, None]
+    state0 = start + np.concatenate(([0.0], np.cumsum(rate_steps)))[rows]
+    slope, level = value_exponent(sol)
+    slope = np.stack([np.interp(times[rows], sol.times, c) for c in slope])
+    level = np.interp(times[rows], sol.times, np.sum(level, axis=0))
+    rvs = profile_integrands(bundle, sol)
+    weights = []
+    for i in range(params.d):
+        M = _kernel_rows(params.alpha[i], rvs[i], dt, rows)
+        vol = params.nu[i] * np.asarray(sol.spec.stabilizers[i](times[1:]))
+        rho = params.rho[i]
+        weights.append(
+            (
+                np.vstack([C[0, i] * before, -params.lam[i] * dt * M]),
+                np.vstack([B[0, i] * before, rho * vol * M]),
+                math.sqrt(max(1.0 - rho * rho, 0.0)) * vol * M,
+            )
+        )
+    primitive = params.rate.primitive(times[rows])[:, None]
+    growth = np.exp(params.rate.primitive(params.T) - primitive)
+    J = np.empty((m, bundle.n_paths))
+    for cols, V, dB, dBperp, v0 in path_chunks(bundle, paths):
+        acc = np.empty((2 * m, v0.shape[1]))
+        acc[:m] = state0[:, None]
+        acc[m:] = slope.T @ (v0 - params.x_inf[:, None]) + level[:, None]
+        for i, (on_v, on_db, on_dbperp) in enumerate(weights):
+            acc += on_v @ V[i, :-1]
+            acc += on_db @ (np.sqrt(V[i, :-1]) * dB[i])
+            acc[m:] += on_dbperp @ (np.sqrt(V[i, :-1]) * dBperp[i])
+        X = np.exp(acc[:m]) if util.kind == "power" else acc[:m] * np.exp(primitive)
+        J[:, cols] = util.u(X * growth) * np.exp(acc[m:])
+    return J
 
 
 class TestSimulateWealth:
@@ -419,7 +485,7 @@ class TestMartingaleProfile:
         ],
     )
     def test_profile_matches_dense_oracle(
-        self, params4, stab4, sol_power, sol_exp, piecewise_market, monkeypatch, n, v0_mode, kind, piecewise
+        self, params4, stab4, sol_power, sol_exp, piecewise_market, n, v0_mode, kind, piecewise
     ):
         if piecewise:
             p, sol = piecewise_market[0], piecewise_market[1][kind]
@@ -428,8 +494,6 @@ class TestMartingaleProfile:
         P = 300
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=n), n_paths=P, seed=7 + n, v0_mode=v0_mode)
         J, scale = dense_profile(b, sol)
-        # chunks of 64 paths (the last one 44)
-        monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * n * 64)
         prof = martingale_profile(b, sol)
         J = J[_checkpoint_rows(n)]
         assert np.array_equal(prof["times"], b.times[_checkpoint_rows(n)])
@@ -514,6 +578,99 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (self.N + 1) * self.P * 8
+
+
+class TestFold:
+    """The time-blocked fold against the path-chunk reductions it replaced,
+    and cli's verify, which folds the paths as they are made, against the
+    public functions on the stored bundle of the same seed."""
+
+    # 45 paths in path blocks of 20 (the last 5) and 70 steps: time blocks of 32, 32 and 6
+    N, P, BLOCK = 70, 45, 20
+
+    @staticmethod
+    def perturbations(d):
+        """cli's optimality perturbations: +-1 on every asset at three epsilons."""
+        return [
+            PerturbationSpec(eps, lambda t, sign=sign: np.full((d, np.atleast_1d(t).size), sign), label)
+            for sign, label in ((1.0, "uniform"), (-1.0, "-uniform"))
+            for eps in (0.1, 0.2, 0.4)
+        ]
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_fold_matches_path_chunk_oracles(self, stab4, piecewise_market, kind):
+        p, sols = piecewise_market
+        sol = sols[kind]
+        b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=self.N), self.P, seed=12, block_size=self.BLOCK)
+        rules = [lambda t: optimal_rule(sol, t)] + list(TestProductPass.RULES)
+        x_T = verify._terminal_wealth(b, sol.spec.util, rules)
+        assert np.allclose(x_T, chunked_terminal_wealth(b, sol.spec.util, rules), rtol=1e-12, atol=0.0)
+        J = chunked_profile(b, sol)
+        prof = martingale_profile(b, sol)
+        assert np.allclose(prof["j_mean"], J.mean(axis=1), rtol=1e-12, atol=0.0)
+        se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(self.P)
+        # row 0's paired SE is 0 in both
+        assert np.allclose(prof["se_paired"], se, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_live_fold_equals_stored_bundle(self, kind):
+        config = dataclasses.replace(
+            load_config(_default_config_path()),
+            n_sim=self.N, n_riccati=50, paths=self.P, block_size=self.BLOCK, utility_kind=kind,
+        )
+        report, _, profile = cli._verify_gates(config)
+        params = config.params
+        tabs = cli._stab_tables(config)
+        sols = {g: cli._solve(config, tabs, g) for g in config.gammas}
+        sol = sols[config.gammas[0]]
+        b = simulate_variance(params, tabs, SimGrid(params.T, self.N), self.P, config.seed, block_size=self.BLOCK)
+        runs = simulate_wealth(
+            b, [s.spec.util for s in sols.values()], [lambda t, s=s: optimal_rule(s, t) for s in sols.values()]
+        )
+        for (g, s), run in zip(sols.items(), runs):
+            entry = report["value_agreement"][f"gamma_{g:g}"]
+            assert (entry["mc_mean"], entry["mc_se"]) == (run.mean, run.se)
+            assert entry["target"] == value_function(s, v0=b.v0)
+        assert report["optimality"]["report"] == optimality_test(b, sol, self.perturbations(params.d))
+        prof = martingale_profile(b, sol)
+        assert np.array_equal(profile, np.column_stack([prof["times"], prof["j_mean"], prof["se_paired"]]))
+        for key in ("flat_stat", "value", "terminal_mean_utility"):
+            assert report["martingale_profile"][key] == prof[key]
+        assert report["stationarity"]["report"] == stationarity_report(b)
+
+    def test_verify_holds_one_assets_paths(self):
+        # cli's verify holds one asset's V, (n+1, M), and no (d, n, M) array of
+        # V, dB or dBperp: its traced peak is bounded by terms stated from the sizes
+        n, M, block = 1000, 3000, 250
+        config = dataclasses.replace(load_config(_default_config_path()), n_sim=n, paths=M, block_size=block)
+        d, tb = config.params.d, _TIME_BLOCK
+        q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
+        one_asset = (n + 1) * M * 8
+        # the simulator's buffers: the normals of a time block and path block,
+        # drawn one ahead into two buffers, and a push's panel and W @ pushed
+        normals = 2 * tb * (q + 1) * block * 8
+        push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
+        # the fold's rows: one per gamma, the optimal rule and six perturbations, and 2 (K + 1) of the profile
+        rows = len(config.gammas) + 7 + 2 * (verify._CHECKPOINTS + 1)
+        # per path: the accumulators and a product's result; a time block's
+        # dB and dBperp and two temporaries of its rows
+        per_path = (2 * rows + 4 * tb) * M * 8
+        # per step: the reducers' weights against V, sqrt(V) dB and sqrt(V) dBperp
+        per_step = 3 * d * rows * n * 8
+        # the moment curves' row blocks, and 4 MB for what grows with neither
+        # n nor M (the Riccati solutions, the factors, imports)
+        rest = 4 * verify._ROW_BLOCK_BYTES + (4 << 20)
+        bound = one_asset + normals + push + per_path + per_step + rest
+        # no room for a second asset's V, let alone a (d, n, M) array
+        assert bound < d * one_asset
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._verify_gates(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestGates:
