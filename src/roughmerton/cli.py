@@ -23,15 +23,14 @@ import numpy as np
 from . import __version__, verify
 from .kernels import resolvent_residual
 from .riccati import RiccatiSpec, assumption_gate, solve_riccati
-from .simulate import ModelParams, RateCurve, SimGrid, _asset_blocks, simulate_variance
+# simulate_variance, martingale_profile, optimality_test, simulate_wealth and
+# stationarity_report are not called here; perfbench/spans.py traces them under these names
+from .simulate import ModelParams, RateCurve, SimGrid, _asset_blocks, simulate_variance  # noqa: F401
 from .stabilizer import build_stabilizer, functional_equation_residual
 from .strategy import UtilitySpec, optimal_rule, value_function
-# martingale_profile, optimality_test and simulate_wealth are not called here;
-# perfbench/spans.py traces them under these names
 from .verify import (  # noqa: F401
     PerturbationSpec,
     martingale_profile,
-    moment_curves,
     optimality_test,
     simulate_wealth,
     stationarity_report,
@@ -299,28 +298,32 @@ def _cmd_riccati(config: RunConfig) -> list:
     return []
 
 
-def _simulate_bundle(config: RunConfig, tabs):
-    """The run's Gaussian-V_0 bundle, without dBperp (its V feeds the moment curves)."""
-    return simulate_variance(
-        config.params,
-        tabs,
-        SimGrid(config.params.T, config.n_sim),
-        config.paths,
-        config.seed,
-        store_bperp=False,
-        block_size=config.block_size,
-    )
+def _fold_paths(config: RunConfig, tabs, reducers=()):
+    """One pass of the run's paths through ``verify._fold``, as they are made.
+
+    Holds one asset's V and never a bundle.  Returns the (d, M) initial
+    variances, each reducer's output and the (4, d, n+1) moment curves.
+    """
+    params = config.params
+    grid = SimGrid(params.T, config.n_sim)
+    v0, blocks = _asset_blocks(params, tabs, grid, config.paths, config.seed, block_size=config.block_size)
+    curves = np.empty((4, params.d, grid.n_steps + 1))
+    return v0, verify._fold(blocks, v0, params, reducers, curves), curves
+
+
+def _write_moment_curves(config: RunConfig, curves: np.ndarray, name: str, labels: tuple):
+    """The first len(labels) moment curves of every asset against t, labelled per asset."""
+    cols, data = ["t"], [SimGrid(config.params.T, config.n_sim).times]
+    for i in range(config.params.d):
+        cols += [f"{label}_{i+1}" for label in labels]
+        data += list(curves[: len(labels), i])
+    _write_csv(config, name, cols, np.column_stack(data))
 
 
 def _cmd_simulate(config: RunConfig) -> list:
-    bundle = _simulate_bundle(config, _stab_tables(config))
-    curves = moment_curves(bundle)
-    cols, data = ["t"], [bundle.times]
-    for i in range(config.params.d):
-        cols += [f"mean_V_{i+1}", f"var_V_{i+1}", f"se_mean_{i+1}", f"se_var_{i+1}"]
-        data += list(curves[:, i])
-    _write_csv(config, "simulate.csv", cols, np.column_stack(data))
-    report = stationarity_report(bundle)
+    _, _, curves = _fold_paths(config, _stab_tables(config))
+    _write_moment_curves(config, curves, "simulate.csv", ("mean_V", "var_V", "se_mean", "se_var"))
+    report = verify._stationarity(config.params, curves)
     gates = verify.stationarity_gates(report, config.tolerances)
     _write_json(config, "simulate_report.json", {"stationarity": report, "passed": all(g.passed for g in gates)})
     return gates
@@ -350,9 +353,9 @@ def _verify_gates(config: RunConfig):
     """Every verify gate on one pass of the simulation, writing nothing.
 
     The Riccati systems are solved first.  Then every Monte Carlo check is
-    a reducer of one fold (``verify._fold``) fed by the paths as they are
-    made, asset by asset, so only one asset's V is held, and each asset's
-    moment curves are taken once its V is finished.  Returns the report
+    a reducer of one fold (``_fold_paths``) fed by the paths as they are
+    made, asset by asset, so only one asset's V is held, and the moment
+    curves are taken from each finished time block.  Returns the report
     (each check's figures, and its ``passed``, the AND of its gates), the
     gate records and the profile curve's columns (t, mean J, paired SE) at
     the profile's checkpoint rows.
@@ -368,21 +371,19 @@ def _verify_gates(config: RunConfig):
         for sign, label in ((1.0, "uniform"), (-1.0, "-uniform"))
         for eps in (0.1, 0.2, 0.4)
     ]
-    grid = SimGrid(params.T, config.n_sim)
+    times = SimGrid(params.T, config.n_sim).times
     reducers = [
         # value agreement per gamma: every gamma's optimal rule shares one set of rows
         verify._value_reducer(
             params,
-            grid.times,
+            times,
             [s.spec.util for s in sols.values()],
             [lambda t, s=s: optimal_rule(s, t) for s in sols.values()],
         ),
-        verify._optimality_reducer(params, grid.times, sol, perts),
-        verify._profile_reducer(params, grid.times, sol),
+        verify._optimality_reducer(params, times, sol, perts),
+        verify._profile_reducer(params, times, sol),
     ]
-    v0, blocks = _asset_blocks(params, tabs, grid, config.paths, config.seed, block_size=config.block_size)
-    curves = np.empty((4, d, grid.n_steps + 1))
-    runs, opt, prof = verify._fold(blocks, v0, params, reducers, curves)
+    v0, (runs, opt, prof), curves = _fold_paths(config, tabs, reducers)
 
     values, gates = {}, []
     for (g, sol_g), run in zip(sols.items(), runs):
@@ -433,13 +434,8 @@ def _cmd_all(config: RunConfig) -> list:
     tabs = _stab_tables(config)
     _write_stabilizer_curves(config, tabs, "fig1.csv")
 
-    bundle = _simulate_bundle(config, tabs)
-    curves = moment_curves(bundle)
-    cols, data = ["t"], [bundle.times]
-    for i in range(d):
-        cols += [f"mean_V_{i+1}", f"var_V_{i+1}"]
-        data += list(curves[:2, i])
-    _write_csv(config, "fig2.csv", cols, np.column_stack(data))
+    _, _, curves = _fold_paths(config, tabs)
+    _write_moment_curves(config, curves, "fig2.csv", ("mean_V", "var_V"))
 
     sols = {g: _solve(config, tabs, g) for g in config.gammas}
     grid = sols[config.gammas[0]].times

@@ -68,10 +68,10 @@ every path block are made before the first asset.  Each generator is still
 used in its own order (an asset's stream per path block time block by time
 block, a path block's dBperp stream for asset 0's steps, then asset 1's,
 ...), so the paths are those of one path block after another, bit for bit.
-A consumer that reduces each time block as it comes (``cli``'s ``verify``)
-holds one asset's V, (n+1, M) for M paths, and one time block's rows of dB
-and dBperp; ``simulate_variance`` collects the blocks into a ``PathBundle``
-of (d, n+1, M) and (d, n, M) arrays.
+A consumer that reduces each time block as it comes (every subcommand of
+``cli``) holds one asset's V, (n+1, M) for M paths, and one time block's
+rows of dB and dBperp; ``simulate_variance`` collects the blocks into a
+``PathBundle`` of (d, n+1, M) and (d, n, M) arrays.
 
 The standard normals are drawn one (time block, path block) ahead: while
 the calling thread runs a block's products, one helper thread (a pool
@@ -522,6 +522,9 @@ def _asset_blocks(
         raise ValueError(f"need one stabilizer table per asset ({d}), got {len(stab)}")
     if v0_mode not in ("gaussian", "mean"):
         raise ValueError(f"unknown v0_mode {v0_mode!r}")
+    for name, size in (("n_paths", n_paths), ("block_size", block_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     for i, tab in enumerate(stab):
         if not tab.covers(params.T):
             raise ValueError(f"stabilizer table {i} does not cover [0, T]")
@@ -680,8 +683,8 @@ def simulate_variance(
     -------
     PathBundle
         Its V, dB and dBperp hold (2 + store_bperp) d n n_paths doubles;
-        consumers that reduce as the paths are made (``cli``'s ``verify``)
-        hold one asset's V instead.
+        consumers that reduce as the paths are made (every subcommand of
+        ``cli``) hold one asset's V instead.
     """
     d, n = params.d, grid.n_steps
     V = np.empty((d, n + 1, n_paths))

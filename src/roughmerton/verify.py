@@ -53,13 +53,13 @@ a start affine in V_0, and a ``finish`` that turns the rows into its
 report.  ``_fold`` runs several reducers in one pass over time blocks of
 ``simulate._TIME_BLOCK`` steps of each asset: a block's sqrt(V) rows are
 formed once, each reducer adds one product per array to its (rows, paths)
-accumulator, and the moment curves of an asset are taken once its V is
-finished.  The blocks come from one of two sources in one order:
-``simulate._asset_blocks`` as the paths are made, so that ``cli``'s
-``verify`` holds one asset's V and never a bundle, or
+accumulator, and the moment curves take each time block's final rows of V
+as the block arrives.  The blocks come from one of two sources in one
+order: ``simulate._asset_blocks`` as the paths are made, so that every
+subcommand of ``cli`` holds one asset's V and never a bundle, or
 ``simulate._bundle_blocks`` over a stored bundle, which the public
-functions below read.  So a reducer's figures are the same from either
-source, bit for bit.
+functions below read.  So a reducer's figures and the moment curves are the
+same from either source, bit for bit.
 
 The market (theta, rates, x0, kernels) is read from the bundle's
 ``params``; the utility and the exponent curves from the Riccati solution.
@@ -113,8 +113,6 @@ TOLERANCES = {
 
 # K: grid intervals between the martingale profile's checkpoint rows.
 _CHECKPOINTS = 24
-# Bytes of one row block of the moment curves.
-_ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -190,21 +188,18 @@ class _Reducer:
 
 
 def _moments(V: np.ndarray) -> np.ndarray:
-    """Sample mean, variance and their SEs per grid row of one asset's paths
-    V (n+1, M), stacked as (4, n+1); see ``moment_curves``."""
+    """Sample mean, variance and their SEs per row of V (rows, M), grid rows
+    of one asset's paths, stacked as (4, rows); see ``moment_curves``."""
     P = V.shape[1]
-    out = np.empty((4, V.shape[0]))
-    for rows in _row_blocks(V.shape[0], P):
-        block = V[rows]
-        mean_k = block.mean(axis=1)
-        sd_k = block.std(axis=1, ddof=1)
-        var_k = sd_k**2
-        dev = block - mean_k[:, None]
-        dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
-        dev *= dev
-        m4 = dev.mean(axis=1)
-        out[:, rows] = mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)
-    return out
+    mean_k = V.mean(axis=1)
+    dev = V - mean_k[:, None]
+    dev *= dev  # two squarings: a fraction of the cost of ** 4 through pow
+    # np.std(V, ddof=1)'s own steps, bit for bit, without its second pass for the mean
+    sd_k = np.sqrt(dev.sum(axis=1) / (P - 1))
+    var_k = sd_k**2
+    dev *= dev
+    m4 = dev.mean(axis=1)
+    return np.stack([mean_k, var_k, sd_k / math.sqrt(P), np.sqrt(np.maximum(m4 - var_k**2, 0.0) / P)])
 
 
 def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | None = None) -> list:
@@ -215,8 +210,8 @@ def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | 
     each reducer adds one product per array to its (rows, M) accumulator:
     the products are the same, shape for shape, whichever reducers share a
     pass, and so are the sums bit for bit.  With ``moments``, (4, d, n+1),
-    each asset's ``_moments`` are written into it once its last block is
-    folded.
+    the ``_moments`` of each time block's final rows (row 0 with the first
+    block) are written into it as the block arrives.
     """
     dv = v0 - params.x_inf[:, None]
     accs = [r.slope.T @ dv + r.start[:, None] for r in reducers]
@@ -224,6 +219,11 @@ def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | 
     for blk in blocks:
         i, m = blk.asset, blk.dB.shape[0]
         cols = slice(blk.start, blk.start + m)
+        if moments is not None:
+            rows = slice(blk.start + 1 if blk.start else 0, cols.stop + 1)
+            moments[:, i, rows] = _moments(blk.V[rows])
+        if not reducers:
+            continue
         V = blk.V[cols]
         noise = np.sqrt(V)
         noise_perp = noise * blk.dBperp if perp else None
@@ -233,8 +233,6 @@ def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | 
             acc += r.on_db[i, :, cols] @ noise
             if r.on_perp is not None:
                 acc[-r.on_perp.shape[1] :] += r.on_perp[i, :, cols] @ noise_perp
-        if moments is not None and cols.stop == blk.V.shape[0] - 1:
-            moments[:, i] = _moments(blk.V)
     return [r.finish(acc, v0) for r, acc in zip(reducers, accs)]
 
 
@@ -290,11 +288,6 @@ def _wealth_reducer(params, times: np.ndarray, util: UtilitySpec, rules: list, f
     rows = len(rules)
     start = np.full(rows, start + float(np.sum(rate_steps)))
     return _Reducer(start, np.zeros((params.d, rows)), C.transpose(1, 0, 2), B.transpose(1, 0, 2), None, terminal)
-
-
-def _terminal_wealth(bundle: PathBundle, util: UtilitySpec, rules: list) -> np.ndarray:
-    """Terminal wealth (len(rules), P) of each rule on a stored bundle."""
-    return _replay(bundle, _wealth_reducer(bundle.params, bundle.times, util, rules, lambda x_T: x_T))
 
 
 def _mean_se(u: np.ndarray) -> tuple[float, float]:
@@ -399,12 +392,6 @@ def optimality_gates(report: dict, tol) -> list[Gate]:
         Gate("optimality.no_gain", float(np.max(neg_z)), z_tol),
         Gate("optimality.detects", float(np.max(neg_z[eps == eps.max()])), -z_tol),
     ]
-
-
-def _row_blocks(n_rows: int, n_cols: int) -> list:
-    """Row slices of an (n_rows, n_cols) array of about ``_ROW_BLOCK_BYTES`` each."""
-    step = max(1, _ROW_BLOCK_BYTES // (8 * n_cols))
-    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 def _checkpoint_rows(n: int) -> np.ndarray:
@@ -519,10 +506,13 @@ def moment_curves(bundle: PathBundle) -> np.ndarray:
 
     Returns (mean, var, se_mean, se_var) stacked, each of shape (d, n+1):
     var = sd^2 with the unbiased sd, se_mean = sd/sqrt(M) and SE(var) from
-    the fourth central moment over M paths.  Each block of grid rows is
-    reduced on its own, so the temporaries are a block's size.
+    the fourth central moment over M paths.  It is ``_fold`` with no
+    reducer over the bundle's time blocks: each time block's rows are reduced
+    on their own, so the temporaries are a time block's size.
     """
-    return np.stack([_moments(Vi) for Vi in bundle.V], axis=1)
+    curves = np.empty((4, bundle.params.d, bundle.times.size))
+    _fold(_bundle_blocks(bundle), bundle.v0, bundle.params, [], curves)
+    return curves
 
 
 def _stationarity(params, curves: np.ndarray) -> list[dict]:

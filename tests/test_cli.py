@@ -337,7 +337,9 @@ class TestCommands:
         assert payload["error"] == "ConfigError" and "model.x0" in payload["message"]
         assert not os.path.exists(out)
 
-    def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
+    def one_pass_calls(self, tmp_path, monkeypatch, subcommand, written):
+        """Factor builds, Riccati solves and path passes of one run of ``subcommand``,
+        which must write ``written`` and never store a bundle."""
         calls = {"factor": 0, "solve": 0, "paths": 0}
 
         def counted(name, fn):
@@ -347,15 +349,31 @@ class TestCommands:
 
             return wrapped
 
+        def stored(*args, **kwargs):
+            raise AssertionError("no subcommand stores a bundle")
+
         monkeypatch.setattr(simulate, "integral_factor", counted("factor", simulate.integral_factor))
         monkeypatch.setattr(cli, "solve_riccati", counted("solve", cli.solve_riccati))
         monkeypatch.setattr(cli, "_asset_blocks", counted("paths", cli._asset_blocks))
+        monkeypatch.setattr(cli, "simulate_variance", stored)
         cfg = write_config(tmp_path, self.shrink)
         out = str(tmp_path / "out")
-        run_cli(["verify", "--config", cfg, "--out", out])
-        assert os.path.isfile(os.path.join(out, "verify_report.json"))
+        run_cli([subcommand, "--config", cfg, "--out", out])
+        assert os.path.isfile(os.path.join(out, written))
+        return calls
+
+    def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
+        calls = self.one_pass_calls(tmp_path, monkeypatch, "verify", "verify_report.json")
         # one pass of the paths serves every gate: one factor per asset; two gammas
         assert calls == {"factor": 2, "solve": 2, "paths": 1}
+
+    @pytest.mark.parametrize(
+        "subcommand,written,solves", [("simulate", "simulate_report.json", 0), ("all", "fig2.csv", 2)]
+    )
+    def test_simulate_and_all_fold_one_pass_without_a_bundle(self, tmp_path, monkeypatch, subcommand, written, solves):
+        calls = self.one_pass_calls(tmp_path, monkeypatch, subcommand, written)
+        # the moment curves come from one pass of the paths: one factor per asset
+        assert calls == {"factor": 2, "solve": solves, "paths": 1}
 
     def test_verify_rerun_bit_identical_and_stationarity_of_simulate(self, tmp_path):
         cfg = write_config(tmp_path, self.shrink)

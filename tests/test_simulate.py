@@ -537,6 +537,27 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_variance(params4, stab4, grid, n_paths=5, seed=2, v0_mode="median")
 
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [
+            ("n_paths", {"n_paths": 0}),
+            ("n_paths", {"n_paths": -3}),
+            ("block_size", {"block_size": 0}),
+            ("block_size", {"block_size": -1}),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, params4, stab4, name, sizes):
+        # before any draw: block_size -1 used to hand back uninitialised V_0,
+        # 0 failed inside range(), and 0 paths gave NaN moments
+        kw = {"n_paths": 5, "block_size": 2, **sizes}
+        grid = SimGrid(T=1.0, n_steps=10)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {sizes[name]}"):
+            simulate._asset_blocks(params4, stab4, grid, seed=2, **kw)
+        if kw["n_paths"] >= 0:
+            # a negative n_paths fails numpy's allocation of the bundle first
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                simulate_variance(params4, stab4, grid, seed=2, **kw)
+
     def test_helper_thread_ends_with_the_call(self, params4, stab4):
         before = threading.active_count()
         simulate_variance(params4, stab4, SimGrid(T=1.0, n_steps=70), n_paths=45, seed=4, block_size=20)

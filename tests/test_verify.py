@@ -19,7 +19,6 @@ from roughmerton.verify import (
     PerturbationSpec,
     _checkpoint_rows,
     _kernel_rows,
-    _terminal_wealth,
     martingale_profile,
     moment_curves,
     optimality_gates,
@@ -331,7 +330,7 @@ class TestProductPass:
                 return np.allclose(x, ref, rtol=1e-13, atol=0.0)
             return bool(np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))))
 
-        x_T = _terminal_wealth(b, util, list(self.RULES))
+        x_T = np.stack([run.x_T for run in simulate_wealth(b, [util] * len(self.RULES), list(self.RULES))])
         assert x_T.shape == (3, 700)
         for k, rule in enumerate(self.RULES):
             ref = march_wealth(b, util, rule)
@@ -512,11 +511,13 @@ class TestMartingaleProfile:
 
 
 class TestStationarity:
-    @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_row_blocked_moment_curves_equal_full_array(self, bundle, monkeypatch, rows):
+    @pytest.mark.parametrize("tb", [1, 7, None])
+    def test_row_blocked_moment_curves_equal_full_array(self, bundle, monkeypatch, tb):
+        # the curves come from each time block's rows: time blocks of 1, 7
+        # (the last of 4 rows on 60 steps) and the default 32 steps
         P = bundle.n_paths
-        if rows is not None:
-            monkeypatch.setattr(verify, "_ROW_BLOCK_BYTES", 8 * P * rows)
+        if tb is not None:
+            monkeypatch.setattr(simulate, "_TIME_BLOCK", tb)
         curves = moment_curves(bundle)
         for i, Vi in enumerate(bundle.V):
             mean_k = Vi.mean(axis=1)
@@ -582,8 +583,8 @@ class TestMemory:
 
 class TestFold:
     """The time-blocked fold against the path-chunk reductions it replaced,
-    and cli's verify, which folds the paths as they are made, against the
-    public functions on the stored bundle of the same seed."""
+    and cli's verify, simulate and all, which fold the paths as they are
+    made, against the public functions on the stored bundle of the same seed."""
 
     # 45 paths in path blocks of 20 (the last 5) and 70 steps: time blocks of 32, 32 and 6
     N, P, BLOCK = 70, 45, 20
@@ -603,7 +604,7 @@ class TestFold:
         sol = sols[kind]
         b = simulate_variance(p, stab4, SimGrid(T=1.0, n_steps=self.N), self.P, seed=12, block_size=self.BLOCK)
         rules = [lambda t: optimal_rule(sol, t)] + list(TestProductPass.RULES)
-        x_T = verify._terminal_wealth(b, sol.spec.util, rules)
+        x_T = np.stack([run.x_T for run in simulate_wealth(b, [sol.spec.util] * len(rules), rules)])
         assert np.allclose(x_T, chunked_terminal_wealth(b, sol.spec.util, rules), rtol=1e-12, atol=0.0)
         J = chunked_profile(b, sol)
         prof = martingale_profile(b, sol)
@@ -637,6 +638,11 @@ class TestFold:
         for key in ("flat_stat", "value", "terminal_mean_utility"):
             assert report["martingale_profile"][key] == prof[key]
         assert report["stationarity"]["report"] == stationarity_report(b)
+        # simulate and all take their curves from the same pass without reducers
+        _, outputs, curves = cli._fold_paths(config, tabs)
+        assert outputs == []
+        assert np.array_equal(curves, moment_curves(b))
+        assert verify._stationarity(params, curves) == stationarity_report(b)
 
     def test_verify_holds_one_assets_paths(self):
         # cli's verify holds one asset's V, (n+1, M), and no (d, n, M) array of
@@ -657,16 +663,48 @@ class TestFold:
         per_path = (2 * rows + 4 * tb) * M * 8
         # per step: the reducers' weights against V, sqrt(V) dB and sqrt(V) dBperp
         per_step = 3 * d * rows * n * 8
-        # the moment curves' row blocks, and 4 MB for what grows with neither
+        # the moment curves' two temporaries of a time block's tb + 1 rows
+        # (row 0 comes with the first), and 4 MB for what grows with neither
         # n nor M (the Riccati solutions, the factors, imports)
-        rest = 4 * verify._ROW_BLOCK_BYTES + (4 << 20)
-        bound = one_asset + normals + push + per_path + per_step + rest
+        moments = 2 * (tb + 1) * M * 8
+        rest = 4 << 20
+        bound = one_asset + normals + push + per_path + per_step + moments + rest
         # no room for a second asset's V, let alone a (d, n, M) array
         assert bound < d * one_asset
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             cli._verify_gates(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_simulate_holds_one_assets_paths(self, tmp_path):
+        # simulate (and all) fold the paths with no reducer: one asset's V,
+        # (n+1, M), and no (d, n, M) array of V or dB
+        n, M, block = 1000, 3000, 250
+        config = dataclasses.replace(
+            load_config(_default_config_path()), n_sim=n, paths=M, block_size=block, out_dir=str(tmp_path)
+        )
+        d, tb = config.params.d, _TIME_BLOCK
+        q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
+        one_asset = (n + 1) * M * 8
+        # the simulator's buffers, as in verify's bound
+        normals = 2 * tb * (q + 1) * block * 8
+        push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
+        # a time block's dB and dBperp and two temporaries of its rows; the
+        # moment curves' two temporaries of a time block's tb + 1 rows
+        per_path = (4 * tb + 2 * (tb + 1)) * M * 8
+        # 4 MB for what grows with neither n nor M, and the curves and CSV
+        # lines, which grow with n alone
+        rest = 4 << 20
+        bound = one_asset + normals + push + per_path + rest
+        assert bound < d * one_asset
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._cmd_simulate(config)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
