@@ -51,8 +51,8 @@ stays O(n P); at n = 600 and 2400 the push's multiply-adds fall 2.4x and
 factor R of F = Q R, at most (b q)^2: an SVD of F itself forms its (n, b q)
 left factor, and left 14 MB more resident after a call at 2400 steps and
 1000 paths.  V moves from the dense push's only by rounding (1.7e-15 of max V
-at 600 steps, 1.6e-15 at 2400); the normals, dB, dBperp and the integrals
-are the same bit for bit.
+at 600 steps, 1.6e-15 at 2400); the normals, dB and dBperp are the same
+bit for bit.
 
 The push runs in row panels of at most ``_PANEL_BYTES`` of product rows, so
 its temporary stays a few MB instead of (n, P).  The panels of one push
@@ -68,10 +68,11 @@ every path block are made before the first asset.  Each generator is still
 used in its own order (an asset's stream per path block time block by time
 block, a path block's dBperp stream for asset 0's steps, then asset 1's,
 ...), so the paths are those of one path block after another, bit for bit.
-A consumer that reduces each time block as it comes (every subcommand of
-``cli``) holds one asset's V, (n+1, M) for M paths, and one time block's
-rows of dB and dBperp; ``simulate_variance`` collects the blocks into a
-``PathBundle`` of (d, n+1, M) and (d, n, M) arrays.
+This is the scheme's one output: one asset's V, (n+1, M) for M paths, and
+one time block's rows of dB and dBperp are held, and a consumer reduces
+each time block as it comes (every subcommand of ``cli``).
+``simulate_variance`` copies the blocks into a ``PathBundle`` of
+(d, n+1, M) and (d, n, M) arrays.
 
 The standard normals are drawn one (time block, path block) ahead: while
 the calling thread runs a block's products, one helper thread (a pool
@@ -86,10 +87,10 @@ limits do not count it.
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
   - ``integral_factor``: the per-asset joint factor A (exact rank-2 when alpha = 1).
-  - ``simulate_variance``: block-streamed, seed-deterministic path generation
-    with a low-rank far-field push, collected into a bundle.
-  - ``_asset_blocks``: the same paths handed out one finished time block at
-    a time, and ``_bundle_blocks``: a stored bundle's blocks in that order.
+  - ``_asset_blocks``: block-streamed, seed-deterministic path generation
+    with a low-rank far-field push, handed out one finished time block at a
+    time, and ``_bundle_blocks``: a stored bundle's blocks in that order.
+  - ``simulate_variance``: the same paths copied into a bundle.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ class PathBundle:
     dBperp : np.ndarray or None
         Orthogonal increments; the variance driver is
         dW = rho dB + sqrt(1 - rho^2) dBperp.
-    integrals : np.ndarray or None
-        Lag-zero Gaussian integral draws I^{i,l}_l per step, shape (d, n, n_paths).
+    integrals : None
+        Always None: no route stores the Gaussian integral draws.  The field
+        stays because ``perfbench/spans.py`` reads it after each bundle.
     v0 : np.ndarray
         Initial variance per asset and path, shape (d, n_paths).
     params : ModelParams
@@ -496,20 +498,18 @@ def _asset_blocks(
     seed: int,
     v0_mode: str = "gaussian",
     block_size: int = 25000,
-    out: tuple | None = None,
 ):
     """Run the scheme one asset at a time; returns (v0, blocks).
 
     ``v0`` is the (d, M) initial variance, drawn before the first asset, and
     ``blocks`` a generator of ``_TimeBlock``: asset by asset, each time block
     of b = ``_TIME_BLOCK`` steps once every path block has run it, so that
-    its rows of V, dB and dBperp are final for all M paths.
+    its rows of V, dB and dBperp are final for all M paths.  The arguments
+    are checked and the factors built by the call, before any draw.
 
-    ``out`` is (V, dB, dBperp, integrals), arrays of ``PathBundle``'s shapes
-    (None where a field is not kept) that the paths are written into.
-    Without it one asset's V, (n+1, M), and one time block's rows of dB and
-    dBperp are held, and each is overwritten by the next asset or block, so a
-    yielded block is valid until the next is requested.
+    One asset's V, (n+1, M), and one time block's rows of dB and dBperp are
+    held, and each is overwritten by the next asset or block, so a yielded
+    block is valid until the next is requested.
 
     Every generator draws in its own order whatever the loop order: one
     stream per asset and path block, the path block's V_0 stream (drawn
@@ -560,8 +560,7 @@ def _asset_blocks(
                     yield rng, bperp_rng, (min(tb, n - start), factors[i].shape[1], hi - lo)
 
     def run():
-        if out is None:
-            V, held = np.empty((n + 1, n_paths)), np.empty((2, tb, n_paths))
+        V, held = np.empty((n + 1, n_paths)), np.empty((2, tb, n_paths))
         max_shape = (tb, max(A.shape[1] for A in factors), min(block_size, n_paths))
         with ThreadPoolExecutor(max_workers=1) as pool:
             normals = _normals_ahead(pool, draws(), max_shape)
@@ -569,20 +568,16 @@ def _asset_blocks(
                 A, (K, U, W) = factors[i], pushes[i]
                 q = A.shape[1]
                 scale = params.nu[i] / params.lam[i]
-                Vi = V if out is None else out[0][i]
-                Vi[0] = v0[i]
-                # until step k is reached, Vi[k] holds the pushes of finished blocks
-                Vi[1:] = 0.0
+                V[0] = v0[i]
+                # until step k is reached, V[k] holds the pushes of finished blocks
+                V[1:] = 0.0
                 for start in range(0, n, tb):
                     m = min(tb, n - start)
-                    if out is None:
-                        (dB, dBp), ints = held[:, :m], None
-                    else:
-                        dB, dBp, ints = (None if a is None else a[i, start : start + m] for a in out[1:])
+                    dB, dBp = held[:, :m]
                     for lo, hi in spans:
                         P = hi - lo
                         panel = max(1, _PANEL_BYTES // (8 * P))
-                        Vp = Vi[:, lo:hi]
+                        Vp = V[:, lo:hi]
                         # eta: the stream's next m draws of (q, P); z: the dBperp stream's next m rows
                         eta, z = next(normals)
                         dW = A[0] @ eta
@@ -590,10 +585,7 @@ def _asset_blocks(
                         # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
                         z *= sqrt_dt  # now What
                         dB[:, lo:hi] = rho[i] * dW + rho_c[i] * z
-                        if dBp is not None:
-                            dBp[:, lo:hi] = rho_c[i] * dW - rho[i] * z
-                        if ints is not None:
-                            ints[:, lo:hi] = A[1] @ eta
+                        dBp[:, lo:hi] = rho_c[i] * dW - rho[i] * z
                         for j in range(m):
                             ell = start + j + 1
                             eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vp[ell - 1])
@@ -609,7 +601,7 @@ def _asset_blocks(
                         for c in range(cuts):
                             a, b = rows * c // cuts, rows * (c + 1) // cuts
                             Vp[start + 1 + m + a : start + 1 + m + b] += left[a:b] @ right
-                    yield _TimeBlock(i, start, Vi, dB, dBp)
+                    yield _TimeBlock(i, start, V, dB, dBp)
 
     return v0, run()
 
@@ -633,7 +625,6 @@ def simulate_variance(
     seed: int,
     v0_mode: str = "gaussian",
     store_bperp: bool = True,
-    store_integrals: bool = False,
     block_size: int = 25000,
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
@@ -674,34 +665,31 @@ def simulate_variance(
         bit-reproducible and blocks are independent.
     v0_mode : {"gaussian", "mean"}
         Draw V_0 from its stationary Gaussian, or pin it at E[V_0] = x_inf.
-    store_bperp, store_integrals : bool
-        Optional storage (memory: each field is d*n*n_paths doubles).
+    store_bperp : bool
+        Keep dBperp (memory: d*n*n_paths doubles).
     block_size : int
         Paths per streamed block.
 
     Returns
     -------
     PathBundle
-        Its V, dB and dBperp hold (2 + store_bperp) d n n_paths doubles;
-        consumers that reduce as the paths are made (every subcommand of
-        ``cli``) hold one asset's V instead.
+        Its V, dB and dBperp hold (2 + store_bperp) d n n_paths doubles, and
+        ``integrals`` is None.  Each yielded block's final rows of V, its dB
+        and its dBperp are copied in, so the call also holds the live pass's
+        one asset's V and one time block's rows while it runs; consumers that
+        reduce as the paths are made (every subcommand of ``cli``) hold only
+        those.
     """
+    v0, blocks = _asset_blocks(params, stab, grid, n_paths, seed, v0_mode, block_size)
     d, n = params.d, grid.n_steps
     V = np.empty((d, n + 1, n_paths))
     dB = np.empty((d, n, n_paths))
     dBperp = np.empty((d, n, n_paths)) if store_bperp else None
-    integrals = np.empty((d, n, n_paths)) if store_integrals else None
-    v0, blocks = _asset_blocks(
-        params, stab, grid, n_paths, seed, v0_mode, block_size, out=(V, dB, dBperp, integrals)
-    )
-    for _ in blocks:
-        pass
-    return PathBundle(
-        times=grid.times,
-        V=V,
-        dB=dB,
-        dBperp=dBperp,
-        integrals=integrals,
-        v0=v0,
-        params=params,
-    )
+    V[:, 0] = v0
+    for blk in blocks:
+        i, lo, hi = blk.asset, blk.start, blk.start + blk.dB.shape[0]
+        V[i, lo + 1 : hi + 1] = blk.V[lo + 1 : hi + 1]
+        dB[i, lo:hi] = blk.dB
+        if store_bperp:
+            dBperp[i, lo:hi] = blk.dBperp
+    return PathBundle(times=grid.times, V=V, dB=dB, dBperp=dBperp, integrals=None, v0=v0, params=params)

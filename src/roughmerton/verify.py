@@ -44,8 +44,16 @@ profile evaluates J only at the checkpoint rows k_j = round(j n / K),
 j = 0..K.  There the wealth state and M dZ are linear in V, sqrt(V) dB and
 sqrt(V) dBperp, since dW = rho dB + sqrt(1 - rho^2) dBperp, with weights that
 do not depend on the path: the masked wealth weights and the K + 1 rows of M
-scaled by -lam D, nu varsigma rho and nu varsigma sqrt(1 - rho^2).  So J
-is 2(K + 1) rows of weights, K + 1 of them also against sqrt(V) dBperp.
+scaled by -lam D, nu varsigma rho and nu varsigma sqrt(1 - rho^2).  Both
+utility families are exponential in their wealth state, so J is one row per
+checkpoint, row_k = c (wealth state at k) + expo_k:
+
+  power:        J = exp(row) / gamma, c = gamma, and the row's start also
+                holds gamma (int_0^T r - int_0^{t_k} r);
+  exponential:  J = -exp(row) / gamma, c = -gamma e^{int_0^T r}.
+
+So J is K + 1 rows of weights against V, sqrt(V) dB and sqrt(V) dBperp: the
+masked wealth weights times c added onto the kernel rows.
 
 The fold.  Every Monte Carlo consumer is thus a ``_Reducer``: rows of
 weights per asset against V, sqrt(V) dB and sqrt(V) dBperp along the grid,
@@ -172,11 +180,10 @@ class _Reducer:
 
     Its rows start at ``start + slope^T (V_0 - x_inf)``.  Along the grid's
     left points, asset i adds ``on_v[i] @ V^i`` and
-    ``on_db[i] @ (sqrt(V^i) dB^i)`` to every row, and
-    ``on_perp[i] @ (sqrt(V^i) dBperp^i)`` to the last ``on_perp.shape[1]``
-    rows.  ``finish(acc, v0)`` turns the (rows, M) result into the
-    consumer's output.  Shapes: start (R,), slope (d, R), on_v and on_db
-    (d, R, n), on_perp (d, R_perp, n) or None.
+    ``on_db[i] @ (sqrt(V^i) dB^i)`` and, unless ``on_perp`` is None,
+    ``on_perp[i] @ (sqrt(V^i) dBperp^i)`` to every row.  ``finish(acc, v0)``
+    turns the (rows, M) result into the consumer's output.  Shapes: start
+    (R,), slope (d, R), on_v, on_db and on_perp (d, R, n).
     """
 
     start: np.ndarray
@@ -232,7 +239,7 @@ def _fold(blocks, v0: np.ndarray, params, reducers: list, moments: np.ndarray | 
             acc += r.on_v[i, :, cols] @ V
             acc += r.on_db[i, :, cols] @ noise
             if r.on_perp is not None:
-                acc[-r.on_perp.shape[1] :] += r.on_perp[i, :, cols] @ noise_perp
+                acc += r.on_perp[i, :, cols] @ noise_perp
     return [r.finish(acc, v0) for r, acc in zip(reducers, accs)]
 
 
@@ -422,43 +429,46 @@ def _kernel_rows(alpha: float, rv: np.ndarray, dt: float, rows: np.ndarray) -> n
 
 
 def _profile_reducer(params, times: np.ndarray, sol: RiccatiSolution) -> _Reducer:
-    """The ``martingale_profile`` dict: the wealth state (first m rows) and
-    the exponent (last m) at the m checkpoint rows of the grid ``times``."""
+    """The ``martingale_profile`` dict from one row per checkpoint of the grid
+    ``times``: J = exp(row) / gamma under power and -exp(row) / gamma under
+    exponential utility, the row c (wealth state) + exponent."""
     util = sol.spec.util
     n = times.size - 1
     dt = times[1] - times[0]
-    T = params.T
     rows = _checkpoint_rows(n)
-    m = rows.size
 
     start, rate_steps, B, C = _wealth_steps(params, times, util, [lambda t: optimal_rule(sol, t)])
+    # U(X_t e^{int_t^T r}) = +-exp(c state + shift) / gamma: X_t = e^state under
+    # power, X_t = state e^{int_0^t r} under exponential utility
+    total = params.rate.primitive(params.T)
+    if util.kind == "power":
+        c, shift, sign = util.gamma, util.gamma * (total - params.rate.primitive(times[rows])), 1.0
+    else:
+        c, shift, sign = -util.gamma * math.exp(total), 0.0, -1.0
     # step l of the wealth recursion is in the state at row k iff l < k
-    before = np.arange(n) < rows[:, None]
+    before = c * (np.arange(n) < rows[:, None])
     state0 = start + np.concatenate(([0.0], np.cumsum(rate_steps)))[rows]
     # the g_0 part of the exponent at the checkpoint times; exact at t = 0 and T.
     # g_0 is affine in V_0 with slope 1: the V_0 term starts the exponent
     slope, level = value_exponent(sol)
-    slope = np.stack([np.interp(times[rows], sol.times, c) for c in slope])
+    slope = np.stack([np.interp(times[rows], sol.times, curve) for curve in slope])
     level = np.interp(times[rows], sol.times, np.sum(level, axis=0))
-    # per asset, the weights of the wealth state and of the kernel term
-    # against V, sqrt(V) dB and sqrt(V) dBperp
-    s_nodes = (T - sol.times)[::-1]
-    on_v, on_db, on_perp = np.empty((params.d, 2 * m, n)), np.empty((params.d, 2 * m, n)), np.empty((params.d, m, n))
+    # per asset, the kernel term's weights against V, sqrt(V) dB and
+    # sqrt(V) dBperp, the masked wealth weights added onto the first two
+    s_nodes = (params.T - sol.times)[::-1]
+    on_v, on_db, on_perp = (np.empty((params.d, rows.size, n)) for _ in range(3))
     for i in range(params.d):
         # the value integrand a_i + F_i(s, psi(T-s)) interpolated to the grid
         rv = np.interp(times, s_nodes, sol.rhs_values[i][::-1])
         M = _kernel_rows(params.alpha[i], rv, dt, rows)
         vol = params.nu[i] * np.asarray(sol.spec.stabilizers[i](times[1:]))
         rho = params.rho[i]
-        on_v[i] = np.vstack([C[0, i] * before, -params.lam[i] * dt * M])
-        on_db[i] = np.vstack([B[0, i] * before, rho * vol * M])
+        on_v[i] = C[0, i] * before - params.lam[i] * dt * M
+        on_db[i] = B[0, i] * before + rho * vol * M
         on_perp[i] = math.sqrt(max(1.0 - rho * rho, 0.0)) * vol * M
-    primitive = params.rate.primitive(times[rows])[:, None]
-    growth = np.exp(params.rate.primitive(T) - primitive)
 
     def profile(acc, v0):
-        X = np.exp(acc[:m]) if util.kind == "power" else acc[:m] * np.exp(primitive)
-        J = util.u(X * growth) * np.exp(acc[m:])
+        J = np.exp(acc) / (sign * util.gamma)
         j_mean = J.mean(axis=1)
         # SE of the paired differences J_t - J_0
         se = np.std(J - J[0], axis=1, ddof=1) / math.sqrt(J.shape[1])
@@ -474,9 +484,7 @@ def _profile_reducer(params, times: np.ndarray, sol: RiccatiSolution) -> _Reduce
             "terminal_mean_utility": float(j_mean[-1]),
         }
 
-    starts = np.concatenate([state0, level])
-    slopes = np.concatenate([np.zeros((params.d, m)), slope], axis=1)
-    return _Reducer(starts, slopes, on_v, on_db, on_perp, profile)
+    return _Reducer(c * state0 + shift + level, slope, on_v, on_db, on_perp, profile)
 
 
 def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:

@@ -37,8 +37,15 @@ def test_reruns_give_identical_digests(tmp_path, capsys):
     assert all(len(d) == 2 and len(d[0]) == 64 for d in digests)
     assert "out/small/value_exponential/value.json" in {d[1] for d in digests}
     # per utility: 2 files each from stabilizer, riccati, simulate, strategy
-    # (one per gamma) and verify, value.json, and fig1-fig4 from all
-    assert len(digests) == 2 * 15
+    # (one per gamma) and verify, value.json, and fig1-fig4 from all; then
+    # V, dB, dBperp and v0 of the first fixed bundle and V, dB and v0 of the second
+    assert len(digests) == 2 * 15 + 7
+    bundles = [d[1] for d in digests if d[1].startswith("bundle/")]
+    assert bundles == [
+        f"bundle/{case}/{field}"
+        for case, fields in zip(tool.BUNDLE_CASES, (("V", "dB", "dBperp", "v0"), ("V", "dB", "v0")))
+        for field in fields
+    ]
     assert lines[-1].startswith("code lines in src/roughmerton: ")
 
 

@@ -422,12 +422,12 @@ class TestFarField:
         # the packaged kernels at n = 600: pushes through U W where they are cheaper,
         # then every push dense
         grid, n_paths = SimGrid(T=1.0, n_steps=600), 2000
-        far = simulate_variance(params4, stab4, grid, n_paths, seed=6, store_integrals=True)
+        far = simulate_variance(params4, stab4, grid, n_paths, seed=6)
         monkeypatch.setattr(simulate, "_block_push", lambda A, n, b: (_toeplitz_gather(A, n, b), None, None))
-        dense = simulate_variance(params4, stab4, grid, n_paths, seed=6, store_integrals=True)
+        dense = simulate_variance(params4, stab4, grid, n_paths, seed=6)
         assert np.max(np.abs(far.V - dense.V)) <= 1e-14 * np.max(np.abs(dense.V))
         assert not np.array_equal(far.V, dense.V)
-        for name in ("dB", "dBperp", "integrals"):
+        for name in ("dB", "dBperp"):
             assert np.array_equal(getattr(far, name), getattr(dense, name))
 
 
@@ -437,18 +437,18 @@ def test_matches_step_by_step_oracle(oracle_model, n):
     p, tabs = oracle_model
     grid = SimGrid(T=1.0, n_steps=n)
     # 45 paths in blocks of 20: three path blocks, the last one partial
-    b = simulate_variance(p, tabs, grid, n_paths=45, seed=19, store_integrals=True, block_size=20)
-    V, dB, dBperp, integrals = step_by_step_reference(p, tabs, grid, 45, 19, block_size=20)
+    b = simulate_variance(p, tabs, grid, n_paths=45, seed=19, block_size=20)
+    # the lag-0 integrals feed V, so the V check covers them
+    V, dB, dBperp, _ = step_by_step_reference(p, tabs, grid, 45, 19, block_size=20)
     assert np.max(np.abs(b.V - V)) <= 1e-13 * np.max(np.abs(V))
     assert np.max(np.abs(b.dB - dB)) <= 1e-15
     assert np.max(np.abs(b.dBperp - dBperp)) <= 1e-15
-    assert np.max(np.abs(b.integrals - integrals)) <= 1e-15
 
 
 @pytest.fixture(scope="module")
 def small_bundle(params4, stab4):
     grid = SimGrid(T=1.0, n_steps=50)
-    return simulate_variance(params4, stab4, grid, n_paths=4000, seed=11, store_integrals=True)
+    return simulate_variance(params4, stab4, grid, n_paths=4000, seed=11)
 
 
 class TestSimulate:
@@ -461,7 +461,7 @@ class TestSimulate:
 
     def test_seed_determinism_and_block_invariance(self, params4, stab4, small_bundle):
         grid = SimGrid(T=1.0, n_steps=50)
-        again = simulate_variance(params4, stab4, grid, n_paths=4000, seed=11, store_integrals=True)
+        again = simulate_variance(params4, stab4, grid, n_paths=4000, seed=11)
         assert np.array_equal(again.V, small_bundle.V)
         assert np.array_equal(again.dB, small_bundle.dB)
         assert np.array_equal(again.dBperp, small_bundle.dBperp)
@@ -509,7 +509,9 @@ class TestSimulate:
         )
         grid = SimGrid(T=1.0, n_steps=30)
         tabs = [build_stabilizer(p.kernel_spec(i), p.c[i], np.linspace(0, 1, 11)) for i in range(2)]
-        b = simulate_variance(p, tabs, grid, n_paths=200, seed=3, store_integrals=True)
+        b = simulate_variance(p, tabs, grid, n_paths=200, seed=3)
+        # the lag-0 integrals I^l_l of the same streams (one path block)
+        integrals = step_by_step_reference(p, tabs, grid, 200, 3, block_size=25000)[3]
         dt = grid.dt
         for i in range(2):
             s = np.asarray(tabs[i](grid.times))
@@ -517,7 +519,7 @@ class TestSimulate:
             acc = np.zeros(200)
             V = b.v0[i].copy()
             for ell in range(1, 31):
-                g = s[ell] * np.sqrt(V) * b.integrals[i, ell - 1]
+                g = s[ell] * np.sqrt(V) * integrals[i, ell - 1]
                 acc = e * acc + g
                 V = np.maximum(
                     p.x_inf[i]
@@ -553,10 +555,8 @@ class TestSimulate:
         grid = SimGrid(T=1.0, n_steps=10)
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {sizes[name]}"):
             simulate._asset_blocks(params4, stab4, grid, seed=2, **kw)
-        if kw["n_paths"] >= 0:
-            # a negative n_paths fails numpy's allocation of the bundle first
-            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-                simulate_variance(params4, stab4, grid, seed=2, **kw)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {sizes[name]}"):
+            simulate_variance(params4, stab4, grid, seed=2, **kw)
 
     def test_helper_thread_ends_with_the_call(self, params4, stab4):
         before = threading.active_count()

@@ -614,6 +614,17 @@ class TestFold:
         assert np.allclose(prof["se_paired"], se, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_profile_folds_one_row_per_checkpoint(self, piecewise_market, kind):
+        # J = +-exp(row) / gamma: the wealth state rides in the exponent's row,
+        # so every weight array has one row per checkpoint, dBperp's included
+        p, sols = piecewise_market
+        reducer = verify._profile_reducer(p, SimGrid(T=1.0, n_steps=self.N).times, sols[kind])
+        m = len(_checkpoint_rows(self.N))
+        assert reducer.start.shape == (m,) and reducer.slope.shape == (p.d, m)
+        for weights in (reducer.on_v, reducer.on_db, reducer.on_perp):
+            assert weights.shape == (p.d, m, self.N)
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
     def test_live_fold_equals_stored_bundle(self, kind):
         config = dataclasses.replace(
             load_config(_default_config_path()),
@@ -656,8 +667,8 @@ class TestFold:
         # drawn one ahead into two buffers, and a push's panel and W @ pushed
         normals = 2 * tb * (q + 1) * block * 8
         push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
-        # the fold's rows: one per gamma, the optimal rule and six perturbations, and 2 (K + 1) of the profile
-        rows = len(config.gammas) + 7 + 2 * (verify._CHECKPOINTS + 1)
+        # the fold's rows: one per gamma, the optimal rule and six perturbations, and K + 1 of the profile
+        rows = len(config.gammas) + 7 + verify._CHECKPOINTS + 1
         # per path: the accumulators and a product's result; a time block's
         # dB and dBperp and two temporaries of its rows
         per_path = (2 * rows + 4 * tb) * M * 8

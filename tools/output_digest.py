@@ -2,9 +2,12 @@
 
 Every subcommand runs under both utilities on each given config (default: the
 packaged config), in one process, into a temporary directory.  The script
-prints each invocation's exit code, one ``sha256 path`` line per emitted file
-and, last, the code-line count of ``src/roughmerton`` (lines that are not
-blank, comment or docstring).  Run from the repository root:
+prints each invocation's exit code, one ``sha256 path`` line per emitted file,
+one ``sha256 bundle/<case>/<field>`` line per array of ``simulate_variance``'s
+bundle in two fixed cases on the packaged config (``BUNDLE_CASES``), so that
+the stored route is covered too, and, last, the code-line count of
+``src/roughmerton`` (lines that are not blank, comment or docstring).  Run
+from the repository root:
 
     PYTHONPATH=src python tools/output_digest.py > after.txt
     PYTHONPATH=src python tools/output_digest.py --sweep > after.txt
@@ -29,6 +32,7 @@ import tempfile
 import tokenize
 
 from roughmerton import cli
+from roughmerton.simulate import SimGrid, simulate_variance
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UTILITIES = ("power", "exponential")
@@ -40,6 +44,14 @@ _NOT_CODE = {
     tokenize.DEDENT,
     tokenize.ENCODING,
     tokenize.ENDMARKER,
+}
+
+# name: (n_steps, simulate_variance keywords); three path blocks, the last
+# partial, and three time blocks, the last partial; then one path block with
+# V_0 pinned at its mean and no dBperp
+BUNDLE_CASES = {
+    "p45_b20_n70": (70, {"n_paths": 45, "seed": 19, "block_size": 20}),
+    "p700_n130_mean": (130, {"n_paths": 700, "seed": 5, "v0_mode": "mean", "store_bperp": False}),
 }
 
 
@@ -100,13 +112,27 @@ def digest_lines(configs: list, sweep: bool) -> list:
     return out
 
 
+def bundle_lines() -> list:
+    """One digest line per stored array of each ``BUNDLE_CASES`` bundle."""
+    config = cli.load_config(cli._default_config_path())
+    params, tabs = config.params, cli._stab_tables(config)
+    out = []
+    for case, (n, kw) in BUNDLE_CASES.items():
+        bundle = simulate_variance(params, tabs, SimGrid(params.T, n), **kw)
+        for field in ("V", "dB", "dBperp", "v0"):
+            array = getattr(bundle, field)
+            if array is not None:
+                out.append(f"{hashlib.sha256(array.tobytes()).hexdigest()} bundle/{case}/{field}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("configs", nargs="*", default=[cli._default_config_path()])
     parser.add_argument("--sweep", action="store_true", help="add the 18 analytic-sweep configs")
     args = parser.parse_args(argv)
 
-    for line in digest_lines(args.configs, args.sweep):
+    for line in digest_lines(args.configs, args.sweep) + bundle_lines():
         print(line)
     pkg = os.path.dirname(cli.__file__)
     total = sum(code_lines(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg)) if name.endswith(".py"))
