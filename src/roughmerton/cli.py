@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,13 +303,16 @@ def _fold_paths(config: RunConfig, tabs, reducers=()):
     """One pass of the run's paths through ``verify._fold``, as they are made.
 
     Holds one asset's V and never a bundle.  Returns the (d, M) initial
-    variances, each reducer's output and the (4, d, n+1) moment curves.
+    variances, each reducer's output and the (4, d, n+1) moment curves.  The
+    pass is closed on the way out, so its draw thread has ended when this
+    returns or raises, a reducer's error included.
     """
     params = config.params
     grid = SimGrid(params.T, config.n_sim)
     v0, blocks = _asset_blocks(params, tabs, grid, config.paths, config.seed, block_size=config.block_size)
     curves = np.empty((4, params.d, grid.n_steps + 1))
-    return v0, verify._fold(blocks, v0, params, reducers, curves), curves
+    with closing(blocks):
+        return v0, verify._fold(blocks, v0, params, reducers, curves), curves
 
 
 def _write_moment_curves(config: RunConfig, curves: np.ndarray, name: str, labels: tuple):

@@ -35,24 +35,27 @@ signed so that its entry of largest magnitude is positive.
 The Volterra sum is a causal convolution over steps: with eta_l = (nu/lam)
 varsigma(t_l) sqrt(V_{l-1}) xi_l, step k needs sum_{l<=k} A[k-l+1] @
 eta_l.  ``_asset_blocks`` evaluates it in time blocks of b =
-``_TIME_BLOCK`` steps.  Each step adds the terms of its own block, and each
+``_TIME_BLOCK`` steps, each split into sub-blocks of s steps (below).
+Each step adds the terms of its own sub-block, each finished sub-block adds
+its terms to the rest of its time block with one product, and each
 finished block adds its terms to all later steps: the push of its (b q, P)
 terms is a product against F, the rows of a Toeplitz gather of A at lags >=
-2, where the resolvent density is smooth.  So the singular values of F fall
-about tenfold per index, and it has numerical rank r ~ 48 at the packaged
-sizes, against b q = 160-192 columns: a far-field factor U W = F up to
-``_FAR_CUT`` sigma_1 (the low-rank blocks of hierarchical matrices,
+2, where the resolvent density is smooth.  So the singular values of F
+fall about tenfold per index, and it has numerical rank r ~ 48 at the
+packaged sizes, against b q = 160-192 columns: a far-field factor U W = F
+up to ``_FAR_CUT`` sigma_1 (the low-rank blocks of hierarchical matrices,
 Hackbusch 2015) pushes in r (rows + b q) multiply-adds per path instead of
-rows b q, as U[:rows] @ (W @ pushed).  A push of few rows stays dense, where
-that costs no more.  So the push costs O(n (r q + n r / b) P) flops per asset
-and block of P paths, not O(n^2 q P), all in BLAS-3 products, and memory
-stays O(n P); at n = 600 and 2400 the push's multiply-adds fall 2.4x and
-3.5x.  The factor is built once per pass from the SVD of the triangular
-factor R of F = Q R, at most (b q)^2: an SVD of F itself forms its (n, b q)
-left factor, and left 14 MB more resident after a call at 2400 steps and
-1000 paths.  V moves from the dense push's only by rounding (1.7e-15 of max V
-at 600 steps, 1.6e-15 at 2400); the normals, dB and dBperp are the same
-bit for bit.
+rows b q, as U[:rows] @ c, where the block's far projection c, (r, P),
+sums W[:, cols] @ (terms) over its sub-blocks.  A push of few rows stays
+dense, where that costs no more, and each sub-block pushes its own columns.
+So the push costs O(n (r q + n r / b) P) flops per asset and block of P
+paths, not O(n^2 q P), all in BLAS-3 products, and memory stays O(n P); at
+n = 600 and 2400 the push's multiply-adds fall 2.4x and 3.5x.  The factor
+is built once per pass from the SVD of the triangular factor R of F = Q R,
+at most (b q)^2: an SVD of F itself forms its (n, b q) left factor, and
+left 14 MB more resident after a call at 2400 steps and 1000 paths.  V moves
+from the dense push's only by rounding (1.7e-15 of max V at 600 steps,
+1.6e-15 at 2400); the normals, dB and dBperp are the same bit for bit.
 
 The push runs in row panels of at most ``_PANEL_BYTES`` of product rows, so
 its temporary stays a few MB instead of (n, P).  The panels of one push
@@ -74,15 +77,21 @@ each time block as it comes (every subcommand of ``cli``).
 ``simulate_variance`` copies the blocks into a ``PathBundle`` of
 (d, n+1, M) and (d, n, M) arrays.
 
-The standard normals are drawn one (time block, path block) ahead: while
-the calling thread runs a block's products, one helper thread (a pool
-scoped to the pass) fills the next block's normals into the other of two
-preallocated buffers.  Each asset stream still makes one (m, q, P) draw per
-time block, and the dBperp stream is drawn per time block as (m, P), which
-is the same stream as one (n, P) draw.  Every generator is used by the
-helper thread alone, in its serial order, so the paths are those of a serial
-loop bit for bit.  The helper thread is not a BLAS thread: BLAS thread
-limits do not count it.
+The standard normals are drawn by sub-block: s is the most steps whose
+normals, (q + 1) P doubles a step, fit ``_SLOT_BYTES``, so about 8 steps at
+10^4 paths and a whole time block at 1000.  One producer thread (a pool
+scoped to the pass) runs ahead of the calling thread, drawing each
+sub-block's normals into a ring of ``_RING_SLOTS`` preallocated slots until
+the ring is full; a slot is free again once the caller has moved to the next
+sub-block, whose terms then live on only in V and c.  So the normals cost
+three slots, not time blocks, of memory.  Each asset stream makes one
+(s, q, P) draw per sub-block and the dBperp stream one (s, P) draw, which
+are the same streams as one (n, q, P) and one (n, P) draw.  Every generator
+is used by the producer alone, in its serial order, so the normals, dB and
+dBperp are those of a serial loop bit for bit, and V moves only by the order
+of the sums (3.8e-16 of max V at 10^4 paths and 600 steps; bit for bit
+where s is the whole time block).  The producer is not a BLAS thread: BLAS
+thread limits do not count it.
 
 Provides:
   - ``ModelParams`` / ``SimGrid`` / ``PathBundle`` / ``RateCurve`` types.
@@ -96,7 +105,10 @@ Provides:
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -126,6 +138,12 @@ _QUAD_NODES = 64
 _TIME_BLOCK = 32
 # Bytes of the product rows that one panel of a block push holds.
 _PANEL_BYTES = 4 << 20
+# Bytes of the normals (eta and z) that one slot of the draw ring holds: at
+# the packaged q = 5-6, 7-8 steps of a 10^4-path block, a whole time block of
+# a 1000-path one.
+_SLOT_BYTES = 4 << 20
+# Slots of the draw ring: one in use, two drawn ahead.
+_RING_SLOTS = 3
 # Relative singular-value cut of a block push's far-field factor.  The
 # singular values of the far field fall about tenfold per index; at the
 # packaged sizes (alpha 0.9 and 0.6, n = 600 and 2400) the first dropped one
@@ -444,35 +462,59 @@ def _block_push(A: np.ndarray, n: int, b: int):
     return K[: b + dense].copy(), F @ W.T, W
 
 
-def _normals_ahead(pool: ThreadPoolExecutor, draws, max_shape: tuple):
+def _slot_steps(q: int, P: int, b: int) -> int:
+    """Steps per sub-block: the most, up to ``b``, whose normals ((q + 1) P doubles a step) fit ``_SLOT_BYTES``."""
+    return max(1, min(b, _SLOT_BYTES // (8 * (q + 1) * P)))
+
+
+def _normals_ahead(draws, size: int):
     """Yield the standard normals (eta, z) of each draw of ``draws``, in order.
 
     Each draw is (rng, bperp_rng, (m, q, P)): eta of shape (m, q, P) comes
-    from rng and z of shape (m, P) from bperp_rng, none larger than
-    ``max_shape``.  The one worker of ``pool`` fills the next draw into the
-    other of two buffers while the caller works on the current one, so a
-    yielded pair is valid until the next is requested.  The worker is the
-    only user of every generator and draws in order, so the values are
-    those of a serial loop.
+    from rng and z of shape (m, P) from bperp_rng, (q + 1) m P <= ``size``
+    doubles in all.  One producer thread draws them into a ring of
+    ``_RING_SLOTS`` slots of ``size`` doubles, running ahead of the caller
+    until the ring is full, so a yielded pair is valid until the next is
+    requested.  The producer is the only user of every generator and draws
+    in order, so the values are those of a serial loop.  Closing the
+    generator stops the producer and waits for it; an error the producer
+    meets is raised to the caller in place of the draw it failed on.
     """
-    m_max, q_max, p_max = max_shape
-    bufs = [(np.empty(m_max * q_max * p_max), np.empty(m_max * p_max)) for _ in range(2)]
+    slots = [np.empty(size) for _ in range(_RING_SLOTS)]
+    free, ready = threading.Semaphore(_RING_SLOTS), threading.Semaphore(0)
+    stop, filled = threading.Event(), deque()
 
-    def fill(k, rng, bperp_rng, shape):
-        m, q, P = shape
-        eta_buf, z_buf = bufs[k % 2]
-        eta = rng.standard_normal(out=eta_buf[: m * q * P].reshape(shape))
-        z = bperp_rng.standard_normal(out=z_buf[: m * P].reshape(m, P))
-        return eta, z
+    def produce():
+        try:
+            for k, (rng, bperp_rng, (m, q, P)) in enumerate(draws):
+                free.acquire()
+                if stop.is_set():
+                    return
+                slot = slots[k % _RING_SLOTS]
+                eta = rng.standard_normal(out=slot[: m * q * P].reshape(m, q, P))
+                z = bperp_rng.standard_normal(out=slot[m * q * P : m * (q + 1) * P].reshape(m, P))
+                filled.append((eta, z))
+                ready.release()
+        finally:
+            # one release past the last draw, so that the caller never waits on an ended producer
+            ready.release()
 
-    current = None
-    for k, draw in enumerate(draws):
-        ahead = pool.submit(fill, k, *draw)
-        if current is not None:
-            yield current.result()
-        current = ahead
-    if current is not None:
-        yield current.result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        producer = pool.submit(produce)
+        try:
+            while True:
+                ready.acquire()
+                if not filled:
+                    break
+                yield filled.popleft()
+                free.release()
+        finally:
+            # wake a producer that waits on a full ring, and let it end before the pool shuts down
+            stop.set()
+            free.release()
+            error = producer.exception()
+    if error is not None:
+        raise error
 
 
 class _TimeBlock(NamedTuple):
@@ -509,7 +551,10 @@ def _asset_blocks(
 
     One asset's V, (n+1, M), and one time block's rows of dB and dBperp are
     held, and each is overwritten by the next asset or block, so a yielded
-    block is valid until the next is requested.
+    block is valid until the next is requested.  Besides them the pass holds
+    the ring of ``_RING_SLOTS`` slots of one sub-block's normals, and for a
+    far-field push one block's projection c, (r, P).  Closing the generator
+    ends the pass and its producer thread.
 
     Every generator draws in its own order whatever the loop order: one
     stream per asset and path block, the path block's V_0 stream (drawn
@@ -552,55 +597,74 @@ def _asset_blocks(
     bperp_rngs = [np.random.default_rng(subs[d + 1]) for subs in streams]
 
     def draws():
-        """The normals of every time block, in the order the loop below consumes them."""
+        """The normals of every sub-block, in the order the loop below consumes them."""
         for i in range(d):
+            q = factors[i].shape[1]
             rngs = [np.random.default_rng(subs[i]) for subs in streams]
             for start in range(0, n, tb):
+                m = min(tb, n - start)
                 for rng, bperp_rng, (lo, hi) in zip(rngs, bperp_rngs, spans):
-                    yield rng, bperp_rng, (min(tb, n - start), factors[i].shape[1], hi - lo)
+                    s = _slot_steps(q, hi - lo, tb)
+                    for j0 in range(0, m, s):
+                        yield rng, bperp_rng, (min(s, m - j0), q, hi - lo)
 
     def run():
         V, held = np.empty((n + 1, n_paths)), np.empty((2, tb, n_paths))
-        max_shape = (tb, max(A.shape[1] for A in factors), min(block_size, n_paths))
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            normals = _normals_ahead(pool, draws(), max_shape)
+        ranks, sizes = {A.shape[1] for A in factors}, {hi - lo for lo, hi in spans}
+        size = max((q + 1) * P * _slot_steps(q, P, tb) for q in ranks for P in sizes)
+        with closing(_normals_ahead(draws(), size)) as normals:
             for i in range(d):
                 A, (K, U, W) = factors[i], pushes[i]
                 q = A.shape[1]
                 scale = params.nu[i] / params.lam[i]
                 V[0] = v0[i]
-                # until step k is reached, V[k] holds the pushes of finished blocks
+                # until step k is reached, V[k] holds the terms of finished blocks and sub-blocks
                 V[1:] = 0.0
                 for start in range(0, n, tb):
                     m = min(tb, n - start)
                     dB, dBp = held[:, :m]
+                    # the push to the rows after the block, through the far-field
+                    # factor unless dense is cheaper (see the module docstring)
+                    rows = n - start - m
+                    far = rows > K.shape[0] - tb
+                    after = start + 1 + m
                     for lo, hi in spans:
                         P = hi - lo
+                        s = _slot_steps(q, P, tb)
                         panel = max(1, _PANEL_BYTES // (8 * P))
-                        Vp = V[:, lo:hi]
-                        # eta: the stream's next m draws of (q, P); z: the dBperp stream's next m rows
-                        eta, z = next(normals)
-                        dW = A[0] @ eta
-                        # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
-                        # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
-                        z *= sqrt_dt  # now What
-                        dB[:, lo:hi] = rho[i] * dW + rho_c[i] * z
-                        dBp[:, lo:hi] = rho_c[i] * dW - rho[i] * z
-                        for j in range(m):
-                            ell = start + j + 1
-                            eta[j] *= scale * s_vals[i][ell] * np.sqrt(Vp[ell - 1])
-                            own = K[j, : (j + 1) * q] @ eta[: j + 1].reshape((j + 1) * q, P)
-                            h = x_inf[i] + (v0[i, lo:hi] - x_inf[i]) * r_vals[i][ell]
-                            Vp[ell] = np.maximum(h + Vp[ell] + own, 0.0)
-                        # the push to later steps, through the far-field factor unless
-                        # dense is cheaper, in panels of equal height (see the module docstring)
-                        rows = n - start - m
                         cuts = -(-rows // panel)
-                        pushed = eta.reshape(m * q, P)
-                        left, right = (K[m:], pushed) if rows <= K.shape[0] - tb else (U, W @ pushed)
-                        for c in range(cuts):
-                            a, b = rows * c // cuts, rows * (c + 1) // cuts
-                            Vp[start + 1 + m + a : start + 1 + m + b] += left[a:b] @ right
+                        panels = [(rows * k // cuts, rows * (k + 1) // cuts) for k in range(cuts)]
+                        Vp = V[:, lo:hi]
+                        # the block's far projection c = W @ (its terms), summed over its sub-blocks
+                        c = np.zeros((W.shape[0], P)) if far else None
+                        for j0 in range(0, m, s):
+                            j1 = min(j0 + s, m)
+                            # eta: the stream's next j1 - j0 draws of (q, P); z: the dBperp stream's next rows
+                            eta, z = next(normals)
+                            dW = A[0] @ eta
+                            # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
+                            # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
+                            z *= sqrt_dt  # now What
+                            dB[j0:j1, lo:hi] = rho[i] * dW + rho_c[i] * z
+                            dBp[j0:j1, lo:hi] = rho_c[i] * dW - rho[i] * z
+                            for j in range(j0, j1):
+                                ell = start + j + 1
+                                eta[j - j0] *= scale * s_vals[i][ell] * np.sqrt(Vp[ell - 1])
+                                own = K[j, j0 * q : (j + 1) * q] @ eta[: j - j0 + 1].reshape((j - j0 + 1) * q, P)
+                                h = x_inf[i] + (v0[i, lo:hi] - x_inf[i]) * r_vals[i][ell]
+                                Vp[ell] = np.maximum(h + Vp[ell] + own, 0.0)
+                            # the sub-block's terms, to the rest of its time block and past it
+                            terms, cols = eta.reshape((j1 - j0) * q, P), slice(j0 * q, j1 * q)
+                            if j1 < m:
+                                Vp[start + 1 + j1 : after] += K[j1:m, cols] @ terms
+                            if far:
+                                c += W[:, cols] @ terms
+                            else:
+                                for a, b in panels:
+                                    Vp[after + a : after + b] += K[m + a : m + b, cols] @ terms
+                        if far:
+                            for a, b in panels:
+                                Vp[after + a : after + b] += U[a:b] @ c
                     yield _TimeBlock(i, start, V, dB, dBp)
 
     return v0, run()
@@ -644,12 +708,12 @@ def simulate_variance(
     triangular factor, not of F, so that no (n, b q) orthogonal factor stays
     resident.
 
-    The normals of each time block, (m, q, P) from the asset's stream and
-    (m, P) from the orthogonal driver's, are drawn by one helper thread a
-    block ahead, into two buffers reused for the whole call, while this
-    thread runs the block's products; dB and dBperp are formed block by
-    block.  The helper thread ends before the call returns or raises, and
-    an error it meets is raised here.
+    The normals of each sub-block of s steps, (s, q, P) from the asset's
+    stream and (s, P) from the orthogonal driver's, are drawn by one
+    producer thread running ahead into a ring of three slots reused for the
+    whole call, while this thread runs the products; dB and dBperp are
+    formed sub-block by sub-block.  The producer ends before the call
+    returns or raises, and an error it meets is raised here.
 
     Parameters
     ----------

@@ -1,13 +1,14 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line (with its headline statistic and elapsed
-time) and enforces the quantitative tolerance.  The Monte Carlo criteria share
-one 10^5-path bundle, built on first use; the full module takes several
-minutes on one core.
+time) and enforces the quantitative tolerance.  Criteria 8 and 9 share one
+pass over 10^5 paths, folded as the paths are made on first use, so no
+bundle of them is stored; the full module takes under a minute on one core.
 """
 
 import math
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -17,18 +18,25 @@ from test_riccati import psi_bound_check
 from roughmerton.cli import _default_config_path, load_config, main as cli_main
 from roughmerton.kernels import KernelSpec, resolvent_residual
 from roughmerton.riccati import RiccatiSpec, _variant_coefficients, solve_riccati
-from roughmerton.simulate import ModelParams, SimGrid, simulate_variance
+from roughmerton.simulate import ModelParams, SimGrid, _asset_blocks, simulate_variance
 from roughmerton.stabilizer import build_stabilizer, functional_equation_residual
 from roughmerton.strategy import UtilitySpec, optimal_rule, value_function
 from roughmerton.verify import (
     PerturbationSpec,
+    _fold,
+    _optimality_reducer,
+    _value_reducer,
     martingale_profile,
-    optimality_test,
-    simulate_wealth,
     stationarity_report,
 )
 
 GAMMAS = (0.2, 0.5, 0.8)
+# criterion 9's perturbation directions, each at epsilon 0.1, 0.2 and 0.4
+DIRECTIONS = {
+    "uniform": lambda t: np.ones((2, np.atleast_1d(t).size)),
+    "long_short": lambda t: np.array([[1.0], [-1.0]]) * np.ones((2, np.atleast_1d(t).size)),
+    "decaying": lambda t: 2.0 * (1.0 - np.atleast_1d(t))[None, :] * np.ones((2, 1)),
+}
 _cache: dict = {}
 
 
@@ -38,15 +46,34 @@ def report(criterion: int, passed: bool, detail: str, t0: float):
     assert passed, line
 
 
-def big_bundle(params4, stab4):
-    """10^5 paths, n = 600, V_0 pinned at its mean; shared by criteria 8-10."""
+def big_pass(params4, stab4):
+    """Criteria 8 and 9's statistics from one pass over 10^5 paths, n = 600,
+    V_0 pinned at its mean: the WealthRun of the optimal rule per (kind,
+    gamma), and the ``optimality_test`` report per direction of DIRECTIONS.
+
+    The paths are folded as they are made (one asset's V is held), with the
+    reducers that ``simulate_wealth`` and ``optimality_test`` replay over a
+    stored bundle of the same seed, so the statistics are theirs bit for bit.
+    """
     if "big" not in _cache:
         t0 = time.time()
-        _cache["big"] = simulate_variance(
-            params4, stab4, SimGrid(T=1.0, n_steps=600), n_paths=100_000, seed=42,
-            v0_mode="mean", store_bperp=False,
-        )
-        print(f"[shared bundle: 1e5 paths x 600 steps built in {time.time() - t0:.1f}s]")
+        grid = SimGrid(T=1.0, n_steps=600)
+        utils = [UtilitySpec(kind, g) for kind in ("power", "exponential") for g in GAMMAS]
+        reducers = []
+        for util in utils:
+            sol = solution(params4, stab4, util)
+            reducers.append(_value_reducer(params4, grid.times, [util], [lambda t, sol=sol: optimal_rule(sol, t)]))
+        sol = solution(params4, stab4, UtilitySpec("power", 0.2))
+        reducers += [
+            _optimality_reducer(params4, grid.times, sol, [PerturbationSpec(e, h, label) for e in (0.1, 0.2, 0.4)])
+            for label, h in DIRECTIONS.items()
+        ]
+        v0, blocks = _asset_blocks(params4, stab4, grid, n_paths=100_000, seed=42, v0_mode="mean")
+        with closing(blocks):
+            out = _fold(blocks, v0, params4, reducers)
+        runs = {(u.kind, u.gamma): run for u, (run,) in zip(utils, out)}
+        _cache["big"] = runs, dict(zip(DIRECTIONS, out[len(utils) :]))
+        print(f"[shared pass: 1e5 paths x 600 steps folded in {time.time() - t0:.1f}s]")
     return _cache["big"]
 
 
@@ -169,13 +196,12 @@ def test_criterion_7_degenerate_general_consistency(params4, stab4):
 
 def test_criterion_8_value_agreement(params4, stab4):
     t0 = time.time()
-    bundle = big_bundle(params4, stab4)
+    runs, _ = big_pass(params4, stab4)
     details, ok = [], True
     for kind in ("power", "exponential"):
         for g in GAMMAS:
-            util = UtilitySpec(kind, g)
-            sol = solution(params4, stab4, util)
-            run = simulate_wealth(bundle, util, lambda t: optimal_rule(sol, t))
+            sol = solution(params4, stab4, UtilitySpec(kind, g))
+            run = runs[kind, g]
             analytic = value_function(sol)
             gap = abs(run.mean - analytic)
             tol = 2.0 * run.se + 0.005 * abs(analytic)
@@ -187,17 +213,9 @@ def test_criterion_8_value_agreement(params4, stab4):
 
 def test_criterion_9_martingale_optimality(params4, stab4):
     t0 = time.time()
-    bundle = big_bundle(params4, stab4)
-    sol = solution(params4, stab4, UtilitySpec("power", 0.2))
-    directions = {
-        "uniform": lambda t: np.ones((2, np.atleast_1d(t).size)),
-        "long_short": lambda t: np.array([[1.0], [-1.0]]) * np.ones((2, np.atleast_1d(t).size)),
-        "decaying": lambda t: 2.0 * (1.0 - np.atleast_1d(t))[None, :] * np.ones((2, 1)),
-    }
+    _, reports = big_pass(params4, stab4)
     ok, details = True, []
-    for label, h in directions.items():
-        perts = [PerturbationSpec(e, h, label) for e in (0.1, 0.2, 0.4)]
-        rep = optimality_test(bundle, sol, perts)
+    for label, rep in reports.items():
         zs = [e["z"] for e in rep["perturbations"]]
         curv = np.array([e["delta_over_eps2"] for e in rep["perturbations"]])
         spread = float(np.max(np.abs(curv / curv.mean() - 1.0)))

@@ -431,9 +431,25 @@ class TestFarField:
             assert np.array_equal(getattr(far, name), getattr(dense, name))
 
 
-# one step, one full time block and a partial one, several time blocks
-@pytest.mark.parametrize("n", [1, 37, 130, 300])
-def test_matches_step_by_step_oracle(oracle_model, n):
+# a slot budget of 8 steps of a 20-path block at q = 6 (9 at q = 5, 18 at
+# alpha = 1's q = 2), so that sub-blocks are shorter than a time block;
+# the 5-path block's slot still holds a whole one
+SUB_BLOCK_SLOT = 8 * 7 * 20 * 8
+
+
+@pytest.fixture(params=["whole", "sub"])
+def slot_budget(request, monkeypatch):
+    """Run a test with the packaged slot budget, then with SUB_BLOCK_SLOT."""
+    if request.param == "sub":
+        monkeypatch.setattr(simulate, "_SLOT_BYTES", SUB_BLOCK_SLOT)
+        assert simulate._slot_steps(6, 20, simulate._TIME_BLOCK) == 8
+
+
+# one step, one full time block and a partial one (at SUB_BLOCK_SLOT, the
+# last block of n = 45 holds one full sub-block and a partial one), several
+# time blocks
+@pytest.mark.parametrize("n", [1, 37, 45, 130, 300])
+def test_matches_step_by_step_oracle(oracle_model, n, slot_budget):
     p, tabs = oracle_model
     grid = SimGrid(T=1.0, n_steps=n)
     # 45 paths in blocks of 20: three path blocks, the last one partial
@@ -586,7 +602,41 @@ class TestSimulate:
         assert calls["n"] >= 4
         assert threading.active_count() == before
 
-    def test_drivers_match_serial_draws(self, params4, stab4):
+    def test_pass_holds_a_ring_of_normals(self, params4, stab4):
+        # few steps and one large path block, where the normals dominate: the
+        # pass holds one asset's V, the ring's slots of eta and z, one time
+        # block's dB and dBperp, the far projection and one push panel
+        n, M, tb = 64, 20_000, simulate._TIME_BLOCK
+        factors = [integral_factor(params4.kernel_spec(i), 1.0 / n, n) for i in range(params4.d)]
+        ranks = [A.shape[1] for A in factors]
+        r = max(_block_push(A, n, tb)[2].shape[0] for A in factors)
+        ring = simulate._RING_SLOTS * max((q + 1) * simulate._slot_steps(q, M, tb) for q in ranks) * M * 8
+        # and 4 MB for what grows with neither n nor M (the factors, the stabilizer values)
+        bound = (n + 1) * M * 8 + ring + 2 * tb * M * 8 + r * M * 8 + simulate._PANEL_BYTES + (4 << 20)
+        # two time blocks of normals, drawn one block ahead, would not fit
+        assert 2 * tb * (max(ranks) + 1) * M * 8 > bound
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, blocks = simulate._asset_blocks(params4, stab4, SimGrid(T=1.0, n_steps=n), M, seed=9)
+            for _ in blocks:
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_closing_the_pass_early_ends_the_producer(self, params4, stab4):
+        # seven time blocks of three path blocks: after two time blocks the
+        # producer waits on a full ring, and closing must wake and end it
+        before = threading.active_count()
+        _, blocks = simulate._asset_blocks(params4, stab4, SimGrid(T=1.0, n_steps=200), 45, seed=4, block_size=20)
+        next(blocks), next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_drivers_match_serial_draws(self, params4, stab4, slot_budget):
         # three time blocks (the last partial) and three path blocks (the last partial)
         grid, n_paths, block_size, seed = SimGrid(T=1.0, n_steps=70), 45, 20, 8
         b = simulate_variance(params4, stab4, grid, n_paths, seed, block_size=block_size)

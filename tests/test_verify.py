@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -624,6 +625,33 @@ class TestFold:
         for weights in (reducer.on_v, reducer.on_db, reducer.on_perp):
             assert weights.shape == (p.d, m, self.N)
 
+    def test_a_reducer_error_ends_the_pass(self):
+        # weights that fail on the fold's third time block, while the draw
+        # thread runs ahead: the error reaches the caller, and no thread
+        # outlives the pass
+        config = dataclasses.replace(
+            load_config(_default_config_path()), n_sim=200, paths=self.P, block_size=self.BLOCK
+        )
+        d, n = config.params.d, config.n_sim
+        reads = []
+
+        class FailingWeights:
+            def __getitem__(self, key):
+                reads.append(key)
+                if len(reads) == 3:
+                    raise RuntimeError("reducer failed")
+                return np.zeros((d, 1, n))[key]
+
+        reducer = verify._Reducer(
+            np.zeros(1), np.zeros((d, 1)), FailingWeights(), np.zeros((d, 1, n)), None, lambda acc, v0: acc
+        )
+        tabs = cli._stab_tables(config)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="reducer failed"):
+            cli._fold_paths(config, tabs, [reducer])
+        assert len(reads) == 3
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("kind", ["power", "exponential"])
     def test_live_fold_equals_stored_bundle(self, kind):
         config = dataclasses.replace(
@@ -663,9 +691,10 @@ class TestFold:
         d, tb = config.params.d, _TIME_BLOCK
         q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
         one_asset = (n + 1) * M * 8
-        # the simulator's buffers: the normals of a time block and path block,
-        # drawn one ahead into two buffers, and a push's panel and W @ pushed
-        normals = 2 * tb * (q + 1) * block * 8
+        # the simulator's buffers: the ring's slots of normals (at 250 paths a
+        # slot holds a whole time block), and a push's panel and the far
+        # projection with one sub-block's product to it
+        normals = simulate._RING_SLOTS * simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
         push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
         # the fold's rows: one per gamma, the optimal rule and six perturbations, and K + 1 of the profile
         rows = len(config.gammas) + 7 + verify._CHECKPOINTS + 1
@@ -702,7 +731,7 @@ class TestFold:
         q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
         one_asset = (n + 1) * M * 8
         # the simulator's buffers, as in verify's bound
-        normals = 2 * tb * (q + 1) * block * 8
+        normals = simulate._RING_SLOTS * simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
         push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
         # a time block's dB and dBperp and two temporaries of its rows; the
         # moment curves' two temporaries of a time block's tb + 1 rows

@@ -4,7 +4,7 @@ Every subcommand runs under both utilities on each given config (default: the
 packaged config), in one process, into a temporary directory.  The script
 prints each invocation's exit code, one ``sha256 path`` line per emitted file,
 one ``sha256 bundle/<case>/<field>`` line per array of ``simulate_variance``'s
-bundle in two fixed cases on the packaged config (``BUNDLE_CASES``), so that
+bundle in three fixed cases on the packaged config (``BUNDLE_CASES``), so that
 the stored route is covered too, and, last, the code-line count of
 ``src/roughmerton`` (lines that are not blank, comment or docstring).  Run
 from the repository root:
@@ -48,10 +48,12 @@ _NOT_CODE = {
 
 # name: (n_steps, simulate_variance keywords); three path blocks, the last
 # partial, and three time blocks, the last partial; then one path block with
-# V_0 pinned at its mean and no dBperp
+# V_0 pinned at its mean and no dBperp; then one path block so large that a
+# slot of normals holds fewer steps than a time block (12-14 of 32)
 BUNDLE_CASES = {
     "p45_b20_n70": (70, {"n_paths": 45, "seed": 19, "block_size": 20}),
     "p700_n130_mean": (130, {"n_paths": 700, "seed": 5, "v0_mode": "mean", "store_bperp": False}),
+    "p6000_n70": (70, {"n_paths": 6000, "seed": 23}),
 }
 
 
