@@ -84,7 +84,9 @@ scoped to the pass) runs ahead of the calling thread, drawing each
 sub-block's normals into a ring of ``_RING_SLOTS`` preallocated slots until
 the ring is full; a slot is free again once the caller has moved to the next
 sub-block, whose terms then live on only in V and c.  So the normals cost
-three slots, not time blocks, of memory.  Each asset stream makes one
+three slots, not two time blocks, of memory.  Where three slots would hold
+more than two whole time blocks (a slot of more than two thirds of a block,
+as at 1000 paths) the ring has two.  Each asset stream makes one
 (s, q, P) draw per sub-block and the dBperp stream one (s, P) draw, which
 are the same streams as one (n, q, P) and one (n, P) draw.  Every generator
 is used by the producer alone, in its serial order, so the normals, dB and
@@ -142,7 +144,8 @@ _PANEL_BYTES = 4 << 20
 # the packaged q = 5-6, 7-8 steps of a 10^4-path block, a whole time block of
 # a 1000-path one.
 _SLOT_BYTES = 4 << 20
-# Slots of the draw ring: one in use, two drawn ahead.
+# Slots of the draw ring: one in use, two drawn ahead (two slots where three
+# would hold more than two whole time blocks of normals).
 _RING_SLOTS = 3
 # Relative singular-value cut of a block push's far-field factor.  The
 # singular values of the far field fall about tenfold per index; at the
@@ -467,21 +470,21 @@ def _slot_steps(q: int, P: int, b: int) -> int:
     return max(1, min(b, _SLOT_BYTES // (8 * (q + 1) * P)))
 
 
-def _normals_ahead(draws, size: int):
+def _normals_ahead(draws, size: int, n_slots: int):
     """Yield the standard normals (eta, z) of each draw of ``draws``, in order.
 
     Each draw is (rng, bperp_rng, (m, q, P)): eta of shape (m, q, P) comes
     from rng and z of shape (m, P) from bperp_rng, (q + 1) m P <= ``size``
     doubles in all.  One producer thread draws them into a ring of
-    ``_RING_SLOTS`` slots of ``size`` doubles, running ahead of the caller
+    ``n_slots`` slots of ``size`` doubles, running ahead of the caller
     until the ring is full, so a yielded pair is valid until the next is
     requested.  The producer is the only user of every generator and draws
     in order, so the values are those of a serial loop.  Closing the
     generator stops the producer and waits for it; an error the producer
     meets is raised to the caller in place of the draw it failed on.
     """
-    slots = [np.empty(size) for _ in range(_RING_SLOTS)]
-    free, ready = threading.Semaphore(_RING_SLOTS), threading.Semaphore(0)
+    slots = [np.empty(size) for _ in range(n_slots)]
+    free, ready = threading.Semaphore(n_slots), threading.Semaphore(0)
     stop, filled = threading.Event(), deque()
 
     def produce():
@@ -490,7 +493,7 @@ def _normals_ahead(draws, size: int):
                 free.acquire()
                 if stop.is_set():
                     return
-                slot = slots[k % _RING_SLOTS]
+                slot = slots[k % n_slots]
                 eta = rng.standard_normal(out=slot[: m * q * P].reshape(m, q, P))
                 z = bperp_rng.standard_normal(out=slot[m * q * P : m * (q + 1) * P].reshape(m, P))
                 filled.append((eta, z))
@@ -552,7 +555,7 @@ def _asset_blocks(
     One asset's V, (n+1, M), and one time block's rows of dB and dBperp are
     held, and each is overwritten by the next asset or block, so a yielded
     block is valid until the next is requested.  Besides them the pass holds
-    the ring of ``_RING_SLOTS`` slots of one sub-block's normals, and for a
+    the ring of two or three slots of one sub-block's normals, and for a
     far-field push one block's projection c, (r, P).  Closing the generator
     ends the pass and its producer thread.
 
@@ -612,7 +615,9 @@ def _asset_blocks(
         V, held = np.empty((n + 1, n_paths)), np.empty((2, tb, n_paths))
         ranks, sizes = {A.shape[1] for A in factors}, {hi - lo for lo, hi in spans}
         size = max((q + 1) * P * _slot_steps(q, P, tb) for q in ranks for P in sizes)
-        with closing(_normals_ahead(draws(), size)) as normals:
+        # never more than two whole time blocks of normals
+        n_slots = _RING_SLOTS if _RING_SLOTS * size <= 2 * tb * (max(ranks) + 1) * max(sizes) else 2
+        with closing(_normals_ahead(draws(), size, n_slots)) as normals:
             for i in range(d):
                 A, (K, U, W) = factors[i], pushes[i]
                 q = A.shape[1]
@@ -630,17 +635,18 @@ def _asset_blocks(
                     after = start + 1 + m
                     for lo, hi in spans:
                         P = hi - lo
-                        s = _slot_steps(q, P, tb)
                         panel = max(1, _PANEL_BYTES // (8 * P))
                         cuts = -(-rows // panel)
                         panels = [(rows * k // cuts, rows * (k + 1) // cuts) for k in range(cuts)]
                         Vp = V[:, lo:hi]
                         # the block's far projection c = W @ (its terms), summed over its sub-blocks
                         c = np.zeros((W.shape[0], P)) if far else None
-                        for j0 in range(0, m, s):
-                            j1 = min(j0 + s, m)
-                            # eta: the stream's next j1 - j0 draws of (q, P); z: the dBperp stream's next rows
+                        j0 = 0
+                        while j0 < m:
+                            # eta: the stream's next sub-block of (q, P) draws, steps j0 to j1 of
+                            # the block; z: the dBperp stream's next rows
                             eta, z = next(normals)
+                            j1 = j0 + eta.shape[0]
                             dW = A[0] @ eta
                             # B = rho W + rho_c What, Bperp = rho_c W - rho What: independent
                             # Brownian pair with W = rho B + rho_c Bperp and Corr(B, W) = rho
@@ -662,6 +668,7 @@ def _asset_blocks(
                             else:
                                 for a, b in panels:
                                     Vp[after + a : after + b] += K[m + a : m + b, cols] @ terms
+                            j0 = j1
                         if far:
                             for a, b in panels:
                                 Vp[after + a : after + b] += U[a:b] @ c
@@ -710,8 +717,9 @@ def simulate_variance(
 
     The normals of each sub-block of s steps, (s, q, P) from the asset's
     stream and (s, P) from the orthogonal driver's, are drawn by one
-    producer thread running ahead into a ring of three slots reused for the
-    whole call, while this thread runs the products; dB and dBperp are
+    producer thread running ahead into a ring of three slots (two where a
+    slot holds most of a time block) reused for the whole call, while this
+    thread runs the products; dB and dBperp are
     formed sub-block by sub-block.  The producer ends before the call
     returns or raises, and an error it meets is raised here.
 

@@ -691,10 +691,12 @@ class TestFold:
         d, tb = config.params.d, _TIME_BLOCK
         q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
         one_asset = (n + 1) * M * 8
-        # the simulator's buffers: the ring's slots of normals (at 250 paths a
-        # slot holds a whole time block), and a push's panel and the far
-        # projection with one sub-block's product to it
-        normals = simulate._RING_SLOTS * simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
+        # the simulator's buffers: the normals, in a ring of slots that never
+        # holds more than two time blocks of them (at 250 paths a slot holds a
+        # whole time block, and the ring has two), and a push's panel and the
+        # far projection with one sub-block's product to it
+        slot = simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
+        normals = min(2 * tb * (q + 1) * block * 8, simulate._RING_SLOTS * slot)
         push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
         # the fold's rows: one per gamma, the optimal rule and six perturbations, and K + 1 of the profile
         rows = len(config.gammas) + 7 + verify._CHECKPOINTS + 1
@@ -731,7 +733,8 @@ class TestFold:
         q = max(integral_factor(config.params.kernel_spec(i), 1.0 / n, n).shape[1] for i in range(d))
         one_asset = (n + 1) * M * 8
         # the simulator's buffers, as in verify's bound
-        normals = simulate._RING_SLOTS * simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
+        slot = simulate._slot_steps(q, block, tb) * (q + 1) * block * 8
+        normals = min(2 * tb * (q + 1) * block * 8, simulate._RING_SLOTS * slot)
         push = min(simulate._PANEL_BYTES, n * block * 8) + tb * q * block * 8
         # a time block's dB and dBperp and two temporaries of its rows; the
         # moment curves' two temporaries of a time block's tb + 1 rows
