@@ -46,11 +46,11 @@ packaged sizes, against b q = 160-192 columns: a far-field factor U W = F
 up to ``_FAR_CUT`` sigma_1 (the low-rank blocks of hierarchical matrices,
 Hackbusch 2015) pushes in r (rows + b q) multiply-adds per path instead of
 rows b q, as U[:rows] @ c, where the block's far projection c, (r, P),
-sums W[:, cols] @ (terms) over its sub-blocks.  A push of few rows stays
-dense, where that costs no more, and each sub-block pushes its own columns.
-So the push costs O(n (r q + n r / b) P) flops per asset and block of P
-paths, not O(n^2 q P), all in BLAS-3 products, and memory stays O(n P); at
-n = 600 and 2400 the push's multiply-adds fall 2.4x and 3.5x.  The factor
+sums W[:, cols] @ (terms) over its sub-blocks.  Every push takes this route;
+the last block pushes nowhere, and its projection is empty.  So the push
+costs O(n (r q + n r / b) P) flops per asset and block of P paths, not
+O(n^2 q P), all in BLAS-3 products, and memory stays O(n P); at n = 600
+and 2400 the push's multiply-adds fall 2.3x and 3.5x.  The factor
 is built once per pass from the SVD of the triangular factor R of F = Q R,
 at most (b q)^2: an SVD of F itself forms its (n, b q) left factor, and
 left 14 MB more resident after a call at 2400 steps and 1000 paths.  V moves
@@ -203,8 +203,8 @@ class ModelParams:
     price of risk ``theta`` >= 0, leverage ``rho`` in [-1, 1], mean-level
     drive ``mu0``, and variance scale ``c`` >= 0 (so Var(V_0) = c nu^2 x_inf).
 
-    ``rate`` is the piecewise-constant short rate, ``T`` the horizon and
-    ``x0`` the initial wealth.  Risk aversion belongs to the utility
+    ``rate`` is the piecewise-constant short rate, ``T`` the finite horizon
+    and ``x0`` the finite initial wealth.  Risk aversion belongs to the utility
     (``strategy.UtilitySpec``), which the Riccati solution carries; a
     ``gamma`` keyword is accepted for older callers and ignored.
     """
@@ -246,6 +246,8 @@ class ModelParams:
             raise ValueError("mu0 must be >= 0")
         if not 0.0 < self.T < math.inf:
             raise ValueError("horizon T must be finite and > 0")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"parameter x0 must be finite, got {self.x0}")
 
     @property
     def d(self) -> int:
@@ -267,14 +269,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SimGrid:
-    """Uniform time grid t_k = k T / n on [0, T]."""
+    """Uniform time grid t_k = k T / n on [0, T], for a finite T > 0 and an integer n >= 1."""
 
     T: float
     n_steps: int
 
     def __post_init__(self):
-        if not 0.0 < self.T < math.inf or self.n_steps < 1:
-            raise ValueError(f"SimGrid requires a finite T > 0 and n_steps >= 1, got {self}")
+        if not (0.0 < self.T < math.inf and isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise ValueError(f"SimGrid requires a finite T > 0 and an integer n_steps >= 1, got {self}")
 
     @property
     def dt(self) -> float:
@@ -297,8 +299,8 @@ class PathBundle:
         Variance paths, shape (d, n+1, n_paths), truncated at 0.
     dB : np.ndarray
         Stock-driver increments, shape (d, n, n_paths).
-    dBperp : np.ndarray or None
-        Orthogonal increments; the variance driver is
+    dBperp : np.ndarray
+        Orthogonal increments, shape (d, n, n_paths); the variance driver is
         dW = rho dB + sqrt(1 - rho^2) dBperp.
     integrals : None
         Always None: no route stores the Gaussian integral draws.  The field
@@ -312,7 +314,7 @@ class PathBundle:
     times: np.ndarray
     V: np.ndarray
     dB: np.ndarray
-    dBperp: np.ndarray | None
+    dBperp: np.ndarray
     integrals: np.ndarray | None
     v0: np.ndarray
     params: "ModelParams"
@@ -438,31 +440,23 @@ def _toeplitz_gather(A: np.ndarray, n: int, b: int) -> np.ndarray:
 def _block_push(A: np.ndarray, n: int, b: int):
     """The in-block and push operators of time blocks of ``b`` steps: (K, U, W).
 
-    A full block pushes its (b q, P) terms to the ``rows`` steps after it
-    with F[:rows], F = ``_toeplitz_gather(A, n, b)[b:]`` (the lags >= 2).  F
-    has numerical rank r far below b q, so with W the r leading right
-    singular vectors of F (the singular values above ``_FAR_CUT`` of the
-    largest) and U = F W^T, U[:rows] @ (W @ pushed) is that push in
-    r (rows + b q) multiply-adds per path instead of rows b q, and
-    |F - U W|_2 <= _FAR_CUT sigma_1(F) up to rounding.  The right factor
-    comes from the SVD of the triangular R of F = Q R, at most (b q)^2, so no
-    (n, b q) orthogonal factor is ever held.
-
-    A push of at most ``K.shape[0] - b`` rows costs no more dense, as
-    K[b:b + rows] @ pushed; K holds those rows after the b rows of the
-    in-block sums, and nothing beyond.
+    K, (b, b q), holds the rows of the in-block sums.  A full block pushes
+    its (b q, P) terms to the ``rows`` steps after it with F[:rows], F =
+    ``_toeplitz_gather(A, n, b)[b:]`` (the lags >= 2).  F has numerical rank
+    r far below b q, so with W the r leading right singular vectors of F
+    (the singular values above ``_FAR_CUT`` of the largest) and U = F W^T,
+    U[:rows] @ (W @ pushed) is that push in r (rows + b q) multiply-adds per
+    path instead of rows b q, and |F - U W|_2 <= _FAR_CUT sigma_1(F) up to
+    rounding.  The right factor comes from the SVD of the triangular R of
+    F = Q R, at most (b q)^2, so no (n, b q) orthogonal factor is ever held.
     """
     K = _toeplitz_gather(A, n, b)
     F = K[b:]
-    cols = F.shape[1]
     if F.shape[0] == 0:
-        return K, np.empty((0, 0)), np.empty((0, cols))
+        return K, np.empty((0, 0)), np.empty((0, F.shape[1]))
     _, s, W = np.linalg.svd(np.linalg.qr(F, mode="r"))
     W = W[: np.count_nonzero(s > _FAR_CUT * s[0])]
-    r = W.shape[0]
-    # r (rows + cols) >= rows cols, the dense push costs no more, iff rows <= r cols / (cols - r)
-    dense = F.shape[0] if r >= cols else min(F.shape[0], r * cols // (cols - r))
-    return K[: b + dense].copy(), F @ W.T, W
+    return K[:b].copy(), F @ W.T, W
 
 
 def _slot_steps(q: int, P: int, b: int) -> int:
@@ -524,15 +518,14 @@ class _TimeBlock(NamedTuple):
     """One finished time block of one asset's paths.
 
     ``V`` is the asset's (n+1, M) variance paths, final up to row start + m;
-    ``dB`` and ``dBperp`` are the block's m rows of the increments, (m, M) each
-    (``dBperp`` None where it is not kept).
+    ``dB`` and ``dBperp`` are the block's m rows of the increments, (m, M) each.
     """
 
     asset: int
     start: int
     V: np.ndarray
     dB: np.ndarray
-    dBperp: np.ndarray | None
+    dBperp: np.ndarray
 
 
 def _asset_blocks(
@@ -555,9 +548,9 @@ def _asset_blocks(
     One asset's V, (n+1, M), and one time block's rows of dB and dBperp are
     held, and each is overwritten by the next asset or block, so a yielded
     block is valid until the next is requested.  Besides them the pass holds
-    the ring of two or three slots of one sub-block's normals, and for a
-    far-field push one block's projection c, (r, P).  Closing the generator
-    ends the pass and its producer thread.
+    the ring of two or three slots of one sub-block's normals, and one
+    block's far projection c, (r, P).  Closing the generator ends the pass
+    and its producer thread.
 
     Every generator draws in its own order whatever the loop order: one
     stream per asset and path block, the path block's V_0 stream (drawn
@@ -628,10 +621,10 @@ def _asset_blocks(
                 for start in range(0, n, tb):
                     m = min(tb, n - start)
                     dB, dBp = held[:, :m]
-                    # the push to the rows after the block, through the far-field
-                    # factor unless dense is cheaper (see the module docstring)
+                    # the push to the rows after the block, through the far-field factor;
+                    # the last block pushes nowhere, so its projection is empty
                     rows = n - start - m
-                    far = rows > K.shape[0] - tb
+                    r = W.shape[0] if rows else 0
                     after = start + 1 + m
                     for lo, hi in spans:
                         P = hi - lo
@@ -640,7 +633,7 @@ def _asset_blocks(
                         panels = [(rows * k // cuts, rows * (k + 1) // cuts) for k in range(cuts)]
                         Vp = V[:, lo:hi]
                         # the block's far projection c = W @ (its terms), summed over its sub-blocks
-                        c = np.zeros((W.shape[0], P)) if far else None
+                        c = np.zeros((r, P))
                         j0 = 0
                         while j0 < m:
                             # eta: the stream's next sub-block of (q, P) draws, steps j0 to j1 of
@@ -663,15 +656,10 @@ def _asset_blocks(
                             terms, cols = eta.reshape((j1 - j0) * q, P), slice(j0 * q, j1 * q)
                             if j1 < m:
                                 Vp[start + 1 + j1 : after] += K[j1:m, cols] @ terms
-                            if far:
-                                c += W[:, cols] @ terms
-                            else:
-                                for a, b in panels:
-                                    Vp[after + a : after + b] += K[m + a : m + b, cols] @ terms
+                            c += W[:r, cols] @ terms
                             j0 = j1
-                        if far:
-                            for a, b in panels:
-                                Vp[after + a : after + b] += U[a:b] @ c
+                        for a, b in panels:
+                            Vp[after + a : after + b] += U[a:b] @ c
                     yield _TimeBlock(i, start, V, dB, dBp)
 
     return v0, run()
@@ -684,8 +672,7 @@ def _bundle_blocks(bundle: PathBundle):
     for i in range(bundle.params.d):
         for start in range(0, n, tb):
             rows = slice(start, start + tb)
-            dBperp = None if bundle.dBperp is None else bundle.dBperp[i, rows]
-            yield _TimeBlock(i, start, bundle.V[i], bundle.dB[i, rows], dBperp)
+            yield _TimeBlock(i, start, bundle.V[i], bundle.dB[i, rows], bundle.dBperp[i, rows])
 
 
 def simulate_variance(
@@ -695,7 +682,6 @@ def simulate_variance(
     n_paths: int,
     seed: int,
     v0_mode: str = "gaussian",
-    store_bperp: bool = True,
     block_size: int = 25000,
 ) -> PathBundle:
     """Simulate variance paths and correlated Brownian drivers.
@@ -707,13 +693,12 @@ def simulate_variance(
     steps: inside a block each step adds the block's own terms (one product
     of length at most b q), and a finished block pushes its terms to every
     later step through a rank-r far-field factor of the push operator
-    (r ~ 48; dense where that is cheaper, see ``_block_push``).  Per asset
-    this is O(n (r q + n r / b) P) flops in matrix products for a block of P
-    paths; the normals are those of the step-by-step scheme, and the sums
-    are its sums in another order, with the push operator held to
-    ``_FAR_CUT`` of its norm.  The factor comes from the SVD of F's small
-    triangular factor, not of F, so that no (n, b q) orthogonal factor stays
-    resident.
+    (r ~ 48, see ``_block_push``).  Per asset this is O(n (r q + n r / b) P)
+    flops in matrix products for a block of P paths; the normals are those
+    of the step-by-step scheme, and the sums are its sums in another order,
+    with the push operator held to ``_FAR_CUT`` of its norm.  The factor
+    comes from the SVD of F's small triangular factor, not of F, so that no
+    (n, b q) orthogonal factor stays resident.
 
     The normals of each sub-block of s steps, (s, q, P) from the asset's
     stream and (s, P) from the orthogonal driver's, are drawn by one
@@ -737,31 +722,27 @@ def simulate_variance(
         bit-reproducible and blocks are independent.
     v0_mode : {"gaussian", "mean"}
         Draw V_0 from its stationary Gaussian, or pin it at E[V_0] = x_inf.
-    store_bperp : bool
-        Keep dBperp (memory: d*n*n_paths doubles).
     block_size : int
         Paths per streamed block.
 
     Returns
     -------
     PathBundle
-        Its V, dB and dBperp hold (2 + store_bperp) d n n_paths doubles, and
-        ``integrals`` is None.  Each yielded block's final rows of V, its dB
-        and its dBperp are copied in, so the call also holds the live pass's
-        one asset's V and one time block's rows while it runs; consumers that
-        reduce as the paths are made (every subcommand of ``cli``) hold only
-        those.
+        Its V, dB and dBperp hold 3 d n n_paths doubles, and ``integrals``
+        is None.  Each yielded block's final rows of V, its dB and its dBperp
+        are copied in, so the call also holds the live pass's one asset's V
+        and one time block's rows while it runs; consumers that reduce as the
+        paths are made (every subcommand of ``cli``) hold only those.
     """
     v0, blocks = _asset_blocks(params, stab, grid, n_paths, seed, v0_mode, block_size)
     d, n = params.d, grid.n_steps
     V = np.empty((d, n + 1, n_paths))
     dB = np.empty((d, n, n_paths))
-    dBperp = np.empty((d, n, n_paths)) if store_bperp else None
+    dBperp = np.empty((d, n, n_paths))
     V[:, 0] = v0
     for blk in blocks:
         i, lo, hi = blk.asset, blk.start, blk.start + blk.dB.shape[0]
         V[i, lo + 1 : hi + 1] = blk.V[lo + 1 : hi + 1]
         dB[i, lo:hi] = blk.dB
-        if store_bperp:
-            dBperp[i, lo:hi] = blk.dBperp
+        dBperp[i, lo:hi] = blk.dBperp
     return PathBundle(times=grid.times, V=V, dB=dB, dBperp=dBperp, integrals=None, v0=v0, params=params)

@@ -491,16 +491,14 @@ def martingale_profile(bundle: PathBundle, sol: RiccatiSolution) -> dict:
     """Sample-mean profile of the pathwise value process J_t under the optimal rule.
 
     J is evaluated at the checkpoint rows of the bundle grid (K + 1 of them,
-    or every row when n <= K).  Requires a bundle with dBperp stored.  Each
-    path's g_0 is taken at its own V_0, so mean J_0 matches ``value``, the
-    mean over paths of the analytic value at each path's V_0.  Returns a dict
+    or every row when n <= K).  Each path's g_0 is taken at its own V_0, so
+    mean J_0 matches ``value``, the mean over paths of the analytic value at
+    each path's V_0.  Returns a dict
     with the checkpoint times, mean J, the paired standard error of
     J_t - J_0, the flatness statistic max_k |mean_k - mean_0| / SE_k over the
     checkpoints, and the two endpoint references; ``terminal_mean_utility``
     is the mean of J_T = U(X_T).
     """
-    if bundle.dBperp is None:
-        raise ValueError("the martingale profile needs a bundle built with dBperp storage")
     return _replay(bundle, _profile_reducer(bundle.params, bundle.times, sol))
 
 

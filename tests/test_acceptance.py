@@ -115,8 +115,7 @@ def test_criterion_2_stabilizer_functional_equation(stab4):
 def test_criterion_3_fake_stationarity(params4, stab4):
     t0 = time.time()
     bundle = simulate_variance(
-        params4, stab4, SimGrid(T=1.0, n_steps=600), n_paths=10_000, seed=42,
-        store_bperp=False,
+        params4, stab4, SimGrid(T=1.0, n_steps=600), n_paths=10_000, seed=42
     )
     stats = stationarity_report(bundle)
     worst = max(max(r["mean_stat"], r["var_stat"]) for r in stats)
@@ -229,7 +228,7 @@ def test_criterion_10_martingale_profile(params4, stab4):
     t0 = time.time()
     bundle = simulate_variance(
         params4, stab4, SimGrid(T=1.0, n_steps=600), n_paths=10_000, seed=42,
-        v0_mode="mean", store_bperp=True,
+        v0_mode="mean",
     )
     sol = solution(params4, stab4, UtilitySpec("power", 0.2))
     prof = martingale_profile(bundle, sol)

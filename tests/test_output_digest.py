@@ -38,16 +38,19 @@ def test_reruns_give_identical_digests(tmp_path, capsys):
     assert "out/small/value_exponential/value.json" in {d[1] for d in digests}
     # per utility: 2 files each from stabilizer, riccati, simulate, strategy
     # (one per gamma) and verify, value.json, and fig1-fig4 from all; then
-    # V, dB, dBperp and v0 of the first and third fixed bundles and V, dB and
-    # v0 of the second
-    assert len(digests) == 2 * 15 + 11
+    # V, dB, dBperp and v0 of each of the three fixed bundles
+    assert len(digests) == 2 * 15 + 12
     bundles = [d[1] for d in digests if d[1].startswith("bundle/")]
-    full, no_perp = ("V", "dB", "dBperp", "v0"), ("V", "dB", "v0")
     assert bundles == [
-        f"bundle/{case}/{field}"
-        for case, fields in zip(tool.BUNDLE_CASES, (full, no_perp, full))
-        for field in fields
+        f"bundle/{case}/{field}" for case in tool.BUNDLE_CASES for field in ("V", "dB", "dBperp", "v0")
     ]
+    # one code-line count per module, then their total
+    counts = [line.rsplit(": ", 1) for line in lines if line.startswith("code lines")]
+    modules = sorted(name for name in os.listdir(os.path.dirname(cli.__file__)) if name.endswith(".py"))
+    assert [label for label, _ in counts] == [f"code lines in src/roughmerton/{m}" for m in modules] + [
+        "code lines in src/roughmerton"
+    ]
+    assert sum(int(n) for _, n in counts[:-1]) == int(counts[-1][1]) > 0
     assert lines[-1].startswith("code lines in src/roughmerton: ")
 
 

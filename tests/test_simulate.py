@@ -255,15 +255,19 @@ class TestModelParams:
                 ModelParams(**{**kw, "T": T})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["alpha", "lam", "nu", "theta", "rho", "mu0", "c"])
+    @pytest.mark.parametrize("field", ["alpha", "lam", "nu", "theta", "rho", "mu0", "c", "x0"])
     def test_rejects_non_finite_entries(self, params4, field, bad):
-        # a NaN passes every range comparison, so finiteness is checked first
+        # a NaN passes every range comparison, so finiteness is checked first;
+        # a non-finite x0 used to pass construction and fail only after a whole pass
         kw = dict(
             alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
-            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0,
+            rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, x0=1.0,
         )
-        value = list(kw[field])
-        value[1] = bad
+        if field == "x0":
+            value = bad
+        else:
+            value = list(kw[field])
+            value[1] = bad
         with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
             ModelParams(**{**kw, field: value})
 
@@ -368,7 +372,7 @@ class TestSampling:
     @staticmethod
     def gaussian_v0(params, stab, n_paths, seed):
         grid = SimGrid(T=params.T, n_steps=1)
-        return simulate_variance(params, stab, grid, n_paths, seed, v0_mode="gaussian", store_bperp=False).v0
+        return simulate_variance(params, stab, grid, n_paths, seed, v0_mode="gaussian").v0
 
     def test_sample_v0_stats_and_floor(self, params4, stab4):
         v0 = self.gaussian_v0(params4, stab4, 200_000, seed=7)
@@ -399,8 +403,15 @@ def oracle_model(request, params4):
     return p, tabs
 
 
+def dense_push(A, n, b):
+    """``_block_push`` with U = F and W = I: every push is the dense product F @ terms, exactly."""
+    K = _toeplitz_gather(A, n, b)
+    return K[:b], K[b:], np.eye(K.shape[1])
+
+
 class TestFarField:
-    @pytest.mark.parametrize("n", [130, 600, 2400])
+    # n = 45: a full block and a partial one, so F has 13 rows, fewer than its rank elsewhere
+    @pytest.mark.parametrize("n", [45, 130, 600, 2400])
     @pytest.mark.parametrize("alpha,lam", [(0.6, 0.6), (0.9, 0.2), (1.0, 0.7)])
     def test_factor_reproduces_the_push_operator(self, alpha, lam, n):
         A = integral_factor(KernelSpec(alpha, lam), 1.0 / n, n)
@@ -412,18 +423,19 @@ class TestFarField:
         sigma = np.linalg.norm(F, 2)
         assert np.linalg.norm(F - U @ W, 2) <= _FAR_CUT * sigma
         assert np.allclose(W @ W.T, np.eye(r), rtol=0.0, atol=1e-14)
-        assert r == 1 if alpha == 1.0 else 40 <= r <= 52
-        # K keeps the in-block rows and the rows of the pushes dense is cheaper for
-        dense = [rows for rows in range(1, n - tb + 1) if r * (rows + cols) >= rows * cols]
-        assert K.shape[0] == tb + max(dense, default=0)
-        assert np.array_equal(K, _toeplitz_gather(A, n, tb)[: K.shape[0]])
+        assert r == 1 if alpha == 1.0 else min(40, F.shape[0]) <= r <= 52
+        # K keeps the in-block rows only: every push goes through U W
+        assert K.shape == (tb, cols)
+        assert np.array_equal(K, _toeplitz_gather(A, n, tb)[:tb])
 
-    def test_far_field_push_matches_dense_push(self, params4, stab4, monkeypatch):
-        # the packaged kernels at n = 600: pushes through U W where they are cheaper,
-        # then every push dense
-        grid, n_paths = SimGrid(T=1.0, n_steps=600), 2000
+    @pytest.mark.parametrize("n,n_paths", [(600, 2000), (2400, 1000)])
+    def test_far_field_push_matches_dense_push(self, params4, stab4, monkeypatch, n, n_paths):
+        # the packaged kernels at both benchmark grids: every push through U W, then
+        # every push dense, the last pushes of each asset (24 and 56 rows at n = 600,
+        # 32 and 64 at 2400) included
+        grid = SimGrid(T=1.0, n_steps=n)
         far = simulate_variance(params4, stab4, grid, n_paths, seed=6)
-        monkeypatch.setattr(simulate, "_block_push", lambda A, n, b: (_toeplitz_gather(A, n, b), None, None))
+        monkeypatch.setattr(simulate, "_block_push", dense_push)
         dense = simulate_variance(params4, stab4, grid, n_paths, seed=6)
         assert np.max(np.abs(far.V - dense.V)) <= 1e-14 * np.max(np.abs(dense.V))
         assert not np.array_equal(far.V, dense.V)
@@ -545,13 +557,11 @@ class TestSimulate:
                 )
                 assert np.max(np.abs(V - b.V[i, ell])) < 1e-12
 
-    def test_v0_mean_mode_and_storage_flags(self, params4, stab4):
+    def test_v0_mean_mode_and_storage(self, params4, stab4):
         grid = SimGrid(T=1.0, n_steps=10)
-        b = simulate_variance(
-            params4, stab4, grid, n_paths=5, seed=2, v0_mode="mean", store_bperp=False
-        )
+        b = simulate_variance(params4, stab4, grid, n_paths=5, seed=2, v0_mode="mean")
         assert np.allclose(b.v0, params4.x_inf[:, None])
-        assert b.dBperp is None and b.integrals is None
+        assert b.dBperp.shape == b.dB.shape == (2, 10, 5) and b.integrals is None
         with pytest.raises(ValueError):
             simulate_variance(params4, stab4, grid, n_paths=5, seed=2, v0_mode="median")
 
@@ -670,10 +680,17 @@ class TestSimulate:
         assert np.array_equal(panelled.dB, whole.dB)
         assert np.array_equal(panelled.dBperp, whole.dBperp)
 
-    @pytest.mark.parametrize("T,n_steps", [(float("nan"), 10), (float("inf"), 10), (0.0, 10), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "T,n_steps", [(float("nan"), 10), (float("inf"), 10), (0.0, 10), (1.0, 0), (1.0, 2.5), (1.0, 10.0)]
+    )
     def test_grid_rejects_bad_horizon_and_steps(self, T, n_steps):
-        with pytest.raises(ValueError, match="SimGrid requires a finite T > 0"):
+        # a float n_steps used to pass and fail later inside the pass with a TypeError
+        with pytest.raises(ValueError, match="SimGrid requires a finite T > 0 and an integer n_steps >= 1"):
             SimGrid(T, n_steps)
+
+    def test_grid_accepts_numpy_integer_steps(self):
+        grid = SimGrid(1.0, np.int64(4))
+        assert np.array_equal(grid.times, SimGrid(1.0, 4).times)
 
     def test_stabilizer_coverage_checked(self, params4):
         short = [

@@ -504,12 +504,6 @@ class TestMartingaleProfile:
         assert np.all(np.abs(prof["se_paired"] - se) <= 2.0 * tol)
         assert prof["terminal_mean_utility"] == pytest.approx(float(np.mean(J[-1])), rel=1e-14)
 
-    def test_requires_dbperp(self, params4, stab4, sol_power):
-        grid = SimGrid(T=1.0, n_steps=20)
-        b = simulate_variance(params4, stab4, grid, n_paths=10, seed=1, store_bperp=False)
-        with pytest.raises(ValueError):
-            martingale_profile(b, sol_power)
-
 
 class TestStationarity:
     @pytest.mark.parametrize("tb", [1, 7, None])

@@ -5,8 +5,9 @@ packaged config), in one process, into a temporary directory.  The script
 prints each invocation's exit code, one ``sha256 path`` line per emitted file,
 one ``sha256 bundle/<case>/<field>`` line per array of ``simulate_variance``'s
 bundle in three fixed cases on the packaged config (``BUNDLE_CASES``), so that
-the stored route is covered too, and, last, the code-line count of
-``src/roughmerton`` (lines that are not blank, comment or docstring).  Run
+the stored route is covered too, and, last, the code-line count of each
+module of ``src/roughmerton`` and their total (lines that are not blank,
+comment or docstring).  Run
 from the repository root:
 
     PYTHONPATH=src python tools/output_digest.py > after.txt
@@ -15,7 +16,7 @@ from the repository root:
 ``--sweep`` adds the benchmark's 18 analytic-sweep configs, each under its own
 utility and only with the analytic subcommands.  Run the same command on the
 parent commit's checkout; ``diff before.txt after.txt`` then shows every moved
-output, and the change in code lines.
+output, and the change in code lines, module by module.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ _NOT_CODE = {
 
 # name: (n_steps, simulate_variance keywords); three path blocks, the last
 # partial, and three time blocks, the last partial; then one path block with
-# V_0 pinned at its mean and no dBperp; then one path block so large that a
+# V_0 pinned at its mean; then one path block so large that a
 # slot of normals holds fewer steps than a time block (12-14 of 32)
 BUNDLE_CASES = {
     "p45_b20_n70": (70, {"n_paths": 45, "seed": 19, "block_size": 20}),
-    "p700_n130_mean": (130, {"n_paths": 700, "seed": 5, "v0_mode": "mean", "store_bperp": False}),
+    "p700_n130_mean": (130, {"n_paths": 700, "seed": 5, "v0_mode": "mean"}),
     "p6000_n70": (70, {"n_paths": 6000, "seed": 23}),
 }
 
@@ -122,9 +123,7 @@ def bundle_lines() -> list:
     for case, (n, kw) in BUNDLE_CASES.items():
         bundle = simulate_variance(params, tabs, SimGrid(params.T, n), **kw)
         for field in ("V", "dB", "dBperp", "v0"):
-            array = getattr(bundle, field)
-            if array is not None:
-                out.append(f"{hashlib.sha256(array.tobytes()).hexdigest()} bundle/{case}/{field}")
+            out.append(f"{hashlib.sha256(getattr(bundle, field).tobytes()).hexdigest()} bundle/{case}/{field}")
     return out
 
 
@@ -137,8 +136,10 @@ def main(argv=None) -> int:
     for line in digest_lines(args.configs, args.sweep) + bundle_lines():
         print(line)
     pkg = os.path.dirname(cli.__file__)
-    total = sum(code_lines(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg)) if name.endswith(".py"))
-    print(f"code lines in src/roughmerton: {total}")
+    counts = {name: code_lines(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
+    for name, count in counts.items():
+        print(f"code lines in src/roughmerton/{name}: {count}")
+    print(f"code lines in src/roughmerton: {sum(counts.values())}")
     return 0
 
 
