@@ -258,7 +258,7 @@ class TestModelParams:
     @pytest.mark.parametrize("field", ["alpha", "lam", "nu", "theta", "rho", "mu0", "c", "x0"])
     def test_rejects_non_finite_entries(self, params4, field, bad):
         # a NaN passes every range comparison, so finiteness is checked first;
-        # a non-finite x0 used to pass construction and fail only after a whole pass
+        # a non-finite x0 would otherwise fail only after a whole Monte Carlo pass
         kw = dict(
             alpha=params4.alpha, lam=params4.lam, nu=params4.nu, theta=params4.theta,
             rho=params4.rho, mu0=params4.mu0, c=params4.c, T=1.0, x0=1.0,
@@ -684,7 +684,7 @@ class TestSimulate:
         "T,n_steps", [(float("nan"), 10), (float("inf"), 10), (0.0, 10), (1.0, 0), (1.0, 2.5), (1.0, 10.0)]
     )
     def test_grid_rejects_bad_horizon_and_steps(self, T, n_steps):
-        # a float n_steps used to pass and fail later inside the pass with a TypeError
+        # a float n_steps would otherwise fail inside the pass with a TypeError
         with pytest.raises(ValueError, match="SimGrid requires a finite T > 0 and an integer n_steps >= 1"):
             SimGrid(T, n_steps)
 

@@ -7,8 +7,7 @@ one ``sha256 bundle/<case>/<field>`` line per array of ``simulate_variance``'s
 bundle in three fixed cases on the packaged config (``BUNDLE_CASES``), so that
 the stored route is covered too, and, last, the code-line count of each
 module of ``src/roughmerton`` and their total (lines that are not blank,
-comment or docstring).  Run
-from the repository root:
+comment or docstring).  Run from the repository root:
 
     PYTHONPATH=src python tools/output_digest.py > after.txt
     PYTHONPATH=src python tools/output_digest.py --sweep > after.txt
