@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, verify
 from .kernels import resolvent_residual
-from .riccati import RiccatiSpec, assumption_gate, solve_riccati
+from .riccati import RiccatiSpec, _variant_coefficients, assumption_gate, solve_riccati
 # simulate_variance, martingale_profile, optimality_test, simulate_wealth and
 # stationarity_report are not called here; perfbench/spans.py traces them under these names
 from .simulate import ModelParams, RateCurve, SimGrid, _asset_blocks, simulate_variance  # noqa: F401
@@ -260,9 +260,22 @@ def _write_stabilizer_curves(config: RunConfig, tabs, name: str):
     _write_csv(config, name, cols, np.column_stack([times] + [np.asarray(t(times)) for t in tabs]))
 
 
-def _solve(config: RunConfig, tabs, g: float):
-    """The exponent curves for the configured utility family at risk aversion g."""
-    return solve_riccati(RiccatiSpec(config.utility(g), config.params, tabs, config.n_riccati))
+def _solve(config: RunConfig, tabs, gammas) -> dict:
+    """The exponent curves for the configured utility family, keyed by each risk aversion in gammas.
+
+    Each distinct Riccati system is marched once.  A gamma whose coefficients
+    (a, lin, quad) equal an earlier gamma's, as every gamma's do under
+    exponential utility, shares that solution's arrays under its own spec;
+    they are only read downstream.
+    """
+    sols, marched = {}, {}
+    for g in gammas:
+        spec = RiccatiSpec(config.utility(g), config.params, tabs, config.n_riccati)
+        key = tuple(np.concatenate(_variant_coefficients(spec)).tolist())
+        if key not in marched:
+            marched[key] = solve_riccati(spec)
+        sols[g] = dataclasses.replace(marched[key], spec=spec)
+    return sols
 
 
 def _cmd_stabilizer(config: RunConfig) -> list:
@@ -287,7 +300,8 @@ def _cmd_stabilizer(config: RunConfig) -> list:
 
 
 def _cmd_riccati(config: RunConfig) -> list:
-    sol = _solve(config, _stab_tables(config), config.gammas[0])
+    g = config.gammas[0]
+    sol = _solve(config, _stab_tables(config), [g])[g]
     cols = ["t"] + [f"psi_{i+1}" for i in range(config.params.d)]
     _write_csv(config, "riccati.csv", cols, np.column_stack([sol.times, sol.psi.T]))
     gate = assumption_gate(sol, p=2.0)
@@ -336,8 +350,7 @@ def _cmd_simulate(config: RunConfig) -> list:
 def _cmd_strategy(config: RunConfig) -> list:
     tabs = _stab_tables(config)
     cols = ["t"] + [f"rule_{i+1}" for i in range(config.params.d)]
-    for g in config.gammas:
-        sol = _solve(config, tabs, g)
+    for g, sol in _solve(config, tabs, config.gammas).items():
         rules = optimal_rule(sol, sol.times)
         name = f"strategy_{config.utility_kind}_gamma{g:g}.csv"
         _write_csv(config, name, cols, np.column_stack([sol.times, rules.T]))
@@ -346,7 +359,7 @@ def _cmd_strategy(config: RunConfig) -> list:
 
 def _cmd_value(config: RunConfig) -> list:
     tabs = _stab_tables(config)
-    report = {f"gamma_{g:g}": value_function(_solve(config, tabs, g)) for g in config.gammas}
+    report = {f"gamma_{g:g}": value_function(sol) for g, sol in _solve(config, tabs, config.gammas).items()}
     payload = {"utility": config.utility_kind, "x0": config.params.x0, "values": report}
     _write_json(config, "value.json", payload)
     print(json.dumps(payload, sort_keys=True, default=_jsonable))
@@ -366,7 +379,7 @@ def _verify_gates(config: RunConfig):
     """
     params, d = config.params, config.params.d
     tabs = _stab_tables(config)
-    sols = {g: _solve(config, tabs, g) for g in config.gammas}
+    sols = _solve(config, tabs, config.gammas)
     # optimality and the martingale profile for the first gamma
     sol = sols[config.gammas[0]]
     # a rule that holds too much, or too little, of every asset gains on one side
@@ -441,7 +454,7 @@ def _cmd_all(config: RunConfig) -> list:
     _, _, curves = _fold_paths(config, tabs)
     _write_moment_curves(config, curves, "fig2.csv", ("mean_V", "var_V"))
 
-    sols = {g: _solve(config, tabs, g) for g in config.gammas}
+    sols = _solve(config, tabs, config.gammas)
     grid = sols[config.gammas[0]].times
     cols, data = ["t"], [grid]
     for g in config.gammas:

@@ -17,8 +17,10 @@ coupling is diagonal, so assets decouple):
 
 where g = gamma/(1-gamma), dl = (1-gamma)/(1-gamma+gamma rho^2) is the
 distortion coefficient, s = varsigma^i, th = theta_i.  The solver is the
-fractional Adams predictor--corrector with per-asset weights; lag-indexed
-weight tables give O(n^2) total cost.
+fractional Adams predictor--corrector with per-asset, lag-indexed weights.
+Its history sums cost O(n^2) multiply-adds in all; they are taken a block of
+``_HIST_BLOCK`` steps at a time by two ``np.correlate`` calls, so each step
+is Python float arithmetic.
 
 Provides ``RiccatiSpec`` (the utility, model and stabilizers solved for) /
 ``RiccatiSolution``, ``solve_riccati`` (with blowup detection and horizon
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +56,9 @@ __all__ = [
 # Blowup cap on |psi| and the relative resolution of the refined horizon.
 _PSI_CAP = 1e6
 _TMAX_RESOLUTION = 1e-3
+# Adams steps per history block: of 8, 12, 16 and 24, marches of n = 200,
+# 800 and 1600 took least at 12 and 16 (within 1%), 3% more at 8, 9% at 24.
+_HIST_BLOCK = 12
 
 
 class RiccatiBlowup(RuntimeError):
@@ -82,7 +88,7 @@ class RiccatiSpec:
     the solution reads both from here.  ``degenerate`` selects the
     equal-correlation form; ``stabilizers`` holds one StabilizerTable per
     asset covering [0, T], T = ``params.T`` the horizon solved on; ``n`` is
-    the Adams grid size.
+    the Adams grid size, a Python or NumPy integer >= 2 (not a bool).
     """
 
     util: UtilitySpec
@@ -95,8 +101,8 @@ class RiccatiSpec:
         p = self.params
         if len(self.stabilizers) != p.d:
             raise ValueError(f"need {p.d} stabilizer tables, got {len(self.stabilizers)}")
-        if self.n < 2:
-            raise ValueError("require n >= 2")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"RiccatiSpec requires an integer n >= 2, got n = {self.n!r}")
         if self.degenerate and not np.all(p.rho == p.rho[0]):
             raise ValueError("degenerate variants require all rho_i equal")
         for i, tab in enumerate(self.stabilizers):
@@ -192,34 +198,46 @@ def _solve_single(
     blow_step is the first index with |psi| > cap, or -1.
 
     Step k + 1 predicts with sum_{j<=k} bw[k-j] f_j, then corrects with
-    a0[k] f_0 + acorr rhs(pred) + sum_{1<=j<=k} aw[k-j] f_j.  The per-step
-    arithmetic (rhs, a0[k] f_0, the blowup test) is in Python floats, and the
-    weights are reversed once into contiguous arrays, so each history sum is
-    one ``np.dot`` of two contiguous slices.  ``np.dot`` copies a reversed
-    view into such a slice before the same BLAS dot, so psi and the rhs
-    values are those of a march over reversed views, to the last bit.
+    a0[k] f_0 + acorr rhs(pred) + sum_{1<=j<=k} aw[k-j] f_j, where
+    rhs(x) = a + x (c1 + c2 x), c1 = lin varsigma - lam and c2 = quad varsigma^2.
+    The steps go in blocks of ``_HIST_BLOCK`` (the last may be shorter): the
+    f_j known when a block starts enter all of its predictor (corrector)
+    sums through one ``np.correlate`` against the reversed weights, and the
+    block's own f_j are added in Python floats, fewer than ``_HIST_BLOCK``
+    terms per sum.  So each step is Python float arithmetic, and the history
+    costs two ``np.correlate`` calls per block, not two ``np.dot`` calls per
+    step.  The sums are grouped unlike those of a step-by-step march, so psi
+    differs from one by rounding only.
     """
     bw, aw, a0, acorr = _adams_weights(alpha, dt, n)
     bwr, awr = bw[::-1].copy(), aw[::-1].copy()
-    sig, a0 = sig_rev.tolist(), a0.tolist()
-    a_i, lin_i, lam, quad_i, acorr = float(a_i), float(lin_i), float(lam), float(quad_i), float(acorr)
+    bwb, awb = bw[:_HIST_BLOCK].tolist(), aw[:_HIST_BLOCK].tolist()
+    c1 = (lin_i * sig_rev - lam).tolist()
+    c2 = (quad_i * sig_rev * sig_rev).tolist()
+    a_i, acorr = float(a_i), float(acorr)
 
-    def rhs(j: int, x: float) -> float:
-        sx = sig[j] * x
-        return a_i + lin_i * sx - lam * x + quad_i * sx * sx
-
-    psi = [0.0] * (n + 1)
+    psi = [0.0]
     fv = np.empty(n + 1)
-    f0 = fv[0] = rhs(0, 0.0)
-    for k in range(n):
-        pred = float(np.dot(fv[: k + 1], bwr[n - k :]))
-        corr = a0[k] * f0 + acorr * rhs(k + 1, pred)
-        if k >= 1:
-            corr += float(np.dot(fv[1 : k + 1], awr[n - k + 1 :]))
-        psi[k + 1] = corr
-        fv[k + 1] = rhs(k + 1, corr)
-        if abs(corr) > _PSI_CAP:
-            return np.array(psi), fv, k + 1
+    fv[0] = a_i  # rhs at psi(0) = 0
+    a0f0 = a0 * a_i
+    for s in range(0, n, _HIST_BLOCK):
+        b = min(_HIST_BLOCK, n - s)
+        # at steps s..s+b-1: the predictor's history j <= s, and the
+        # corrector's j = 0 term plus its history 1 <= j <= s
+        hist_p = np.correlate(bwr[n - s - b + 1 :], fv[: s + 1], "valid")[::-1].tolist()
+        hist_c = a0f0[s : s + b]
+        if s:
+            hist_c = hist_c + np.correlate(awr[n - s - b + 2 :], fv[1 : s + 1], "valid")[::-1]
+        recent = []  # the block's f so far, newest first
+        for hp, hc, c1k, c2k in zip(hist_p, hist_c.tolist(), c1[s + 1 : s + b + 1], c2[s + 1 : s + b + 1]):
+            pred = hp + sum(map(mul, recent, bwb))
+            corr = hc + acorr * (a_i + pred * (c1k + c2k * pred)) + sum(map(mul, recent, awb))
+            psi.append(corr)
+            recent.insert(0, a_i + corr * (c1k + c2k * corr))
+            if abs(corr) > _PSI_CAP:
+                fv[s + 1 : len(psi)] = recent[::-1]
+                return np.array(psi + [0.0] * (n + 1 - len(psi))), fv, len(psi) - 1
+        fv[s + 1 : s + b + 1] = recent[::-1]
     return np.array(psi), fv, -1
 
 

@@ -13,6 +13,7 @@ import roughmerton.cli as cli
 import roughmerton.kernels as kernels
 import roughmerton.simulate as simulate
 from roughmerton.cli import ConfigError, _default_config_path, dispatch, load_config, main
+from roughmerton.riccati import RiccatiSpec, solve_riccati
 
 
 def read_json(path):
@@ -337,9 +338,9 @@ class TestCommands:
         assert payload["error"] == "ConfigError" and "model.x0" in payload["message"]
         assert not os.path.exists(out)
 
-    def one_pass_calls(self, tmp_path, monkeypatch, subcommand, written):
-        """Factor builds, Riccati solves and path passes of one run of ``subcommand``,
-        which must write ``written`` and never store a bundle."""
+    def one_pass_calls(self, tmp_path, monkeypatch, subcommand, written, utility):
+        """Factor builds, Riccati solves and path passes of one run of ``subcommand``
+        under ``utility``, which must write ``written`` and never store a bundle."""
         calls = {"factor": 0, "solve": 0, "paths": 0}
 
         def counted(name, fn):
@@ -358,22 +359,57 @@ class TestCommands:
         monkeypatch.setattr(cli, "simulate_variance", stored)
         cfg = write_config(tmp_path, self.shrink)
         out = str(tmp_path / "out")
-        run_cli([subcommand, "--config", cfg, "--out", out])
+        run_cli([subcommand, "--config", cfg, "--out", out, "--utility", utility])
         assert os.path.isfile(os.path.join(out, written))
         return calls
 
-    def test_verify_builds_each_factor_once_and_solves_each_gamma_once(self, tmp_path, monkeypatch):
-        calls = self.one_pass_calls(tmp_path, monkeypatch, "verify", "verify_report.json")
-        # one pass of the paths serves every gate: one factor per asset; two gammas
-        assert calls == {"factor": 2, "solve": 2, "paths": 1}
+    # two gammas: two Riccati systems under power utility, one under
+    # exponential, whose equation does not depend on gamma
+    @pytest.mark.parametrize("utility,solves", [("power", 2), ("exponential", 1)])
+    def test_verify_builds_each_factor_once_and_solves_each_system_once(self, tmp_path, monkeypatch, utility, solves):
+        calls = self.one_pass_calls(tmp_path, monkeypatch, "verify", "verify_report.json", utility)
+        # one pass of the paths serves every gate: one factor per asset
+        assert calls == {"factor": 2, "solve": solves, "paths": 1}
 
     @pytest.mark.parametrize(
-        "subcommand,written,solves", [("simulate", "simulate_report.json", 0), ("all", "fig2.csv", 2)]
+        "subcommand,written,utility,solves",
+        [
+            ("simulate", "simulate_report.json", "power", 0),
+            ("simulate", "simulate_report.json", "exponential", 0),
+            ("all", "fig2.csv", "power", 2),
+            ("all", "fig2.csv", "exponential", 1),
+        ],
     )
-    def test_simulate_and_all_fold_one_pass_without_a_bundle(self, tmp_path, monkeypatch, subcommand, written, solves):
-        calls = self.one_pass_calls(tmp_path, monkeypatch, subcommand, written)
+    def test_simulate_and_all_fold_one_pass_without_a_bundle(
+        self, tmp_path, monkeypatch, subcommand, written, utility, solves
+    ):
+        calls = self.one_pass_calls(tmp_path, monkeypatch, subcommand, written, utility)
         # the moment curves come from one pass of the paths: one factor per asset
         assert calls == {"factor": 2, "solve": solves, "paths": 1}
+
+    @pytest.mark.parametrize("utility,solves", [("power", 2), ("exponential", 1)])
+    @pytest.mark.parametrize("subcommand", ["strategy", "value"])
+    def test_strategy_and_value_solve_each_system_once(self, tmp_path, monkeypatch, subcommand, utility, solves):
+        written = {"strategy": f"strategy_{utility}_gamma0.5.csv", "value": "value.json"}[subcommand]
+        calls = self.one_pass_calls(tmp_path, monkeypatch, subcommand, written, utility)
+        assert calls == {"factor": 0, "solve": solves, "paths": 0}
+
+    @pytest.mark.parametrize("kind", ["power", "exponential"])
+    def test_shared_solutions_equal_their_own_solves(self, tmp_path, kind):
+        config = dataclasses.replace(
+            load_config(write_config(tmp_path, self.shrink)), utility_kind=kind, gammas=(0.2, 0.5, 0.8)
+        )
+        tabs = cli._stab_tables(config)
+        sols = cli._solve(config, tabs, config.gammas)
+        assert list(sols) == list(config.gammas)
+        for g, sol in sols.items():
+            own = solve_riccati(RiccatiSpec(config.utility(g), config.params, tabs, config.n_riccati))
+            assert sol.spec.util == config.utility(g)
+            for field in ("times", "psi", "rhs_values"):
+                assert np.array_equal(getattr(sol, field), getattr(own, field)), field
+        # exponential gammas share one march's arrays; power gammas each have their own
+        shared = [sols[g].psi is sols[0.2].psi for g in (0.5, 0.8)]
+        assert shared == ([True, True] if kind == "exponential" else [False, False])
 
     def test_verify_rerun_bit_identical_and_stationarity_of_simulate(self, tmp_path):
         cfg = write_config(tmp_path, self.shrink)

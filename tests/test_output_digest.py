@@ -25,8 +25,9 @@ def test_reruns_give_identical_digests(tmp_path, capsys):
 
     tool = load_tool()
     runs = []
-    for _ in range(2):
-        assert tool.main([str(path)]) == 0
+    kept = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for keep in kept:
+        assert tool.main([str(path), "--keep", keep]) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     lines = runs[0]
@@ -52,6 +53,34 @@ def test_reruns_give_identical_digests(tmp_path, capsys):
     ]
     assert sum(int(n) for _, n in counts[:-1]) == int(counts[-1][1]) > 0
     assert lines[-1].startswith("code lines in src/roughmerton: ")
+
+    # the kept trees hold every emitted file, and two reruns read 0 throughout
+    assert tool.main(["--compare", *kept]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    emitted = sorted(d[1] for d in digests if not d[1].startswith("bundle/"))
+    assert [line.split()[1] for line in compared] == emitted
+    assert {line.split()[0] for line in compared} == {"0"}
+
+
+def test_compare_reads_a_perturbation(tmp_path, capsys):
+    tool = load_tool()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "run").mkdir(parents=True)
+        (tree / "run" / "psi.csv").write_text("# seed=1\n0,1\n0.5,-2.5\n")
+        (tree / "run" / "value.json").write_text('{"passed": true, "values": {"gamma_0.2": [0.0, 4.0]}}\n')
+    (trees[1] / "run" / "psi.csv").write_text("# seed=1\n0,1\n0.5,-2.5000000005\n")
+    assert tool.main(["--compare", *map(str, trees)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2e-10 run/psi.csv", "0 run/value.json"]
+    # a moved verdict or a missing file is not a difference of numbers
+    (trees[1] / "run" / "value.json").write_text('{"passed": false, "values": {"gamma_0.2": [0.0, 4.0]}}\n')
+    (trees[0] / "run" / "fig1.csv").write_text("0\n")
+    assert tool.main(["--compare", *map(str, trees)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {trees[0]} run/fig1.csv",
+        "2e-10 run/psi.csv",
+        "differs beyond its numbers run/value.json",
+    ]
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):

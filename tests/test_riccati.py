@@ -125,6 +125,11 @@ class TestSpecValidation:
             make_params(params4, T=0.0)
         with pytest.raises(ValueError):
             RiccatiSpec(POWER, params4, stab4, n=1)
+        # a float or a bool n is refused by name, not truncated or read as 1
+        for bad in (200.0, True, np.float64(200.0), "200"):
+            with pytest.raises(ValueError, match="integer n >= 2"):
+                RiccatiSpec(POWER, params4, stab4, n=bad)
+        assert RiccatiSpec(POWER, params4, stab4, n=np.int64(50)).n == 50
         with pytest.raises(ValueError):
             RiccatiSpec(POWER, params4, stab4[:1], n=200)
 
@@ -250,8 +255,19 @@ class TestBlowup:
             make_stabs(self.supercritical(params4, T=40.0), grid_pts=401)
 
 
+def max_rel_gap(x, ref) -> float:
+    """max |x - ref| over max |ref|."""
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
 class TestAdamsMarch:
-    """The float march against the step-by-step reference, bit for bit."""
+    """The blocked march against the step-by-step reference.
+
+    The march groups each history sum unlike the reference (a block's history
+    through ``np.correlate``, its own terms in Python floats), so the two agree
+    to rounding: the same blowup index, and psi and f within a bound of the
+    reference's max.  Across this grid the gap measured at most 9.1e-16.
+    """
 
     @staticmethod
     def march_args(spec, i, n):
@@ -261,7 +277,8 @@ class TestAdamsMarch:
         sig_rev = _sig_reversed(spec, i, p.T, n)
         return (p.alpha[i], p.lam[i], a[i], lin[i], quad[i], sig_rev, p.T / n, n)
 
-    @pytest.mark.parametrize("n", [2, 3, 200, 1600])
+    # below one history block, not a multiple of it, and many blocks
+    @pytest.mark.parametrize("n", [2, 3, 5, 37, 200, 1600, 1601])
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9, 0.95])
     def test_matches_reference(self, params4, alpha, n):
         p = make_params(params4, alpha=[alpha, alpha])
@@ -273,7 +290,7 @@ class TestAdamsMarch:
                 psi, fv, blow = _solve_single(*args)
                 psi_ref, fv_ref, blow_ref = adams_march_reference(*args)
                 assert blow == blow_ref == -1
-                assert np.array_equal(psi, psi_ref) and np.array_equal(fv, fv_ref)
+                assert max_rel_gap(psi, psi_ref) <= 1e-14 and max_rel_gap(fv, fv_ref) <= 1e-14
 
     def test_blowup_matches_reference(self, params4):
         # the power quadratic turns supercritical after 121 and 40 steps
@@ -284,7 +301,11 @@ class TestAdamsMarch:
             psi, fv, blow = _solve_single(*args)
             psi_ref, fv_ref, blow_ref = adams_march_reference(*args)
             assert blow == blow_ref > 10
-            assert np.array_equal(psi, psi_ref) and np.array_equal(fv[: blow + 1], fv_ref[: blow + 1])
+            # the supercritical growth amplifies rounding: up to blow, the gap
+            # measured 2.4e-13 (psi) and 4.9e-13 (f) of the reference's max
+            assert max_rel_gap(psi[: blow + 1], psi_ref[: blow + 1]) <= 1e-12
+            assert max_rel_gap(fv[: blow + 1], fv_ref[: blow + 1]) <= 1e-12
+            assert not psi[blow + 1 :].any()
 
 
 class TestBoundsAndGates:

@@ -655,7 +655,7 @@ class TestFold:
         report, _, profile = cli._verify_gates(config)
         params = config.params
         tabs = cli._stab_tables(config)
-        sols = {g: cli._solve(config, tabs, g) for g in config.gammas}
+        sols = cli._solve(config, tabs, config.gammas)
         sol = sols[config.gammas[0]]
         b = simulate_variance(params, tabs, SimGrid(params.T, self.N), self.P, config.seed, block_size=self.BLOCK)
         runs = simulate_wealth(

@@ -32,14 +32,15 @@ WRONG_THETA = 0.3
 
 
 def mismatched(solve, what: str):
-    """``cli._solve`` with the solution at theta = WRONG_THETA swapped in."""
+    """``cli._solve`` with the solutions at theta = WRONG_THETA swapped in."""
 
-    def wrong(config, tabs, g):
+    def wrong(config, tabs, gammas):
         params = dataclasses.replace(config.params, theta=np.full(config.params.d, WRONG_THETA))
-        sol = solve(dataclasses.replace(config, params=params), tabs, g)
+        sols = solve(dataclasses.replace(config, params=params), tabs, gammas)
         if what == "solution":
-            return sol
-        return dataclasses.replace(solve(config, tabs, g), psi=sol.psi, rhs_values=sol.rhs_values)
+            return sols
+        own = solve(config, tabs, gammas)
+        return {g: dataclasses.replace(own[g], psi=sols[g].psi, rhs_values=sols[g].rhs_values) for g in gammas}
 
     return wrong
 
